@@ -18,8 +18,6 @@ from .criteria import (
     mean_mse,
     pm_conditional_variance,
     tail_constant,
-    variance_decomposition_terms,
-    variance_floor_report,
 )
 from .designs import (
     DesignSpec,
@@ -32,11 +30,9 @@ from .designs import (
     sample_allocations,
 )
 from .matching import (
-    CapacityError,
     DistanceMatrix,
     MatchResult,
     mahalanobis_distances,
-    match_exact,
     match_grid,
     match_heuristic,
     pair_gap_diagnostic,
@@ -49,6 +45,8 @@ from .montecarlo import (
     empirical_quantile,
     enumerate_design_oracle,
     run_cell,
+    variance_decomposition_terms,
+    variance_floor_report,
 )
 from .response import (
     CovariateSource,

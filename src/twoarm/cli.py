@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import CovariateMatrix
 from .designs import DesignSpec, build_blocking, greedy_pair_switch
-from .matching import EXACT_CAPACITY, mahalanobis_distances, match_exact, match_heuristic
+from .matching import mahalanobis_distances, match_heuristic
 from .montecarlo import CellConfig, run_cell
 from .response import RESPONSE_KINDS, default_covariate_source, default_model, draw_covariates
 from .streams import substream
@@ -231,11 +231,7 @@ def _build_design(
     if label == "bcrd":
         return DesignSpec.bcrd(x.n_subjects)
     if label == "pm":
-        d = mahalanobis_distances(x)
-        result = (
-            match_exact(d) if x.n_subjects <= EXACT_CAPACITY else match_heuristic(d)
-        )
-        return DesignSpec.pm(result.pairing)
+        return DesignSpec.pm(match_heuristic(mahalanobis_distances(x)).pairing)
     if label == "pb":
         rng = substream(grid.seed, cell_id, "design")
         return DesignSpec.pb(greedy_pair_switch(x, grid.pb_restarts, rng))

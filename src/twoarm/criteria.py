@@ -16,15 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Blocking, DesignCovariance
-from .designs import (
-    DesignSpec,
-    design_covariance,
-    enumerate_allocations,
-    sample_allocations,
-)
-from .response import ResponseModel, draw_outcomes, potential_means
-from .streams import chunk_sizes, substream
+from .core import DesignCovariance
 
 # Coefficient c in Var_W[(tau_hat - tau)^2 | v] = c * sum_{i<j} d_i^2 d_j^2 / n^4
 # for pairwise matching.  Fixed by exhaustive enumeration of the n = 2
@@ -144,106 +136,3 @@ def pm_variance_candidate(rho_bar: float) -> float:
     if rho_bar < 0:
         raise ValueError("rho_bar must be >= 0")
     return rho_bar**2 / 2.0
-
-
-def variance_decomposition_terms(
-    spec: DesignSpec,
-    model: ResponseModel,
-    x,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Split Var[(tau_hat - tau)^2] over noise and allocation.
-
-    Returns (Var_Z of the allocation-conditional mean, E_Z of the
-    allocation-conditional variance); the two sum to the unconditional
-    variance.  The conditional variance needs either the
-    pairwise-matching closed form, the degenerate pb case, or an
-    enumerable support; other designs are rejected.
-    """
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
-    n = spec.n_subjects // 2
-    mu_t, mu_c = potential_means(model, x)
-    y_t = draw_outcomes(model, mu_t, rng, n_draws)
-    y_c = draw_outcomes(model, mu_c, rng, n_draws)
-    v = y_t + y_c
-    if spec.kind == "pb":
-        w = spec.w_star.signs.astype(float)
-        cond_mean = np.square(v @ w) / (4.0 * n * n)
-        cond_var = np.zeros(n_draws)
-    elif spec.kind == "pm":
-        sigma = design_covariance(spec).sigma_w
-        cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
-        pairs = spec.blocking.pairs()
-        a = np.array([p[0] for p in pairs])
-        b = np.array([p[1] for p in pairs])
-        d_sq = np.square(v[:, a] - v[:, b])
-        s2 = d_sq.sum(axis=1)
-        s4 = np.square(d_sq).sum(axis=1)
-        cond_var = PM_COND_VAR_COEFF * (s2 * s2 - s4) / (2.0 * n**4)
-    else:
-        allocs = enumerate_allocations(spec, max_support=4096).astype(float)
-        sigma = design_covariance(spec).sigma_w
-        cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
-        sq = np.square(v @ allocs.T / (2.0 * n))
-        cond_var = sq.var(axis=1)
-    return float(cond_mean.var(ddof=1)), float(cond_var.mean())
-
-
-def variance_floor_report(
-    n_subjects_grid,
-    block_counts,
-    n_reps: int,
-    master_seed: int,
-    rho: float = 1.0,
-) -> list[dict]:
-    """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
-
-    Simulates block designs with constant means (so the allocation term
-    vanishes) and Gaussian noise of total per-subject variance rho, and
-    reports the scaled variance estimate with a moment-based standard
-    error next to the floor.
-    """
-    rows = []
-    bound = rho**2 / 8.0
-    for n_sub in n_subjects_grid:
-        for n_blocks in block_counts:
-            if n_sub % n_blocks or (n_sub // n_blocks) % 2:
-                raise ValueError(
-                    f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
-                )
-            n = n_sub // 2
-            spec = DesignSpec.block(
-                Blocking(np.arange(n_sub) // (n_sub // n_blocks))
-            )
-            cell = f"floor::{n_sub}::{n_blocks}"
-            sq = np.empty(n_reps)
-            pos = 0
-            for ci, size in enumerate(chunk_sizes(n_reps)):
-                rng_z = substream(master_seed, cell, "noise", ci)
-                rng_w = substream(master_seed, cell, "alloc", ci)
-                noise = rng_z.normal(0.0, np.sqrt(rho), (size, n_sub))
-                w = sample_allocations(spec, size, rng_w)
-                sq[pos : pos + size] = np.square(
-                    (w * noise).sum(axis=1) / (2.0 * n)
-                )
-                pos += size
-            var = float(sq.var(ddof=1))
-            centered = sq - sq.mean()
-            m4 = float(np.mean(centered**4))
-            se = float(np.sqrt(max(m4 - var * var, 0.0) / n_reps))
-            est = n * n * var
-            est_se = n * n * se
-            rows.append(
-                {
-                    "n_subjects": int(n_sub),
-                    "n_blocks": int(n_blocks),
-                    "n_reps": int(n_reps),
-                    "scaled_variance": est,
-                    "se": est_se,
-                    "bound": bound,
-                    "satisfied": bool(est >= bound - 3.0 * est_se),
-                }
-            )
-    return rows

@@ -3,8 +3,8 @@
 The pairwise-matching design needs a partition of the 2n subjects into
 n pairs with small within-pair covariate distance.  This module
 provides the Mahalanobis distance matrix, an exact minimum-cost matcher
-for small samples, a greedy + 2-opt heuristic for realistic sizes, and
-a rank-interval grid matcher whose within-pair gaps shrink as n grows.
+(Edmonds' blossom algorithm on the complete graph), and a rank-interval
+grid matcher whose within-pair gaps shrink as n grows.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ import numpy as np
 
 from .core import Blocking, CovariateMatrix
 from .designs import regularized_covariance
-
-# Largest 2n the exact bitmask DP accepts.
-EXACT_CAPACITY = 12
-
-
-class CapacityError(ValueError):
-    """Raised when a sample is too large for the exact matcher."""
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
@@ -79,63 +71,12 @@ def _pair_cost(pairs, d: np.ndarray) -> float:
     return float(sum(d[i, j] for i, j in pairs))
 
 
-def match_exact(d: DistanceMatrix) -> MatchResult:
-    """Minimum total-cost perfect matching by exhaustive bitmask DP.
-
-    Only for 2n <= EXACT_CAPACITY; larger samples should use
-    match_heuristic.  Ties are broken toward the lexicographically
-    smallest pairing.
-    """
-    n_sub = d.n_subjects
-    if n_sub > EXACT_CAPACITY:
-        raise CapacityError(
-            f"exact matching supports 2n <= {EXACT_CAPACITY}, got {n_sub}; "
-            "use match_heuristic"
-        )
-    dist = d.values
-    full = (1 << n_sub) - 1
-    dp = np.full(full + 1, np.inf)
-    dp[0] = 0.0
-    for mask in range(3, full + 1):
-        if bin(mask).count("1") % 2:
-            continue
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        best = np.inf
-        j_bits = rest
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            cand = dp[rest ^ (1 << j)] + dist[i, j]
-            if cand < best:
-                best = cand
-        dp[mask] = best
-    # reconstruct, smallest partner first among exact minima
-    pairs = []
-    mask = full
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        j_bits = rest
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            if dp[rest ^ (1 << j)] + dist[i, j] == dp[mask]:
-                pairs.append((i, j))
-                mask = rest ^ (1 << j)
-                break
-        else:
-            raise AssertionError("matching reconstruction failed")
-    return MatchResult(Blocking.from_pairs(pairs), _pair_cost(pairs, dist), "exact")
-
-
 def match_heuristic(d: DistanceMatrix) -> MatchResult:
-    """Minimum-cost perfect matching at sizes the exact DP cannot reach.
+    """Minimum-cost perfect matching of the subjects.
 
     Runs the blossom algorithm on the complete distance graph, which
-    minimizes the total within-pair cost in polynomial time; the
-    bitmask matcher stays as an independently checkable reference for
-    small samples.  Deterministic for a given distance matrix.
+    minimizes the total within-pair cost in polynomial time.
+    Deterministic for a given distance matrix.
     """
     dist = d.values
     n_sub = d.n_subjects
@@ -146,7 +87,7 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     mate = nx.min_weight_matching(graph)
     tuples = sorted(tuple(sorted(edge)) for edge in mate)
     return MatchResult(
-        Blocking.from_pairs(tuples), _pair_cost(tuples, dist), "heuristic"
+        Blocking.from_pairs(tuples), _pair_cost(tuples, dist), "blossom"
     )
 
 

@@ -5,6 +5,10 @@ replicate draws fresh potential outcomes and one allocation and records
 the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.
+
+The variance-floor and convergence reports run noise-only cells
+through the same chunk loop, and the variance decomposition splits the
+squared-error variance over noise and allocation.
 """
 
 from __future__ import annotations
@@ -18,11 +22,17 @@ from .core import Allocation, Blocking, CovariateMatrix, OutcomePair
 from .criteria import (
     approx_quantile,
     asymptotic_reference,
+    pm_conditional_variance,
     pm_variance_candidate,
     tail_constant,
 )
-from .designs import DesignSpec, enumerate_allocations, sample_allocations
-from .response import ResponseModel, default_model, draw_outcomes, potential_means
+from .designs import (
+    DesignSpec,
+    design_covariance,
+    enumerate_allocations,
+    sample_allocations,
+)
+from .response import ResponseModel, draw_outcomes, potential_means
 from .streams import chunk_sizes, substream
 
 
@@ -185,23 +195,119 @@ def enumerate_design_oracle(
     return float(sq.mean()), float(sq.var())
 
 
-def _duplicate_pair_setup(n_subjects: int) -> tuple[CovariateMatrix, ResponseModel]:
-    """Covariates duplicated within consecutive pairs, linear response.
+def variance_decomposition_terms(
+    spec: DesignSpec,
+    model: ResponseModel,
+    x,
+    n_draws: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Split Var[(tau_hat - tau)^2] over noise and allocation.
 
-    Duplicated rows force every within-pair mean gap to zero exactly,
-    which isolates the noise-driven variance floor.
+    Returns (Var_Z of the allocation-conditional mean, E_Z of the
+    allocation-conditional variance); the two sum to the unconditional
+    variance.  The conditional variance needs either the
+    pairwise-matching closed form, the degenerate pb case, or an
+    enumerable support; other designs are rejected.
     """
-    base = np.linspace(-1.0, 1.0, n_subjects // 2)
-    x = CovariateMatrix(np.repeat(base, 2)[:, None])
-    # total noise variance rho = 1 split evenly over the two arms
+    if n_draws < 2:
+        raise ValueError("n_draws must be >= 2")
+    n = spec.n_subjects // 2
+    mu_t, mu_c = potential_means(model, x)
+    y_t = draw_outcomes(model, mu_t, rng, n_draws)
+    y_c = draw_outcomes(model, mu_c, rng, n_draws)
+    v = y_t + y_c
+    sigma = design_covariance(spec).sigma_w
+    cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
+    if spec.kind == "pb":
+        cond_var = np.zeros(n_draws)
+    elif spec.kind == "pm":
+        # pm_conditional_variance expects pairs at consecutive positions
+        order = np.ravel(spec.blocking.pairs())
+        cond_var = np.array([pm_conditional_variance(row) for row in v[:, order]])
+    else:
+        allocs = enumerate_allocations(spec, max_support=4096).astype(float)
+        cond_var = np.square(v @ allocs.T / (2.0 * n)).var(axis=1)
+    return float(cond_mean.var(ddof=1)), float(cond_var.mean())
+
+
+def _noise_only_cell(
+    cell_id: str, spec: DesignSpec, n_reps: int, master_seed: int, rho: float
+) -> CellConfig:
+    """A continuous cell whose squared error comes from the noise alone.
+
+    Every subject has mean 0 (a constant covariate, no intercept or
+    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w; each
+    arm carries Gaussian noise of variance rho / 2, so rho per subject.
+    """
     model = ResponseModel(
         kind="continuous",
-        beta0=-1.0,
+        beta0=0.0,
         beta=np.array([1.0]),
-        beta_t=0.001,
-        sigma=math.sqrt(0.5),
+        beta_t=0.0,
+        sigma=math.sqrt(rho / 2.0),
     )
-    return x, model
+    return CellConfig(
+        cell_id=cell_id,
+        model=model,
+        x=CovariateMatrix(np.zeros((spec.n_subjects, 1))),
+        design=spec,
+        n_reps=n_reps,
+        master_seed=master_seed,
+    )
+
+
+def _scaled_variance(sq: np.ndarray, n: int) -> tuple[float, float]:
+    """n^2 Var of a squared-error sample and its moment-based standard error."""
+    var = float(sq.var(ddof=1))
+    m4 = float(np.mean((sq - sq.mean()) ** 4))
+    se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
+    return n * n * var, n * n * se
+
+
+def variance_floor_report(
+    n_subjects_grid,
+    block_counts,
+    n_reps: int,
+    master_seed: int,
+    rho: float = 1.0,
+) -> list[dict]:
+    """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
+
+    Simulates block designs on a noise-only cell (so the allocation
+    term vanishes) with total per-subject noise variance rho, and
+    reports the scaled variance estimate with a moment-based standard
+    error next to the floor.
+    """
+    if not rho > 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    rows = []
+    bound = rho**2 / 8.0
+    for n_sub in n_subjects_grid:
+        for n_blocks in block_counts:
+            if n_sub % n_blocks or (n_sub // n_blocks) % 2:
+                raise ValueError(
+                    f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
+                )
+            spec = DesignSpec.block(
+                Blocking(np.arange(n_sub) // (n_sub // n_blocks))
+            )
+            cfg = _noise_only_cell(
+                f"floor::{n_sub}::{n_blocks}", spec, n_reps, master_seed, rho
+            )
+            est, est_se = _scaled_variance(simulate_squared_errors(cfg), n_sub // 2)
+            rows.append(
+                {
+                    "n_subjects": int(n_sub),
+                    "n_blocks": int(n_blocks),
+                    "n_reps": int(n_reps),
+                    "scaled_variance": est,
+                    "se": est_se,
+                    "bound": bound,
+                    "satisfied": bool(est >= bound - 3.0 * est_se),
+                }
+            )
+    return rows
 
 
 def convergence_study(
@@ -212,10 +318,10 @@ def convergence_study(
 ) -> list[dict]:
     """Track n^2 Var[(tau_hat - tau)^2] as the sample grows.
 
-    Runs pm and/or pb on matched-duplicate covariates (zero within-pair
-    gaps, Gaussian noise with rho = 1) and reports the scaled variance
-    with a moment-based standard error, next to the published reference
-    constants and the enumeration-implied pm candidate.
+    Runs pm and/or pb on a noise-only cell (Gaussian noise with rho = 1)
+    and reports the scaled variance with a moment-based standard error,
+    next to the published reference constants and the
+    enumeration-implied pm candidate.
     """
     ref = asymptotic_reference(1.0)
     rows = []
@@ -225,34 +331,23 @@ def convergence_study(
         for n_sub in n_subjects_grid:
             if n_sub % 2 or n_sub < 4:
                 raise ValueError("n_subjects must be even and >= 4")
-            x, model = _duplicate_pair_setup(n_sub)
             if kind == "pm":
                 pairing = Blocking(np.arange(n_sub) // 2)
                 spec = DesignSpec.pm(pairing)
             else:
                 w_star = np.tile(np.array([1, -1], dtype=np.int8), n_sub // 2)
                 spec = DesignSpec.pb(Allocation(w_star))
-            cfg = CellConfig(
-                cell_id=f"convergence::{kind}::{n_sub}",
-                model=model,
-                x=x,
-                design=spec,
-                n_reps=n_reps,
-                master_seed=master_seed,
+            cfg = _noise_only_cell(
+                f"convergence::{kind}::{n_sub}", spec, n_reps, master_seed, 1.0
             )
-            sq = simulate_squared_errors(cfg)
-            n = n_sub // 2
-            var = float(sq.var(ddof=1))
-            centered = sq - sq.mean()
-            m4 = float(np.mean(centered**4))
-            se = float(np.sqrt(max(m4 - var * var, 0.0) / n_reps))
+            est, est_se = _scaled_variance(simulate_squared_errors(cfg), n_sub // 2)
             rows.append(
                 {
                     "design": kind,
                     "n_subjects": int(n_sub),
                     "n_reps": int(n_reps),
-                    "scaled_variance": n * n * var,
-                    "se": n * n * se,
+                    "scaled_variance": est,
+                    "se": est_se,
                     "pm_reference": ref.pm_reference,
                     "pb_reference": ref.pb_reference,
                     "pm_enumeration_candidate": pm_variance_candidate(1.0),

@@ -25,7 +25,6 @@ from twoarm.designs import (
 )
 from twoarm.matching import (
     mahalanobis_distances,
-    match_exact,
     match_grid,
     match_heuristic,
     pair_gap_diagnostic,
@@ -34,7 +33,7 @@ from twoarm.montecarlo import convergence_study, enumerate_design_oracle
 from twoarm.response import default_covariate_source, draw_covariates
 from twoarm.streams import substream
 
-from util_oracles import pairing_arrays, sign_patterns, spearman
+from util_oracles import match_exact, pairing_arrays, sign_patterns, spearman
 
 MASTER_SEED = 20260814
 

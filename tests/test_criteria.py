@@ -17,10 +17,9 @@ from twoarm.criteria import (
     pm_conditional_variance,
     pm_variance_candidate,
     tail_constant,
-    variance_decomposition_terms,
-    variance_floor_report,
 )
 from twoarm.designs import DesignSpec, design_covariance, enumerate_allocations
+from twoarm.montecarlo import variance_decomposition_terms, variance_floor_report
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -230,13 +229,18 @@ class TestVarianceDecomposition:
         assert within == 0.0
         assert between > 0.0
 
-    @pytest.mark.parametrize("kind", ["pm", "bcrd"])
-    def test_matches_support_enumeration_on_shared_draws(self, kind):
-        n_subjects = 6
-        if kind == "pm":
-            spec = _pm_spec(n_subjects)
-        else:
-            spec = DesignSpec.bcrd(n_subjects)
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("pm", _pm_spec(6)),
+            ("bcrd", DesignSpec.bcrd(6)),
+            # pairs (0,3), (1,4), (2,5) are not at consecutive positions
+            ("pm-interleaved", DesignSpec.pm(Blocking([0, 1, 2, 0, 1, 2]))),
+        ],
+        ids=["pm", "bcrd", "pm-interleaved"],
+    )
+    def test_matches_support_enumeration_on_shared_draws(self, kind, spec):
+        n_subjects = spec.n_subjects
         model = default_model("continuous", 2)
         x = draw_covariates(
             default_covariate_source("continuous"),
@@ -304,6 +308,9 @@ class TestVarianceFloorReport:
             variance_floor_report([12], [4], n_reps=100, master_seed=1)
         with pytest.raises(ValueError):
             variance_floor_report([16], [3], n_reps=100, master_seed=1)
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rho"):
+                variance_floor_report([8], [1], n_reps=100, master_seed=1, rho=rho)
 
     def test_deterministic(self):
         a = variance_floor_report([8], [2], n_reps=2000, master_seed=5)

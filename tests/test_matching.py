@@ -3,11 +3,8 @@ import pytest
 
 from twoarm.core import Blocking, CovariateMatrix
 from twoarm.matching import (
-    EXACT_CAPACITY,
-    CapacityError,
     DistanceMatrix,
     mahalanobis_distances,
-    match_exact,
     match_grid,
     match_heuristic,
     pair_gap_diagnostic,
@@ -15,7 +12,12 @@ from twoarm.matching import (
 from twoarm.response import default_model, potential_means
 from twoarm.streams import substream
 
-from util_oracles import brute_force_matching_cost
+from util_oracles import (
+    EXACT_CAPACITY,
+    CapacityError,
+    brute_force_matching_cost,
+    match_exact,
+)
 
 
 def _random_distances(n_subjects: int, seed: int) -> DistanceMatrix:
@@ -63,11 +65,15 @@ class TestMatchExact:
         assert res.cost == pytest.approx(2.0)
         assert res.method == "exact"
 
-    @pytest.mark.parametrize("n_subjects", [4, 6, 8, 10])
-    def test_matches_brute_force(self, n_subjects):
+    @pytest.mark.parametrize(
+        "match, n_subjects",
+        [pytest.param(match_exact, n, id=f"{n}") for n in (4, 6, 8, 10)]
+        + [pytest.param(match_heuristic, n, id=f"blossom-{n}") for n in (4, 6, 8, 10)],
+    )
+    def test_matches_brute_force(self, match, n_subjects):
         for seed in range(8):
             d = _random_distances(n_subjects, 100 * n_subjects + seed)
-            res = match_exact(d)
+            res = match(d)
             want = brute_force_matching_cost(d.values)
             assert res.cost == pytest.approx(want, rel=1e-12)
 

@@ -2,7 +2,9 @@
 
 Everything here enumerates exhaustively and naively on purpose: these
 functions are the ground truth the library is checked against, so they
-avoid the library's own code paths.
+avoid the library's own code paths.  The bitmask matcher returns the
+library's result types only so that tests can swap it for the blossom
+matcher.
 """
 
 from __future__ import annotations
@@ -10,6 +12,16 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from twoarm.core import Blocking
+from twoarm.matching import DistanceMatrix, MatchResult
+
+# Largest 2n the exact bitmask DP accepts.
+EXACT_CAPACITY = 12
+
+
+class CapacityError(ValueError):
+    """Raised when a sample is too large for the exact matcher."""
 
 
 def balanced_allocations(n_subjects: int) -> np.ndarray:
@@ -80,6 +92,57 @@ def brute_force_matching_cost(dist: np.ndarray) -> float:
         if cost < best:
             best = cost
     return float(best)
+
+
+def match_exact(d: DistanceMatrix) -> MatchResult:
+    """Minimum total-cost perfect matching by exhaustive bitmask DP.
+
+    Only for 2n <= EXACT_CAPACITY; larger samples should use
+    match_heuristic.  Ties are broken toward the lexicographically
+    smallest pairing.
+    """
+    n_sub = d.n_subjects
+    if n_sub > EXACT_CAPACITY:
+        raise CapacityError(
+            f"exact matching supports 2n <= {EXACT_CAPACITY}, got {n_sub}; "
+            "use match_heuristic"
+        )
+    dist = d.values
+    full = (1 << n_sub) - 1
+    dp = np.full(full + 1, np.inf)
+    dp[0] = 0.0
+    for mask in range(3, full + 1):
+        if bin(mask).count("1") % 2:
+            continue
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        best = np.inf
+        j_bits = rest
+        while j_bits:
+            j = (j_bits & -j_bits).bit_length() - 1
+            j_bits &= j_bits - 1
+            cand = dp[rest ^ (1 << j)] + dist[i, j]
+            if cand < best:
+                best = cand
+        dp[mask] = best
+    # reconstruct, smallest partner first among exact minima
+    pairs = []
+    mask = full
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        j_bits = rest
+        while j_bits:
+            j = (j_bits & -j_bits).bit_length() - 1
+            j_bits &= j_bits - 1
+            if dp[rest ^ (1 << j)] + dist[i, j] == dp[mask]:
+                pairs.append((i, j))
+                mask = rest ^ (1 << j)
+                break
+        else:
+            raise AssertionError("matching reconstruction failed")
+    cost = float(sum(dist[i, j] for i, j in pairs))
+    return MatchResult(Blocking.from_pairs(pairs), cost, "exact")
 
 
 def squared_errors_over(allocs: np.ndarray, y_t, y_c) -> np.ndarray:
