@@ -35,6 +35,7 @@ from .matching import (
     mahalanobis_distances,
     match_grid,
     match_heuristic,
+    match_sorted,
     pair_gap_diagnostic,
 )
 from .montecarlo import (

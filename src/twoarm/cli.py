@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import CovariateMatrix
 from .designs import DesignSpec, build_blocking, greedy_pair_switch
-from .matching import mahalanobis_distances, match_heuristic
+from .matching import mahalanobis_distances, match_heuristic, match_sorted
 from .montecarlo import CellConfig, run_cell
 from .response import RESPONSE_KINDS, default_covariate_source, default_model, draw_covariates
 from .streams import substream
@@ -231,6 +231,8 @@ def _build_design(
     if label == "bcrd":
         return DesignSpec.bcrd(x.n_subjects)
     if label == "pm":
+        if x.n_covariates == 1:
+            return DesignSpec.pm(match_sorted(x).pairing)
         return DesignSpec.pm(match_heuristic(mahalanobis_distances(x)).pairing)
     if label == "pb":
         rng = substream(grid.seed, cell_id, "design")

@@ -218,36 +218,58 @@ def mahalanobis_imbalance(x: CovariateMatrix, w: Allocation) -> float:
     return float(u @ m @ u)
 
 
-def _descend(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Greedy best-swap descent on obj(w) = w'Gw; returns w and the trace."""
-    n_sub = w.shape[0]
-    gd = np.diag(g)
-    obj = float(w @ g @ w)
-    trace = [obj]
+# Restarts descended together in one lockstep batch.  It bounds the
+# (chunk, n, 2n) work array, which stays in cache at the preset 2n=96.
+_RESTART_CHUNK = 32
+
+
+def _descend_lockstep(g: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Greedy best-swap descent on obj(w) = w'Gw of every row of w at once.
+
+    h is gd_i + gd_j - 2 g_ij (gd the diagonal of g).  Each step, every
+    row still descending applies the swap (i treated, j control) with
+    the lowest delta 4 (h_ij + (gw)_j - (gw)_i), the first in row-major
+    (i, j) order on ties, and stops once no swap lowers its objective
+    by more than 1e-12 (1 + |obj|); rows that stop are dropped.  The
+    arithmetic is a lone descent's, term by term, so every row ends
+    where descending it alone would: gw is one gemv per row, and the
+    4.0 scale, a power of two, is exact and applied at the chosen
+    entry only.  Descends the float rows of w in place and returns w.
+    """
+    n_rows, n_sub = w.shape
+    n = n_sub // 2
+    obj = np.array([float(row @ g @ row) for row in w])
+    active = np.arange(n_rows)
+    buf = np.empty((n_rows, n, n_sub))
     for _ in range(100 * n_sub):
-        gw = g @ w
-        tr = np.flatnonzero(w == 1)
-        ct = np.flatnonzero(w == -1)
-        # swap (i in treated, j in control): delta objective below
-        delta = 4.0 * (
-            gd[tr][:, None]
-            + gd[ct][None, :]
-            - 2.0 * g[np.ix_(tr, ct)]
-            + gw[ct][None, :]
-            - gw[tr][:, None]
-        )
-        k = int(np.argmin(delta))
-        best = float(delta.flat[k])
-        if best >= -1e-12 * (1.0 + abs(obj)):
+        if active.size == 0:
             break
-        i = tr[k // ct.shape[0]]
-        j = ct[k % ct.shape[0]]
-        w = w.copy()
-        w[i] = -1
-        w[j] = 1
-        obj += best
-        trace.append(obj)
-    return w, trace
+        wa = w[active]
+        rows = np.arange(active.size)
+        gw = np.matmul(g, wa[:, :, None])[:, :, 0]
+        tr = np.nonzero(wa == 1)[1].reshape(-1, n)
+        gw_tr = np.take_along_axis(gw, tr, axis=1)
+        # a[r, k, j] = h[tr_k, j] + gw_j; treated columns j are masked
+        # with inf, so the row-major order of the finite entries is the
+        # (treated, control) order of a lone descent.  The indices are
+        # in range; mode="clip" skips the buffered copy that "raise"
+        # makes into out.
+        a = np.take(h, tr, axis=0, out=buf[: active.size], mode="clip")
+        a += np.where(wa == -1, gw, np.inf)[:, None, :]
+        # Rounding is monotone, so min_j fl(a_kj - c) = fl(min_j a_kj - c):
+        # the first row holding the smallest delta is found from the row
+        # minima, and only that row needs the subtraction entry by entry.
+        delta_row = a.min(axis=2) - gw_tr
+        k = np.argmin(delta_row, axis=1)
+        j = np.argmin(a[rows, k] - gw_tr[rows, k][:, None], axis=1)
+        best = 4.0 * delta_row[rows, k]
+        go = best < -1e-12 * (1.0 + np.abs(obj[active]))
+        moving = active[go]
+        w[moving, tr[rows, k][go]] = -1.0
+        w[moving, j[go]] = 1.0
+        obj[moving] += best[go]
+        active = moving
+    return w
 
 
 def greedy_pair_switch(
@@ -259,8 +281,10 @@ def greedy_pair_switch(
     starts (each restart on its own spawned sub-stream); every step
     applies the single (+1, -1) swap that lowers the Mahalanobis
     imbalance the most, first such swap in row-major scan order on
-    ties.  The winner is the lowest final objective, earliest restart
-    on ties.
+    ties, for at most 100 * 2n steps.  The winner is the lowest final
+    objective, earliest restart on ties.  All starts are drawn first;
+    the descents then run in lockstep batches of restarts, which
+    changes neither a restart's path nor its tie-breaks.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -268,12 +292,16 @@ def greedy_pair_switch(
     n_sub, n = x.n_subjects, x.n_pairs
     m = np.linalg.inv(regularized_covariance(vals))
     g = vals @ m @ vals.T
+    gd = np.diag(g)
+    h = gd[:, None] + gd[None, :] - 2.0 * g
+    starts = np.full((restarts, n_sub), -1, dtype=np.int8)
+    for r, child in enumerate(rng.spawn(restarts)):
+        starts[r, child.permutation(n_sub)[:n]] = 1
     best_w, best_obj = None, np.inf
-    for child in rng.spawn(restarts):
-        w0 = np.full(n_sub, -1, dtype=np.int8)
-        w0[child.permutation(n_sub)[:n]] = 1
-        w, _ = _descend(g, w0.astype(float))
-        obj = float(w @ g @ w)
-        if obj < best_obj:
-            best_w, best_obj = w, obj
+    for lo in range(0, restarts, _RESTART_CHUNK):
+        chunk = starts[lo : lo + _RESTART_CHUNK].astype(float)
+        for w in _descend_lockstep(g, h, chunk):
+            obj = float(w @ g @ w)
+            if obj < best_obj:
+                best_w, best_obj = w, obj
     return Allocation(best_w.astype(np.int8))

@@ -2,9 +2,14 @@
 
 The pairwise-matching design needs a partition of the 2n subjects into
 n pairs with small within-pair covariate distance.  This module
-provides the Mahalanobis distance matrix, an exact minimum-cost matcher
-(Edmonds' blossom algorithm on the complete graph), and a rank-interval
-grid matcher whose within-pair gaps shrink as n grows.
+provides the Mahalanobis distance matrix, two exact minimum-cost
+matchers and a rank-interval grid matcher whose within-pair gaps
+shrink as n grows.  The exact matchers are Edmonds' blossom algorithm
+on the complete graph, for any number of covariates, and neighbour
+pairing in sorted order, for a single covariate.  The blossom matcher
+calls networkx's maximum-weight matching on exactly the graph that
+nx.min_weight_matching builds (the same inverted weights, the same
+edge order), so it returns the pairing that function returns.
 """
 
 from __future__ import annotations
@@ -71,24 +76,58 @@ def _pair_cost(pairs, d: np.ndarray) -> float:
     return float(sum(d[i, j] for i, j in pairs))
 
 
+class _AdjacencyGraph(nx.Graph):
+    """A Graph whose G[u] is the raw adjacency dict of u.
+
+    max_weight_matching reads G[v][w] in its inner slack() loop, where
+    the read-only view that nx.Graph returns costs more than the lookup.
+    """
+
+    def __getitem__(self, n):
+        return self._adj[n]
+
+
 def match_heuristic(d: DistanceMatrix) -> MatchResult:
     """Minimum-cost perfect matching of the subjects.
 
     Runs the blossom algorithm on the complete distance graph, which
-    minimizes the total within-pair cost in polynomial time.
-    Deterministic for a given distance matrix.
+    minimizes the total within-pair cost in polynomial time.  The graph
+    and weights are those of nx.min_weight_matching: edges (i, j), i < j,
+    in row-major order, weighted (1 + max d) - d_ij and matched at
+    maximum cardinality.  Deterministic for a given distance matrix.
     """
     dist = d.values
-    n_sub = d.n_subjects
-    graph = nx.Graph()
-    for i in range(n_sub):
-        for j in range(i + 1, n_sub):
-            graph.add_edge(i, j, weight=float(dist[i, j]))
-    mate = nx.min_weight_matching(graph)
+    first, second = np.triu_indices(d.n_subjects, 1)
+    weights = dist[first, second]
+    top = 1.0 + float(weights.max())
+    graph = _AdjacencyGraph()
+    graph.add_weighted_edges_from(
+        zip(first.tolist(), second.tolist(), (top - weights).tolist())
+    )
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
     tuples = sorted(tuple(sorted(edge)) for edge in mate)
     return MatchResult(
         Blocking.from_pairs(tuples), _pair_cost(tuples, dist), "blossom"
     )
+
+
+def match_sorted(x: CovariateMatrix) -> MatchResult:
+    """Minimum-cost perfect matching of subjects with one covariate.
+
+    With one covariate the Mahalanobis distance is a convex function of
+    |x_i - x_j|, so pairing neighbours in stable-sorted order minimizes
+    the total within-pair cost; no graph is needed.  The pairs are
+    labelled in sorted (lo, hi) order, as in match_heuristic, so where
+    the minimum is unique both return the same Blocking.
+    """
+    if x.n_covariates != 1:
+        raise ValueError(
+            f"match_sorted needs exactly one covariate, got {x.n_covariates}"
+        )
+    order = np.argsort(x.values[:, 0], kind="stable")
+    tuples = sorted(tuple(sorted(pair)) for pair in order.reshape(-1, 2).tolist())
+    cost = _pair_cost(tuples, mahalanobis_distances(x).values)
+    return MatchResult(Blocking.from_pairs(tuples), cost, "sorted")
 
 
 def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:

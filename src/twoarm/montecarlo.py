@@ -212,6 +212,11 @@ def variance_decomposition_terms(
     """
     if n_draws < 2:
         raise ValueError("n_draws must be >= 2")
+    if x.n_subjects != spec.n_subjects:
+        raise ValueError(
+            f"covariates have {x.n_subjects} subjects but the design has "
+            f"{spec.n_subjects}"
+        )
     n = spec.n_subjects // 2
     mu_t, mu_c = potential_means(model, x)
     y_t = draw_outcomes(model, mu_t, rng, n_draws)
@@ -285,6 +290,8 @@ def variance_floor_report(
     bound = rho**2 / 8.0
     for n_sub in n_subjects_grid:
         for n_blocks in block_counts:
+            if n_blocks < 1:
+                raise ValueError(f"block_counts entries must be >= 1, got {n_blocks}")
             if n_sub % n_blocks or (n_sub // n_blocks) % 2:
                 raise ValueError(
                     f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"

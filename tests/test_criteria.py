@@ -287,6 +287,16 @@ class TestVarianceDecomposition:
                 DesignSpec.bcrd(4), model, x4, 1, substream(1, "vd4")
             )
 
+    def test_rejects_covariates_of_another_size(self):
+        model = default_model("continuous", 1)
+        x6 = draw_covariates(
+            default_covariate_source("continuous"), 6, 1, substream(1, "x6")
+        )
+        with pytest.raises(ValueError, match="6 subjects but the design has 4"):
+            variance_decomposition_terms(
+                DesignSpec.bcrd(4), model, x6, 10, substream(1, "vd6")
+            )
+
 
 class TestVarianceFloorReport:
     def test_gaussian_noise_sits_on_half(self):
@@ -311,6 +321,9 @@ class TestVarianceFloorReport:
         for rho in (0.0, -1.0):
             with pytest.raises(ValueError, match="rho"):
                 variance_floor_report([8], [1], n_reps=100, master_seed=1, rho=rho)
+        for n_blocks in (0, -2):
+            with pytest.raises(ValueError, match=f"block_counts.*got {n_blocks}"):
+                variance_floor_report([8], [n_blocks], n_reps=10, master_seed=1)
 
     def test_deterministic(self):
         a = variance_floor_report([8], [2], n_reps=2000, master_seed=5)

@@ -3,8 +3,9 @@ import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.designs import (
+    _RESTART_CHUNK,
     DesignSpec,
-    _descend,
+    _descend_lockstep,
     build_blocking,
     design_covariance,
     enumerate_allocations,
@@ -16,7 +17,12 @@ from twoarm.designs import (
 )
 from twoarm.streams import substream
 
-from util_oracles import balanced_allocations, block_allocations
+from util_oracles import (
+    balanced_allocations,
+    block_allocations,
+    descend_reference,
+    greedy_pair_switch_reference,
+)
 
 # chi-square critical values at alpha = 0.001
 _CHI2_001 = {3: 16.266, 5: 20.515}
@@ -232,14 +238,20 @@ class TestGreedyPairSwitch:
         assert abs(int(x.values[:, 0] @ w.signs)) == 0
 
     def test_objective_monotone_along_descent(self):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=(12, 2))
-        x = CovariateMatrix(vals)
-        m = np.linalg.inv(regularized_covariance(vals))
-        g = vals @ m @ vals.T
-        w0 = np.array([1, -1] * 6, dtype=float)
-        _, trace = _descend(g, w0)
-        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        # every descent ends no higher than it started, balanced, and at
+        # an allocation that no single (+1, -1) swap improves
+        g, h = _gram(np.random.default_rng(7).normal(size=(12, 2)))
+        starts = np.vstack([[1.0, -1.0] * 6, _random_starts(39, 12, 70)])
+        ends = _descend_lockstep(g, h, starts.copy())
+        for w0, w in zip(starts, ends):
+            obj = float(w @ g @ w)
+            assert obj <= float(w0 @ g @ w0) + 1e-9
+            assert w.sum() == 0.0
+            for i in np.flatnonzero(w == 1):
+                for j in np.flatnonzero(w == -1):
+                    s = w.copy()
+                    s[i], s[j] = -1.0, 1.0
+                    assert float(s @ g @ s) >= obj - 1e-9 * (1.0 + abs(obj))
 
     def test_descent_preserves_balance(self):
         rng = np.random.default_rng(8)
@@ -283,3 +295,70 @@ class TestGreedyPairSwitch:
         x = CovariateMatrix(np.arange(4.0)[:, None])
         with pytest.raises(ValueError):
             greedy_pair_switch(x, 0, substream(17, "greedy"))
+
+
+def _gram(vals):
+    m = np.linalg.inv(regularized_covariance(vals))
+    g = vals @ m @ vals.T
+    gd = np.diag(g)
+    return g, gd[:, None] + gd[None, :] - 2.0 * g
+
+
+def _random_starts(count, n_subjects, seed):
+    rng = np.random.default_rng(seed)
+    half = [1.0, -1.0] * (n_subjects // 2)
+    return np.array([rng.permutation(half) for _ in range(count)])
+
+
+def _uniform_panel(seed, n_subjects, p):
+    return CovariateMatrix(np.random.default_rng(seed).uniform(-1, 1, (n_subjects, p)))
+
+
+class TestLockstepMatchesReference:
+    """The lockstep search returns the one-restart-at-a-time search's bits."""
+
+    @pytest.mark.parametrize("n_subjects", [12, 16, 96])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_w_star_and_endpoints(self, seed, p, n_subjects):
+        x = _uniform_panel(seed, n_subjects, p)
+        path = (seed, "pb-ref", p, n_subjects)
+        got = greedy_pair_switch(x, 40, substream(*path))
+        want = greedy_pair_switch_reference(x, 40, substream(*path))
+        np.testing.assert_array_equal(got.signs, want.signs)
+        # every restart, not only the winner, ends where it ends alone
+        g, h = _gram(x.values)
+        starts = _random_starts(40, n_subjects, seed)
+        ends = _descend_lockstep(g, h, starts.copy())
+        for w0, w in zip(starts, ends):
+            np.testing.assert_array_equal(w, descend_reference(g, w0)[0])
+
+    @pytest.mark.parametrize("restarts", [1, 63, 65, 200])
+    def test_restart_counts_off_the_chunk(self, restarts):
+        assert restarts % _RESTART_CHUNK
+        x = _uniform_panel(21, 16, 2)
+        got = greedy_pair_switch(x, restarts, substream(22, "pb-count"))
+        want = greedy_pair_switch_reference(x, restarts, substream(22, "pb-count"))
+        np.testing.assert_array_equal(got.signs, want.signs)
+
+    def test_row_major_tie_break(self):
+        # integer covariates tie many swaps exactly; the first minimum in
+        # row-major (treated, control) order must win, as in the reference
+        vals = np.random.default_rng(23).integers(0, 3, size=(12, 1)).astype(float)
+        g, h = _gram(vals)
+        starts = _random_starts(50, 12, 100)
+        tied = 0
+        for w0 in starts:
+            tr, ct = np.flatnonzero(w0 == 1), np.flatnonzero(w0 == -1)
+            gw = g @ w0
+            delta = h[np.ix_(tr, ct)] + gw[ct][None, :] - gw[tr][:, None]
+            tied += int(np.count_nonzero(delta == delta.min()) > 1)
+        assert tied > 0
+        ends = _descend_lockstep(g, h, starts.copy())
+        for w0, w in zip(starts, ends):
+            np.testing.assert_array_equal(w, descend_reference(g, w0)[0])
+        x = CovariateMatrix(vals)
+        np.testing.assert_array_equal(
+            greedy_pair_switch(x, 50, substream(24, "pb-tie")).signs,
+            greedy_pair_switch_reference(x, 50, substream(24, "pb-tie")).signs,
+        )

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -7,9 +8,15 @@ from twoarm.matching import (
     mahalanobis_distances,
     match_grid,
     match_heuristic,
+    match_sorted,
     pair_gap_diagnostic,
 )
-from twoarm.response import default_model, potential_means
+from twoarm.response import (
+    default_covariate_source,
+    default_model,
+    draw_covariates,
+    potential_means,
+)
 from twoarm.streams import substream
 
 from util_oracles import (
@@ -135,6 +142,60 @@ class TestMatchHeuristic:
         res = match_heuristic(d)
         total = sum(d.values[i, j] for i, j in res.pairing.pairs())
         assert res.cost == pytest.approx(total, rel=1e-12)
+
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_same_pairing_as_networkx_min_weight_matching(self, p):
+        for seed in range(4):
+            vals = np.random.default_rng(40 + seed).uniform(-1, 1, (24, p))
+            d = mahalanobis_distances(CovariateMatrix(vals))
+            graph = nx.Graph()
+            for i in range(24):
+                for j in range(i + 1, 24):
+                    graph.add_edge(i, j, weight=float(d.values[i, j]))
+            want = sorted(tuple(sorted(e)) for e in nx.min_weight_matching(graph))
+            assert match_heuristic(d).pairing.pairs() == want
+
+
+class TestMatchSorted:
+    @pytest.mark.parametrize("family", ["uniform", "exponential"])
+    @pytest.mark.parametrize("n_subjects", [10, 40])
+    def test_same_blocking_as_blossom_at_one_covariate(self, family, n_subjects):
+        for resp in ("continuous", "count"):
+            for seed in range(3):
+                x = draw_covariates(
+                    default_covariate_source(resp, family),
+                    n_subjects, 1, substream(seed, "sorted", family, resp),
+                )
+                got = match_sorted(x)
+                want = match_heuristic(mahalanobis_distances(x))
+                assert got.pairing.pairs() == want.pairing.pairs()
+                np.testing.assert_array_equal(
+                    got.pairing.block_of, want.pairing.block_of
+                )
+                assert got.cost == pytest.approx(want.cost, rel=1e-12)
+                assert got.method == "sorted"
+
+    @pytest.mark.parametrize("n_subjects", [4, 6, 8, 10])
+    def test_agrees_with_exact(self, n_subjects):
+        for seed in range(5):
+            x = CovariateMatrix(
+                np.random.default_rng(60 + seed).normal(size=(n_subjects, 1))
+            )
+            got = match_sorted(x)
+            want = match_exact(mahalanobis_distances(x))
+            assert got.pairing.pairs() == want.pairing.pairs()
+            assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=1e-12)
+
+    def test_stable_on_ties(self):
+        x = CovariateMatrix([[1.0], [0.0], [1.0], [0.0]])
+        assert match_sorted(x).pairing.pairs() == [(0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_rejects_several_covariates(self, p):
+        x = CovariateMatrix(np.random.default_rng(70).normal(size=(8, p)))
+        with pytest.raises(ValueError, match=f"one covariate, got {p}"):
+            match_sorted(x)
 
 
 class TestMatchGrid:

@@ -4,7 +4,8 @@ Everything here enumerates exhaustively and naively on purpose: these
 functions are the ground truth the library is checked against, so they
 avoid the library's own code paths.  The bitmask matcher returns the
 library's result types only so that tests can swap it for the blossom
-matcher.
+matcher.  The reference pb search is the one-restart-at-a-time loop
+that the lockstep production search must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from twoarm.core import Blocking
+from twoarm.core import Allocation, Blocking, CovariateMatrix
+from twoarm.designs import regularized_covariance
 from twoarm.matching import DistanceMatrix, MatchResult
 
 # Largest 2n the exact bitmask DP accepts.
@@ -143,6 +145,57 @@ def match_exact(d: DistanceMatrix) -> MatchResult:
             raise AssertionError("matching reconstruction failed")
     cost = float(sum(dist[i, j] for i, j in pairs))
     return MatchResult(Blocking.from_pairs(pairs), cost, "exact")
+
+
+def descend_reference(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Greedy best-swap descent on obj(w) = w'Gw; returns w and the trace."""
+    n_sub = w.shape[0]
+    gd = np.diag(g)
+    obj = float(w @ g @ w)
+    trace = [obj]
+    for _ in range(100 * n_sub):
+        gw = g @ w
+        tr = np.flatnonzero(w == 1)
+        ct = np.flatnonzero(w == -1)
+        # swap (i in treated, j in control): delta objective below
+        delta = 4.0 * (
+            gd[tr][:, None]
+            + gd[ct][None, :]
+            - 2.0 * g[np.ix_(tr, ct)]
+            + gw[ct][None, :]
+            - gw[tr][:, None]
+        )
+        k = int(np.argmin(delta))
+        best = float(delta.flat[k])
+        if best >= -1e-12 * (1.0 + abs(obj)):
+            break
+        i = tr[k // ct.shape[0]]
+        j = ct[k % ct.shape[0]]
+        w = w.copy()
+        w[i] = -1
+        w[j] = 1
+        obj += best
+        trace.append(obj)
+    return w, trace
+
+
+def greedy_pair_switch_reference(
+    x: CovariateMatrix, restarts: int, rng: np.random.Generator
+) -> Allocation:
+    """The pb search with one descent per restart, in restart order."""
+    vals = x.values
+    n_sub, n = x.n_subjects, x.n_pairs
+    m = np.linalg.inv(regularized_covariance(vals))
+    g = vals @ m @ vals.T
+    best_w, best_obj = None, np.inf
+    for child in rng.spawn(restarts):
+        w0 = np.full(n_sub, -1, dtype=np.int8)
+        w0[child.permutation(n_sub)[:n]] = 1
+        w, _ = descend_reference(g, w0.astype(float))
+        obj = float(w @ g @ w)
+        if obj < best_obj:
+            best_w, best_obj = w, obj
+    return Allocation(best_w.astype(np.int8))
 
 
 def squared_errors_over(allocs: np.ndarray, y_t, y_c) -> np.ndarray:
