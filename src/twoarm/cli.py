@@ -300,8 +300,11 @@ def run_grid(grid: ExperimentGrid) -> list[dict]:
         (grid, task, panels[(task["response"], task["p"])])
         for task in _tasks(grid)
     ]
-    if grid.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(grid.workers) as pool:
+    workers = min(grid.workers, len(payloads))
+    if workers > 1:
+        # the fork start method starts every worker at once, so a pool
+        # larger than the grid would only start idle processes
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             return list(pool.map(_run_task, payloads))
     return [_run_task(payload) for payload in payloads]
 

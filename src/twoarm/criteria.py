@@ -1,17 +1,16 @@
 """Analytic criteria for comparing designs.
 
-The design criterion is the q-th quantile of the estimator's squared
-error.  This module provides the exact mean of the squared error, the
-pairwise-matching conditional variance in closed form, a normal
-approximation to the quantile (mean + z_q * sd), and reference
-constants for the large-n variance scaling used by convergence
-reports.
+The design criterion is the 0.95 quantile of the estimator's squared
+error; no other level is supported.  This module provides the exact
+mean of the squared error, the pairwise-matching conditional variance
+in closed form, the normal approximation to the quantile
+(mean + C_95 * sd), and reference constants for the large-n variance
+scaling used by convergence reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -25,17 +24,9 @@ from .core import DesignCovariance
 PM_COND_VAR_COEFF = 0.25
 PM_COND_VAR_COEFF_REPORTED = 0.0625
 
-# Conventional rounded normal quantiles for the two standard levels.
-_TAIL_CONSTANTS = {0.95: 1.645, 0.99: 2.326}
-
-
-def tail_constant(q: float) -> float:
-    """z_q used by the normal quantile approximation."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    if q in _TAIL_CONSTANTS:
-        return _TAIL_CONSTANTS[q]
-    return NormalDist().inv_cdf(q)
+# The 0.95 normal quantile, rounded as the paper rounds it, used by the
+# normal approximation to the criterion.
+C_95 = 1.645
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +36,6 @@ class CriterionInputs:
     mu: np.ndarray
     rho: np.ndarray
     sigma_w: DesignCovariance
-    q: float = 0.95
-    c_q: float | None = None
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float, copy=True)
@@ -59,14 +48,10 @@ class CriterionInputs:
             raise ValueError("subject count must be even")
         if (rho < 0).any():
             raise ValueError("rho entries must be >= 0")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must be in (0, 1)")
         mu.setflags(write=False)
         rho.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rho", rho)
-        if self.c_q is None:
-            object.__setattr__(self, "c_q", tail_constant(self.q))
 
     @property
     def n_pairs(self) -> int:
@@ -102,13 +87,13 @@ def pm_conditional_variance(v) -> float:
     return PM_COND_VAR_COEFF * (s2 * s2 - s4) / (2.0 * n**4)
 
 
-def approx_quantile(mean_sq_err: float, var_sq_err: float, c_q: float) -> float:
-    """Normal approximation mean + c_q * sqrt(variance)."""
+def approx_quantile(mean_sq_err: float, var_sq_err: float) -> float:
+    """Normal approximation mean + C_95 * sqrt(variance) to the 0.95 quantile."""
     if not np.isfinite(mean_sq_err):
         raise ValueError("mean_sq_err must be finite")
     if not var_sq_err >= 0:
         raise ValueError(f"var_sq_err must be >= 0, got {var_sq_err}")
-    return mean_sq_err + c_q * float(np.sqrt(var_sq_err))
+    return mean_sq_err + C_95 * float(np.sqrt(var_sq_err))
 
 
 class AsymptoticReference(NamedTuple):

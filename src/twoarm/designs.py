@@ -105,11 +105,6 @@ def sample_allocations(
     return out
 
 
-def sample_allocation(spec: DesignSpec, rng: np.random.Generator) -> Allocation:
-    """Draw one allocation from the design."""
-    return Allocation(sample_allocations(spec, 1, rng)[0])
-
-
 def design_covariance(spec: DesignSpec) -> DesignCovariance:
     """Exact allocation covariance E[w w'].
 

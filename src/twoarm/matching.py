@@ -164,11 +164,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
     if overflow:
         shuffled = [overflow[t] for t in rng.permutation(len(overflow))]
         pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
-    minv = np.linalg.inv(regularized_covariance(vals))
-    cost = 0.0
-    for i, j in pairs:
-        diff = vals[i] - vals[j]
-        cost += float(diff @ minv @ diff)
+    cost = _pair_cost(pairs, mahalanobis_distances(x).values)
     return MatchResult(Blocking.from_pairs(pairs), cost, "grid")
 
 

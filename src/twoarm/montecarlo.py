@@ -4,7 +4,10 @@ A cell fixes covariates, a response model, and a design; each
 replicate draws fresh potential outcomes and one allocation and records
 the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
-bit-identical no matter how cells are scheduled across workers.
+bit-identical no matter how cells are scheduled across workers.  A
+cell's report summarises the sample at the 0.95 quantile only: the
+empirical quantile, the normal approximation mean + C_95 * sd, and a
+95% percentile-bootstrap interval for each.
 
 The variance-floor and convergence reports run noise-only cells
 through the same chunk loop, and the variance decomposition splits the
@@ -20,11 +23,11 @@ import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, OutcomePair
 from .criteria import (
+    C_95,
     approx_quantile,
     asymptotic_reference,
     pm_conditional_variance,
     pm_variance_candidate,
-    tail_constant,
 )
 from .designs import (
     DesignSpec,
@@ -46,7 +49,6 @@ class CellConfig:
     design: DesignSpec
     n_reps: int
     master_seed: int
-    q: float = 0.95
     bootstrap_reps: int = 1000
 
     def __post_init__(self):
@@ -54,8 +56,6 @@ class CellConfig:
             raise ValueError("n_reps must be >= 2")
         if self.bootstrap_reps < 1:
             raise ValueError("bootstrap_reps must be >= 1")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must be in (0, 1)")
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
         if self.model.n_covariates != self.x.n_covariates:
@@ -66,13 +66,6 @@ class CellConfig:
 class CriterionReport:
     """Summary statistics of one cell's squared-error sample."""
 
-    cell_id: str
-    design_kind: str
-    n_subjects: int
-    n_reps: int
-    master_seed: int
-    q: float
-    c_q: float
     mean_sq_err: float
     sd_sq_err: float
     emp_quantile: float
@@ -95,25 +88,27 @@ def empirical_quantile(samples: np.ndarray, q: float) -> float:
 def bootstrap_ci(
     samples: np.ndarray,
     statistic,
-    level: float = 0.95,
     n_resamples: int = 1000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Percentile-method bootstrap interval for a statistic."""
+    """95% percentile-method bootstrap interval for a statistic.
+
+    rng is required so that every interval comes from a seed-derived
+    stream.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     n = samples.size
     stats = np.empty(n_resamples)
     for r in range(n_resamples):
         stats[r] = statistic(samples[rng.integers(0, n, n)])
-    alpha = (1.0 - level) / 2.0
+    # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
+    # endpoints np.quantile returns, so the output bytes, depend on it.
+    alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
@@ -147,29 +142,21 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     sq = simulate_squared_errors(cfg)
     mean_sq = float(sq.mean())
     sd_sq = float(sq.std(ddof=1))
-    c_q = tail_constant(cfg.q)
-    emp_q = empirical_quantile(sq, cfg.q)
-    apx_q = approx_quantile(mean_sq, sd_sq * sd_sq, c_q)
+    emp_q = empirical_quantile(sq, 0.95)
+    apx_q = approx_quantile(mean_sq, sd_sq * sd_sq)
     emp_ci = bootstrap_ci(
         sq,
-        lambda s: empirical_quantile(s, cfg.q),
+        lambda s: empirical_quantile(s, 0.95),
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-empirical"),
     )
     apx_ci = bootstrap_ci(
         sq,
-        lambda s: float(s.mean()) + c_q * float(s.std(ddof=1)),
+        lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
     )
     return CriterionReport(
-        cell_id=cfg.cell_id,
-        design_kind=cfg.design.kind,
-        n_subjects=cfg.x.n_subjects,
-        n_reps=cfg.n_reps,
-        master_seed=cfg.master_seed,
-        q=cfg.q,
-        c_q=c_q,
         mean_sq_err=mean_sq,
         sd_sq_err=sd_sq,
         emp_quantile=emp_q,

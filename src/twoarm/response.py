@@ -138,16 +138,6 @@ def draw_covariates(
     return CovariateMatrix(vals)
 
 
-def linear_component(model: ResponseModel, x_row, w_sign: int) -> float:
-    """eta for one subject under arm sign w (+1 treated, -1 control)."""
-    x_row = np.asarray(x_row, dtype=float)
-    if x_row.shape != model.beta.shape:
-        raise ValueError("x_row length must match beta")
-    if w_sign not in (-1, 1):
-        raise ValueError("w_sign must be -1 or +1")
-    return float(model.beta0 + x_row @ model.beta + model.beta_t * w_sign)
-
-
 def _mean_from_eta(kind: str, eta: np.ndarray) -> np.ndarray:
     if kind == "continuous":
         return eta
@@ -168,13 +158,6 @@ def _mean_from_eta(kind: str, eta: np.ndarray) -> np.ndarray:
         out[~pos] = expv / (1.0 + expv)
         return out
     return np.exp(clipped)
-
-
-def mean_function(kind: str, eta: float) -> float:
-    """Arm mean for one linear component: identity, inverse-logit, or exp."""
-    if kind not in RESPONSE_KINDS:
-        raise ValueError(f"unknown response kind {kind!r}")
-    return float(_mean_from_eta(kind, np.atleast_1d(np.asarray(eta, dtype=float)))[0])
 
 
 def potential_means(

@@ -41,9 +41,9 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK_SIZE) -> list[int]:
-    """Split `total` replicates into fixed-size chunks (last one ragged)."""
+def chunk_sizes(total: int) -> list[int]:
+    """Split `total` replicates into CHUNK_SIZE chunks (last one ragged)."""
     if total < 0:
         raise ValueError("total must be >= 0")
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(total, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rest] if rest else [])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import twoarm.cli as cli
 from twoarm.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -207,6 +208,34 @@ class TestRunGrid:
         grid = build_grid(_micro_config())
         parallel = dataclasses.replace(grid, workers=2)
         assert _strip_runtime(run_grid(grid)) == _strip_runtime(run_grid(parallel))
+
+    def test_worker_pool_is_capped_at_the_cell_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested pool size and runs cells in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = build_grid(_micro_config(workers=5000))
+        rows = run_grid(grid)
+        assert sizes == [2]
+        serial = dataclasses.replace(grid, workers=1)
+        assert _strip_runtime(rows) == _strip_runtime(run_grid(serial))
+        # one cell needs no pool at all
+        run_grid(build_grid(_micro_config(workers=3, blocks=2)))
+        assert sizes == [2]
 
     def test_cell_failures_become_error_rows(self, monkeypatch):
         def boom(cfg):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twoarm.core import Allocation, Blocking
 from twoarm.criteria import (
+    C_95,
     PM_COND_VAR_COEFF,
     PM_COND_VAR_COEFF_REPORTED,
     AsymptoticReference,
@@ -16,7 +17,6 @@ from twoarm.criteria import (
     mean_mse,
     pm_conditional_variance,
     pm_variance_candidate,
-    tail_constant,
 )
 from twoarm.designs import DesignSpec, design_covariance, enumerate_allocations
 from twoarm.montecarlo import variance_decomposition_terms, variance_floor_report
@@ -38,31 +38,14 @@ def _pm_spec(n_subjects):
 
 class TestTailConstant:
     def test_standard_levels_use_rounded_values(self):
-        assert tail_constant(0.95) == 1.645
-        assert tail_constant(0.99) == 2.326
-
-    def test_other_levels_use_the_normal_quantile(self):
-        assert tail_constant(0.9) == pytest.approx(1.2815515655, abs=1e-9)
-        assert tail_constant(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_degenerate_levels(self):
-        for q in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                tail_constant(q)
+        assert C_95 == 1.645
 
 
 class TestCriterionInputs:
     def test_defaults(self):
         sigma = design_covariance(DesignSpec.bcrd(4))
         inputs = CriterionInputs(np.zeros(4), np.ones(4), sigma)
-        assert inputs.q == 0.95
-        assert inputs.c_q == 1.645
         assert inputs.n_pairs == 2
-
-    def test_explicit_c_q_is_kept(self):
-        sigma = design_covariance(DesignSpec.bcrd(4))
-        inputs = CriterionInputs(np.zeros(4), np.ones(4), sigma, c_q=3.0)
-        assert inputs.c_q == 3.0
 
     def test_validation(self):
         sigma = design_covariance(DesignSpec.bcrd(4))
@@ -74,8 +57,6 @@ class TestCriterionInputs:
             CriterionInputs(np.zeros(6), np.ones(6), sigma)
         with pytest.raises(ValueError):
             CriterionInputs(np.zeros(4), [1.0, 1.0, -0.5, 1.0], sigma)
-        with pytest.raises(ValueError):
-            CriterionInputs(np.zeros(4), np.ones(4), sigma, q=1.0)
 
     def test_arrays_are_read_only(self):
         sigma = design_covariance(DesignSpec.bcrd(4))
@@ -183,16 +164,16 @@ class TestPmConditionalVariance:
 
 class TestApproxQuantile:
     def test_worked_example(self):
-        assert approx_quantile(2.0, 4.0, 1.645) == pytest.approx(5.29, rel=1e-12)
+        assert approx_quantile(2.0, 4.0) == pytest.approx(5.29, rel=1e-12)
 
     def test_zero_variance_returns_the_mean(self):
-        assert approx_quantile(0.7, 0.0, 1.645) == 0.7
+        assert approx_quantile(0.7, 0.0) == 0.7
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            approx_quantile(math.nan, 1.0, 1.645)
+            approx_quantile(math.nan, 1.0)
         with pytest.raises(ValueError):
-            approx_quantile(1.0, -1e-9, 1.645)
+            approx_quantile(1.0, -1e-9)
 
 
 class TestAsymptoticReference:

@@ -12,7 +12,6 @@ from twoarm.designs import (
     greedy_pair_switch,
     mahalanobis_imbalance,
     regularized_covariance,
-    sample_allocation,
     sample_allocations,
 )
 from twoarm.streams import substream
@@ -92,8 +91,9 @@ class TestSampling:
         assert abs(freq - 0.5) < 3 * np.sqrt(0.25 / 100_000)
 
     def test_single_draw_wrapper(self):
-        w = sample_allocation(DesignSpec.bcrd(6), substream(5, "one"))
-        assert w.n_subjects == 6
+        draws = sample_allocations(DesignSpec.bcrd(6), 1, substream(5, "one"))
+        assert draws.shape == (1, 6)
+        assert Allocation(draws[0]).n_subjects == 6
 
 
 class TestDesignCovariance:

@@ -256,8 +256,9 @@ class TestCostOrdering:
             heur = match_heuristic(d)
             grid = match_grid(x, substream(33, "chain-grid", seed))
             grid_cost = sum(d.values[a, b] for a, b in grid.pairing.pairs())
+            assert grid.cost == pytest.approx(grid_cost, rel=1e-12)
             assert exact.cost <= heur.cost + 1e-12
-            assert heur.cost <= grid_cost + 1e-12
+            assert heur.cost <= grid.cost + 1e-12
 
 
 class TestPairGapDiagnostic:

@@ -85,11 +85,12 @@ class TestBootstrapCi:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(np.array([]), np.mean)
+            bootstrap_ci(np.array([]), np.mean, rng=substream(1, "b"))
         with pytest.raises(ValueError):
-            bootstrap_ci(np.ones(5), np.mean, level=1.0)
-        with pytest.raises(ValueError):
-            bootstrap_ci(np.ones(5), np.mean, n_resamples=0)
+            bootstrap_ci(np.ones(5), np.mean, n_resamples=0, rng=substream(1, "b"))
+        # no unseeded default: every interval needs a seed-derived stream
+        with pytest.raises(TypeError):
+            bootstrap_ci(np.ones(5), np.mean)
 
     def test_coverage_for_the_mean(self):
         # nominal 95% percentile intervals for a Gaussian mean
@@ -113,8 +114,6 @@ class TestCellConfig:
             CellConfig("c", model, x, spec, n_reps=1, master_seed=0)
         with pytest.raises(ValueError):
             CellConfig("c", model, x, spec, n_reps=10, master_seed=0, bootstrap_reps=0)
-        with pytest.raises(ValueError):
-            CellConfig("c", model, x, spec, n_reps=10, master_seed=0, q=0.0)
         with pytest.raises(ValueError):
             CellConfig("c", model, x, DesignSpec.bcrd(6), n_reps=10, master_seed=0)
         with pytest.raises(ValueError):
@@ -171,10 +170,6 @@ class TestRunCell:
         cfg = _pm_cell(n_reps=2000)
         report = run_cell(cfg)
         sq = simulate_squared_errors(cfg)
-        assert report.cell_id == cfg.cell_id
-        assert report.design_kind == "pm"
-        assert report.n_subjects == 4
-        assert report.c_q == 1.645
         assert report.mean_sq_err == pytest.approx(float(sq.mean()), rel=1e-12)
         assert report.sd_sq_err == pytest.approx(float(sq.std(ddof=1)), rel=1e-12)
         assert report.emp_quantile == empirical_quantile(sq, 0.95)
@@ -183,6 +178,59 @@ class TestRunCell:
         )
         assert report.emp_ci[0] <= report.emp_quantile <= report.emp_ci[1]
         assert report.approx_ci[0] <= report.approx_quantile <= report.approx_ci[1]
+
+    @pytest.mark.parametrize(
+        "design, kind, expected",
+        [
+            (
+                DesignSpec.pm(Blocking([0, 0, 1, 1])),
+                "continuous",
+                (
+                    0.7887003100472314,
+                    1.0199607065181677,
+                    2.7691815352837024,
+                    (2.3438621731562703, 2.920147485256657),
+                    2.4665356722696172,
+                    (2.243122030996993, 2.8712417192688453),
+                ),
+            ),
+            (
+                DesignSpec.pb(Allocation([1, -1, -1, 1])),
+                "survival",
+                (
+                    0.623159408098188,
+                    0.4624211328599276,
+                    1.4554141853901286,
+                    (1.33473085006773, 1.645655107365447),
+                    1.383842171652769,
+                    (1.2682095117003094, 1.4810674201306435),
+                ),
+            ),
+        ],
+        ids=["pm", "pb"],
+    )
+    def test_pinned_report_values(self, design, kind, expected):
+        # Exact values of a tiny cell, so that any change to the bytes
+        # the summary path produces fails here, not only in results.csv.
+        cfg = CellConfig(
+            cell_id=f"pinned::{design.kind}",
+            model=default_model(kind, 1),
+            x=CovariateMatrix([[0.0], [0.5], [1.0], [2.0]]),
+            design=design,
+            n_reps=300,
+            master_seed=11,
+            bootstrap_reps=50,
+        )
+        report = run_cell(cfg)
+        got = (
+            report.mean_sq_err,
+            report.sd_sq_err,
+            report.emp_quantile,
+            report.emp_ci,
+            report.approx_quantile,
+            report.approx_ci,
+        )
+        assert got == expected
 
 
 class TestEnumerateDesignOracle:

@@ -16,8 +16,6 @@ from twoarm.response import (
     default_model,
     draw_covariates,
     draw_outcomes,
-    linear_component,
-    mean_function,
     potential_means,
     residual_variances,
 )
@@ -58,44 +56,54 @@ class TestResponseModel:
             default_model("count", 6)
 
 
+def _eta_mean(kind: str, eta: float) -> float:
+    """mu_T of a one-covariate model whose linear component is eta itself."""
+    model = ResponseModel(kind=kind, beta0=0.0, beta=[1.0], beta_t=0.0)
+    mu_t, _ = potential_means(model, CovariateMatrix(np.full((4, 1), eta)))
+    return float(mu_t[0])
+
+
 class TestLinearComponent:
+    # eta = beta0 + x'beta + beta_t w, read off the identity link
     def test_worked_example(self):
         model = default_model("continuous", 1)
+        x = CovariateMatrix([[0.0], [0.5], [0.0], [0.5]])
+        mu_t, mu_c = potential_means(model, x)
         # -1 + 0 * 1 + 0.001 * 1
-        assert linear_component(model, [0.0], 1) == pytest.approx(-0.999)
-        assert linear_component(model, [0.5], -1) == pytest.approx(-0.501)
+        assert mu_t[0] == pytest.approx(-0.999)
+        assert mu_c[1] == pytest.approx(-0.501)
 
     def test_alternating_signs(self):
         model = default_model("continuous", 5)
-        x = np.ones(5)
-        # -1 + (1 - 1 + 1 - 1 + 1) + 0.001
-        assert linear_component(model, x, 1) == pytest.approx(0.001)
+        mu_t, mu_c = potential_means(model, CovariateMatrix(np.ones((4, 5))))
+        # -1 + (1 - 1 + 1 - 1 + 1) +- 0.001
+        np.testing.assert_allclose(mu_t, 0.001, rtol=1e-12)
+        np.testing.assert_allclose(mu_c, -0.001, rtol=1e-12)
 
     def test_rejects_bad_inputs(self):
         model = default_model("continuous", 2)
-        with pytest.raises(ValueError):
-            linear_component(model, [1.0], 1)
-        with pytest.raises(ValueError):
-            linear_component(model, [1.0, 2.0], 0)
+        for p in (1, 3):
+            with pytest.raises(ValueError):
+                potential_means(model, CovariateMatrix(np.ones((4, p))))
 
 
 class TestMeanFunction:
     def test_link_values(self):
-        assert mean_function("incidence", 0.0) == 0.5
-        assert mean_function("proportion", math.log(3.0)) == pytest.approx(0.75)
-        assert mean_function("count", 0.0) == 1.0
-        assert mean_function("survival", 1.0) == pytest.approx(math.e)
-        assert mean_function("continuous", -0.999) == -0.999
+        assert _eta_mean("incidence", 0.0) == 0.5
+        assert _eta_mean("proportion", math.log(3.0)) == pytest.approx(0.75)
+        assert _eta_mean("count", 0.0) == 1.0
+        assert _eta_mean("survival", 1.0) == pytest.approx(math.e)
+        assert _eta_mean("continuous", -0.999) == -0.999
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            mean_function("ordinal", 0.0)
+        with pytest.raises(ValueError, match="unknown response kind 'ordinal'"):
+            _eta_mean("ordinal", 0.0)
 
     def test_clamps_extreme_components(self):
         with pytest.warns(OverflowGuardWarning):
-            capped = mean_function("count", 800.0)
+            capped = _eta_mean("count", 800.0)
         assert capped == pytest.approx(math.exp(ETA_LIMIT))
-        assert mean_function("continuous", 800.0) == 800.0
+        assert _eta_mean("continuous", 800.0) == 800.0
 
 
 class TestPotentialMeans:

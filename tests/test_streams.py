@@ -36,6 +36,5 @@ def test_chunk_sizes_cover_total():
     assert sizes == [CHUNK_SIZE, CHUNK_SIZE, 17]
     assert chunk_sizes(CHUNK_SIZE) == [CHUNK_SIZE]
     assert chunk_sizes(0) == []
-    assert chunk_sizes(5, chunk=2) == [2, 2, 1]
     with pytest.raises(ValueError):
         chunk_sizes(-1)
