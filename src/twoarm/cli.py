@@ -141,6 +141,9 @@ def _parse_list(raw_value: str, key: str, cast, allowed=None) -> tuple:
             raise ConfigError(f"key {key!r}: bad entry {part!r}")
         if allowed is not None and item not in allowed:
             raise ConfigError(f"key {key!r}: {part!r} not in {sorted(allowed)}")
+        if item in items:
+            # a repeated entry would run every one of its cells twice
+            raise ConfigError(f"key {key!r}: entry {part!r} is repeated")
         items.append(item)
     if not items:
         raise ConfigError(f"key {key!r} must list at least one entry")
@@ -375,12 +378,14 @@ def main(argv: list[str] | None = None) -> int:
             "out": args.out,
         }
         grid = build_grid(config, overrides)
+        out_dir = Path(grid.out_dir)
+        # an unusable output path fails here, before any cell runs
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     rows = run_grid(grid)
-    out_dir = Path(grid.out_dir)
     write_rows(rows, out_dir / "results.csv")
     panel_files = emit_plot_data(rows, out_dir / "panels")
     failures = [row for row in rows if row["error"]]

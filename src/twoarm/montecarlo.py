@@ -7,7 +7,11 @@ drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.  A
 cell's report summarises the sample at the 0.95 quantile only: the
 empirical quantile, the normal approximation mean + C_95 * sd, and a
-95% percentile-bootstrap interval for each.
+95% percentile-bootstrap interval for each.  The bootstrap draws the
+indices of a block of whole resamples at once, at most
+_BOOTSTRAP_BLOCK // N rows of N, and evaluates the statistic row-wise
+on that (rows, N) block; the stream is consumed exactly as one draw per
+resample would consume it, so the intervals are unchanged.
 
 The variance-floor and convergence reports run noise-only cells
 through the same chunk loop, and the variance decomposition splits the
@@ -74,6 +78,18 @@ class CriterionReport:
     approx_ci: tuple[float, float]
 
 
+# Index elements per bootstrap block: a block's int64 indices and the
+# values they gather take about 0.5 MB each (a block is never less than
+# one resample, so N above 2**16 takes N elements).
+_BOOTSTRAP_BLOCK = 1 << 16
+
+
+def _order_statistic(values: np.ndarray, q: float) -> np.ndarray:
+    """The ceil(q * N)-th order statistic along the last axis of N."""
+    k = math.ceil(q * values.shape[-1])
+    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+
+
 def empirical_quantile(samples: np.ndarray, q: float) -> float:
     """The ceil(q * N)-th order statistic (inverse-CDF definition)."""
     samples = np.asarray(samples, dtype=float)
@@ -81,8 +97,7 @@ def empirical_quantile(samples: np.ndarray, q: float) -> float:
         raise ValueError("samples must be a non-empty 1-D array")
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    k = math.ceil(q * samples.size)
-    return float(np.partition(samples, k - 1)[k - 1])
+    return float(_order_statistic(samples, q))
 
 
 def bootstrap_ci(
@@ -94,8 +109,14 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """95% percentile-method bootstrap interval for a statistic.
 
-    rng is required so that every interval comes from a seed-derived
-    stream.
+    statistic is row-wise: given a (b, N) block of b resamples it
+    returns the b statistics as an array of shape (b,); anything else
+    raises ValueError.  Resamples are drawn in blocks of at most
+    max(1, _BOOTSTRAP_BLOCK // N) rows with one rng.integers call each.
+    For N below 2**32 numpy draws these bounded integers one 32-bit word
+    at a time, so a (b, N) draw consumes the stream exactly as b draws of
+    N do, and the interval does not depend on the block size.  rng is
+    required so that every interval comes from a seed-derived stream.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -103,14 +124,32 @@ def bootstrap_ci(
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     n = samples.size
+    rows = max(1, _BOOTSTRAP_BLOCK // n)
     stats = np.empty(n_resamples)
-    for r in range(n_resamples):
-        stats[r] = statistic(samples[rng.integers(0, n, n)])
+    for start in range(0, n_resamples, rows):
+        b = min(rows, n_resamples - start)
+        block = np.asarray(statistic(samples[rng.integers(0, n, (b, n))]))
+        if block.shape != (b,):
+            raise ValueError(
+                f"statistic must map a ({b}, {n}) block of resamples to "
+                f"shape ({b},), got shape {block.shape}"
+            )
+        stats[start : start + b] = block
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
     # endpoints np.quantile returns, so the output bytes, depend on it.
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def _empirical_q95_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise empirical 0.95 quantile of a (b, N) block of resamples."""
+    return _order_statistic(v, 0.95)
+
+
+def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise mean + C_95 * sd of a (b, N) block of resamples."""
+    return v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
 
 
 def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
@@ -146,13 +185,13 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     apx_q = approx_quantile(mean_sq, sd_sq * sd_sq)
     emp_ci = bootstrap_ci(
         sq,
-        lambda s: empirical_quantile(s, 0.95),
+        _empirical_q95_rows,
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-empirical"),
     )
     apx_ci = bootstrap_ci(
         sq,
-        lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
+        _approx_q95_rows,
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
     )

@@ -155,6 +155,19 @@ class TestBuildGrid:
         with pytest.raises(ConfigError, match="empty configuration"):
             build_grid({})
 
+    def test_repeated_list_entries_are_rejected(self):
+        # each repeat would run its cells again under the same cell ids
+        with pytest.raises(ConfigError, match="'responses': entry 'continuous' is repeated"):
+            build_grid(_micro_config(responses="continuous,continuous"))
+        with pytest.raises(ConfigError, match="'p': entry '1' is repeated"):
+            build_grid(_micro_config(p="1,1"))
+        with pytest.raises(ConfigError, match="'blocks': entry '2' is repeated"):
+            build_grid(_micro_config(blocks="1,2,2"))
+        cfg = _micro_config(designs="pm,bcrd,pm")
+        del cfg["blocks"]
+        with pytest.raises(ConfigError, match="'designs': entry 'pm' is repeated"):
+            build_grid(cfg)
+
 
 class TestTasks:
     def test_blocking_sweep_counts(self):
@@ -329,6 +342,24 @@ class TestMain:
         assert "unknown key" in capsys.readouterr().err
         assert main([str(tmp_path / "missing.cfg")]) == 2
         assert main(["--preset", "fig1"]) == 2  # no seed anywhere
+
+    def test_output_path_that_is_a_file_exits_two_before_any_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        ran = []
+        monkeypatch.setattr(cli, "run_grid", lambda grid: ran.append(grid) or [])
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
+            f"p=1\nblocks=1\nbootstrap_reps=100\nout={afile}\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg)]) == 2
+        assert ran == []
+        assert str(afile) in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_failing_cells_exit_one(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):

@@ -1,12 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix, OutcomePair
-from twoarm.criteria import CriterionInputs, mean_mse
+from twoarm.criteria import C_95, CriterionInputs, mean_mse
 from twoarm.designs import DesignSpec, design_covariance
 from twoarm.montecarlo import (
     CellConfig,
     CriterionReport,
+    _approx_q95_rows,
+    _empirical_q95_rows,
     bootstrap_ci,
     convergence_study,
     empirical_quantile,
@@ -21,7 +26,15 @@ from twoarm.response import (
 )
 from twoarm.streams import substream
 
-from util_oracles import balanced_allocations, squared_errors_over
+from util_oracles import (
+    balanced_allocations,
+    bootstrap_ci_reference,
+    squared_errors_over,
+)
+
+
+def _row_mean(v):
+    return v.mean(axis=1)
 
 
 def _pm_cell(n_reps=20_000, seed=404):
@@ -67,30 +80,30 @@ class TestEmpiricalQuantile:
 
 class TestBootstrapCi:
     def test_degenerate_sample_collapses(self):
-        ci = bootstrap_ci(np.full(50, 3.25), np.mean, rng=substream(1, "b"))
+        ci = bootstrap_ci(np.full(50, 3.25), _row_mean, rng=substream(1, "b"))
         assert ci == (3.25, 3.25)
 
     def test_ordered_and_deterministic(self):
         samples = substream(2, "data").normal(0.0, 1.0, 200)
-        a = bootstrap_ci(samples, np.mean, rng=substream(2, "boot"))
-        b = bootstrap_ci(samples, np.mean, rng=substream(2, "boot"))
+        a = bootstrap_ci(samples, _row_mean, rng=substream(2, "boot"))
+        b = bootstrap_ci(samples, _row_mean, rng=substream(2, "boot"))
         assert a == b
         assert a[0] <= a[1]
 
     def test_interval_narrows_with_sample_size(self):
         rng = substream(3, "narrow")
-        small = bootstrap_ci(rng.normal(0.0, 1.0, 40), np.mean, rng=substream(3, "b1"))
-        large = bootstrap_ci(rng.normal(0.0, 1.0, 4000), np.mean, rng=substream(3, "b2"))
+        small = bootstrap_ci(rng.normal(0.0, 1.0, 40), _row_mean, rng=substream(3, "b1"))
+        large = bootstrap_ci(rng.normal(0.0, 1.0, 4000), _row_mean, rng=substream(3, "b2"))
         assert large[1] - large[0] < small[1] - small[0]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(np.array([]), np.mean, rng=substream(1, "b"))
+            bootstrap_ci(np.array([]), _row_mean, rng=substream(1, "b"))
         with pytest.raises(ValueError):
-            bootstrap_ci(np.ones(5), np.mean, n_resamples=0, rng=substream(1, "b"))
+            bootstrap_ci(np.ones(5), _row_mean, n_resamples=0, rng=substream(1, "b"))
         # no unseeded default: every interval needs a seed-derived stream
         with pytest.raises(TypeError):
-            bootstrap_ci(np.ones(5), np.mean)
+            bootstrap_ci(np.ones(5), _row_mean)
 
     def test_coverage_for_the_mean(self):
         # nominal 95% percentile intervals for a Gaussian mean
@@ -99,10 +112,60 @@ class TestBootstrapCi:
         for r in range(n_outer):
             samples = substream(1000 + r, "cov").normal(0.0, 1.0, 200)
             lo, hi = bootstrap_ci(
-                samples, np.mean, n_resamples=300, rng=substream(1000 + r, "boot")
+                samples, _row_mean, n_resamples=300, rng=substream(1000 + r, "boot")
             )
             hits += lo <= 0.0 <= hi
         assert 0.89 <= hits / n_outer <= 0.99
+
+    def test_statistic_must_be_row_wise(self):
+        samples = substream(4, "data").normal(0.0, 1.0, 30)
+        # a 1-D statistic reduces the whole block to one scalar, which
+        # would otherwise broadcast into every slot of the block
+        bad = (np.mean, lambda v: v.mean(axis=1)[:-1], lambda v: v.mean(axis=0))
+        for statistic in bad:
+            with pytest.raises(ValueError, match="statistic must map"):
+                bootstrap_ci(samples, statistic, n_resamples=5, rng=substream(4, "b"))
+
+    @pytest.mark.parametrize("n_resamples", [1, 7, 64, 65, 131])
+    @pytest.mark.parametrize("n", [1, 3, 1000, 8193, 12500, 65537])
+    @pytest.mark.parametrize(
+        "rows, reference",
+        [
+            (_empirical_q95_rows, lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1]),
+            (
+                _approx_q95_rows,
+                lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
+            ),
+        ],
+        ids=["empirical", "approx"],
+    )
+    def test_equals_one_resample_at_a_time(self, rows, reference, n, n_resamples):
+        # Block sizes 65536 // n leave ragged last blocks and, at
+        # n = 65537, blocks of one row.
+        samples = np.square(substream(n, "eq-data").normal(0.0, 1.0, n))
+        rng = substream(n, n_resamples, "eq-boot")
+        ref_rng = substream(n, n_resamples, "eq-boot")
+        with warnings.catch_warnings():
+            # n = 1 has no sample sd: both sides give nan
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = bootstrap_ci(samples, rows, n_resamples=n_resamples, rng=rng)
+            want = bootstrap_ci_reference(
+                samples, reference, n_resamples=n_resamples, rng=ref_rng
+            )
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001, 8193])
+    def test_block_draw_consumes_the_stream_like_sequential_draws(self, n):
+        # bootstrap_ci's bytes rest on this property of numpy's bounded
+        # integers; a numpy release that breaks it fails here
+        rng_block = substream(9, n, "pin")
+        rng_seq = substream(9, n, "pin")
+        block = rng_block.integers(0, n, (5, n))
+        seq = np.stack([rng_seq.integers(0, n, n) for _ in range(5)])
+        assert np.array_equal(block, seq)
+        assert rng_block.bit_generator.state == rng_seq.bit_generator.state
+        assert rng_block.random() == rng_seq.random()
 
 
 class TestCellConfig:

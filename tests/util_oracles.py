@@ -5,7 +5,9 @@ functions are the ground truth the library is checked against, so they
 avoid the library's own code paths.  The bitmask matcher returns the
 library's result types only so that tests can swap it for the blossom
 matcher.  The reference pb search is the one-restart-at-a-time loop
-that the lockstep production search must reproduce bit for bit.
+that the lockstep production search must reproduce bit for bit, and
+the reference bootstrap is the one-resample-at-a-time loop that the
+block-wise production bootstrap must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -196,6 +198,24 @@ def greedy_pair_switch_reference(
         if obj < best_obj:
             best_w, best_obj = w, obj
     return Allocation(best_w.astype(np.int8))
+
+
+def bootstrap_ci_reference(
+    samples: np.ndarray,
+    statistic,
+    n_resamples: int,
+    *,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """95% percentile bootstrap, one index draw and one 1-D statistic per resample."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    stats = np.empty(n_resamples)
+    for r in range(n_resamples):
+        stats[r] = statistic(samples[rng.integers(0, n, n)])
+    alpha = (1.0 - 0.95) / 2.0
+    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)
 
 
 def squared_errors_over(allocs: np.ndarray, y_t, y_c) -> np.ndarray:
