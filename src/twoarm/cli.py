@@ -69,6 +69,9 @@ _PRESETS = {
 }
 _PRESETS["exp"] = dict(_PRESETS["fig1"], covariates="exponential")
 
+# Covariate counts a grid may use.
+_P_VALUES = range(1, 6)
+
 
 class ConfigError(ValueError):
     """Invalid config file or option combination."""
@@ -153,8 +156,11 @@ def _parse_list(raw_value: str, key: str, cast, allowed=None) -> tuple:
 def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) -> ExperimentGrid:
     """Resolve preset defaults, config keys, then explicit overrides."""
     raw = dict(config)
-    if overrides:
-        raw.update({k: str(v) for k, v in overrides.items() if v is not None})
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            if not str(value).strip():  # as for an empty key= line
+                raise ConfigError(f"empty value for {key!r}")
+            raw[key] = str(value)
     preset = raw.pop("preset", None)
     if preset is not None:
         if preset not in _PRESETS:
@@ -178,7 +184,7 @@ def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) 
         raw.get("responses", ",".join(RESPONSE_KINDS)), "responses", str,
         allowed=set(RESPONSE_KINDS),
     )
-    p_list = _parse_list(raw.get("p", "1"), "p", int, allowed=set(range(1, 6)))
+    p_list = _parse_list(raw.get("p", "1"), "p", int, allowed=set(_P_VALUES))
     blocks = designs = None
     if "blocks" in raw:
         blocks = _parse_list(raw["blocks"], "blocks", int)
@@ -329,7 +335,11 @@ def write_rows(rows: list[dict], path: Path) -> None:
 
 
 def emit_plot_data(rows: list[dict], out_dir: Path) -> list[Path]:
-    """One small series file per (response, p) panel, error rows skipped."""
+    """One small series file per (response, p) panel, error rows skipped.
+
+    Any other <response>_p<p>.csv in out_dir, left by an earlier run, is
+    removed; no other file is touched.
+    """
     panels: dict[tuple, list[dict]] = {}
     for row in rows:
         if row["error"]:
@@ -350,6 +360,11 @@ def emit_plot_data(rows: list[dict], out_dir: Path) -> list[Path]:
             for row in series:
                 writer.writerow([_format(row[col]) for col in columns])
         written.append(path)
+    for resp in RESPONSE_KINDS:
+        for p in _P_VALUES:
+            path = out_dir / f"{resp}_p{p}.csv"
+            if path not in written:
+                path.unlink(missing_ok=True)
     return written
 
 
@@ -383,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
     rows = run_grid(grid)

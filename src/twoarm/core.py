@@ -1,4 +1,4 @@
-"""Domain types and estimator algebra for two-arm experiments.
+"""Domain types for two-arm experiments.
 
 Conventions used throughout the package:
 
@@ -9,12 +9,15 @@ Conventions used throughout the package:
   (mu_T, mu_C) and per-subject noise variance total
   rho_i = Var(y_T,i) + Var(y_C,i).
 * The estimand is the average treatment effect over the sample and the
-  estimator is the simple difference in arm means.
+  estimator is the simple difference in arm means, whose error is
+  w'(y_T + y_C) / 2n.  The potential-outcome type and the estimator
+  algebra written out term by term live in twoarm.verify, next to the
+  oracles that use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +64,6 @@ class CovariateMatrix:
     def n_pairs(self) -> int:
         return self.values.shape[0] // 2
 
-    def column_ranges(self) -> np.ndarray:
-        """Per-column max - min (the covariate spread bounds)."""
-        return self.values.max(axis=0) - self.values.min(axis=0)
-
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
@@ -74,6 +73,8 @@ class Allocation:
 
     def __post_init__(self):
         arr = _frozen(self.signs, dtype=np.int8)
+        if arr.size == 0:
+            raise ValueError("allocation signs must be non-empty")
         if arr.ndim != 1 or arr.shape[0] % 2:
             raise ValueError("allocation must be a 1-D vector of even length")
         if not np.isin(arr, (-1, 1)).all():
@@ -100,6 +101,8 @@ class Blocking:
         arr = _frozen(self.block_of, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("block_of must be 1-D")
+        if arr.size == 0:
+            raise ValueError("block_of must be non-empty")
         n = arr.shape[0]
         ids, counts = np.unique(arr, return_counts=True)
         b = ids.shape[0]
@@ -165,55 +168,6 @@ class Blocking:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomePair:
-    """Potential outcomes with their means and noise variances.
-
-    rho_i is the total residual variance Var(y_T,i) + Var(y_C,i).
-    """
-
-    y_t: np.ndarray
-    y_c: np.ndarray
-    mu_t: np.ndarray
-    mu_c: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in ("y_t", "y_c", "mu_t", "mu_c", "rho"):
-            arr = _frozen(getattr(self, name))
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise ValueError("all outcome vectors must share one length")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-            arrays[name] = arr
-        if (arrays["rho"] < 0).any():
-            raise ValueError("rho entries must be >= 0")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def deterministic(cls, y_t, y_c) -> "OutcomePair":
-        """Noise-free outcomes: means equal the values, rho = 0."""
-        y_t = np.asarray(y_t, dtype=float)
-        y_c = np.asarray(y_c, dtype=float)
-        return cls(y_t, y_c, y_t, y_c, np.zeros_like(y_t))
-
-    @property
-    def n_subjects(self) -> int:
-        return self.y_t.shape[0]
-
-    @property
-    def mu_sum(self) -> np.ndarray:
-        """mu_T + mu_C, the vector the allocation is tested against."""
-        return self.mu_t + self.mu_c
-
-
-@dataclass(frozen=True, eq=False)
 class DesignCovariance:
     """Allocation covariance matrix E[w w'], unit diagonal."""
 
@@ -236,49 +190,3 @@ class DesignCovariance:
     def quadratic_form(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
         return float(v @ self.sigma_w @ v)
-
-
-def _check_lengths(w: Allocation, outcomes: OutcomePair) -> None:
-    if w.n_subjects != outcomes.n_subjects:
-        raise ValueError(
-            f"allocation length {w.n_subjects} does not match "
-            f"outcomes length {outcomes.n_subjects}"
-        )
-
-
-def estimand(outcomes: OutcomePair) -> float:
-    """Sample average treatment effect mean(y_T - y_C)."""
-    return float(np.mean(outcomes.y_t - outcomes.y_c))
-
-
-def estimate(w: Allocation, outcomes: OutcomePair) -> float:
-    """Difference in arm means under allocation w.
-
-    Each treated subject reveals y_T, each control reveals y_C; with n
-    subjects per arm the estimator is mean(treated y_T) - mean(control
-    y_C), which equals sum((y_T - y_C) + w * (y_T + y_C)) / 2n.
-    """
-    _check_lengths(w, outcomes)
-    n = w.n_subjects // 2
-    treated = w.signs == 1
-    return float(
-        (outcomes.y_t[treated].sum() - outcomes.y_c[~treated].sum()) / n
-    )
-
-
-def squared_error(w: Allocation, outcomes: OutcomePair) -> float:
-    """(estimate - estimand)^2 via the quadratic form (w'(y_T+y_C))^2 / 4n^2."""
-    _check_lengths(w, outcomes)
-    n = w.n_subjects // 2
-    contrast = float(w.signs @ (outcomes.y_t + outcomes.y_c))
-    return contrast * contrast / (4.0 * n * n)
-
-
-def residual_variance_mean(rho) -> float:
-    """Average per-subject noise variance rho_bar."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.size == 0:
-        raise ValueError("rho must be non-empty")
-    if (rho < 0).any():
-        raise ValueError("rho entries must be >= 0")
-    return float(rho.mean())

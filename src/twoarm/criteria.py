@@ -3,15 +3,14 @@
 The design criterion is the 0.95 quantile of the estimator's squared
 error; no other level is supported.  This module provides the exact
 mean of the squared error, the pairwise-matching conditional variance
-in closed form, the normal approximation to the quantile
-(mean + C_95 * sd), and reference constants for the large-n variance
-scaling used by convergence reports.
+in closed form and the normal approximation to the quantile
+(mean + C_95 * sd).  The published reference constants for the large-n
+variance scaling live in twoarm.verify with the convergence reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +18,9 @@ from .core import DesignCovariance
 
 # Coefficient c in Var_W[(tau_hat - tau)^2 | v] = c * sum_{i<j} d_i^2 d_j^2 / n^4
 # for pairwise matching.  Fixed by exhaustive enumeration of the n = 2
-# design before the main build (see tests); the externally reported
-# value 1/16 is kept only for reference output.
+# design before the main build (see tests); twoarm.verify keeps the
+# externally reported value 1/16 for reference output.
 PM_COND_VAR_COEFF = 0.25
-PM_COND_VAR_COEFF_REPORTED = 0.0625
 
 # The 0.95 normal quantile, rounded as the paper rounds it, used by the
 # normal approximation to the criterion.
@@ -94,30 +92,3 @@ def approx_quantile(mean_sq_err: float, var_sq_err: float) -> float:
     if not var_sq_err >= 0:
         raise ValueError(f"var_sq_err must be >= 0, got {var_sq_err}")
     return mean_sq_err + C_95 * float(np.sqrt(var_sq_err))
-
-
-class AsymptoticReference(NamedTuple):
-    """Published large-n limits of n^2 Var[(tau_hat - tau)^2]."""
-
-    pm_reference: float
-    pb_reference: float
-
-
-def asymptotic_reference(rho_bar: float) -> AsymptoticReference:
-    """Reference constants (rho_bar^2/8 for pm, rho_bar^2/2 for pb).
-
-    These are the externally reported limits used as yardsticks by
-    convergence reports; the pm value is informational only, since the
-    enumeration-resolved conditional-variance coefficient implies the
-    candidate in pm_variance_candidate instead.
-    """
-    if rho_bar < 0:
-        raise ValueError("rho_bar must be >= 0")
-    return AsymptoticReference(rho_bar**2 / 8.0, rho_bar**2 / 2.0)
-
-
-def pm_variance_candidate(rho_bar: float) -> float:
-    """Large-n pm limit implied by the enumeration-resolved coefficient."""
-    if rho_bar < 0:
-        raise ValueError("rho_bar must be >= 0")
-    return rho_bar**2 / 2.0

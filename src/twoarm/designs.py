@@ -8,12 +8,13 @@ Four families are supported:
 * pm    - pairwise matching, a block design with blocks of size 2,
 * pb    - perfect balance, a deterministic pair {w*, -w*} with w*
           chosen to minimize Mahalanobis imbalance.
+
+Support enumeration and the imbalance of one allocation, which only
+the checks use, live in twoarm.verify.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,42 +126,6 @@ def design_covariance(spec: DesignSpec) -> DesignCovariance:
     return DesignCovariance(sigma)
 
 
-def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.ndarray:
-    """The design's full support as an (S, 2n) array of +-1 (int8).
-
-    Every row is equally likely under the design.  Block-type supports
-    are the product of per-block balanced patterns, so S =
-    prod_b C(n_B, n_B/2); pb contributes exactly {w*, -w*}.  Supports
-    larger than max_support are rejected.
-    """
-    n_sub = spec.n_subjects
-    if spec.kind == "pb":
-        w = spec.w_star.signs
-        return np.stack([w, -w]).astype(np.int8)
-    blocks = spec.blocking.blocks()
-    total = 1
-    for members in blocks:
-        m = members.shape[0]
-        total *= math.comb(m, m // 2)
-        if total > max_support:
-            raise ValueError(f"design support exceeds {max_support} allocations")
-    patterns = []
-    for members in blocks:
-        m = members.shape[0]
-        pats = np.full((math.comb(m, m // 2), m), -1, dtype=np.int8)
-        for r, chosen in enumerate(itertools.combinations(range(m), m // 2)):
-            pats[r, list(chosen)] = 1
-        patterns.append(pats)
-    out = np.empty((total, n_sub), dtype=np.int8)
-    stride = total
-    for members, pats in zip(blocks, patterns):
-        k = pats.shape[0]
-        stride //= k
-        idx = (np.arange(total) // stride) % k
-        out[:, members] = pats[idx]
-    return out
-
-
 def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
     """Sorted-covariate blocking into n_blocks contiguous blocks.
 
@@ -202,15 +167,6 @@ def regularized_covariance(values: np.ndarray) -> np.ndarray:
     if eigs[0] < _SINGULAR_TOL * max(1.0, eigs[-1]):
         s = s + (RIDGE_SCALE * trace / p) * np.eye(p)
     return s
-
-
-def mahalanobis_imbalance(x: CovariateMatrix, w: Allocation) -> float:
-    """Imbalance objective (X'w)' S^-1 (X'w) for an allocation."""
-    if w.n_subjects != x.n_subjects:
-        raise ValueError("allocation and covariates disagree on 2n")
-    u = x.values.T @ w.signs.astype(float)
-    m = np.linalg.inv(regularized_covariance(x.values))
-    return float(u @ m @ u)
 
 
 # Restarts descended together in one lockstep batch.  It bounds the

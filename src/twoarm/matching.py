@@ -2,11 +2,12 @@
 
 The pairwise-matching design needs a partition of the 2n subjects into
 n pairs with small within-pair covariate distance.  This module
-provides the Mahalanobis distance matrix, two exact minimum-cost
-matchers and a rank-interval grid matcher whose within-pair gaps
-shrink as n grows.  The exact matchers are Edmonds' blossom algorithm
-on the complete graph, for any number of covariates, and neighbour
-pairing in sorted order, for a single covariate.  The blossom matcher
+provides the Mahalanobis distance matrix and two exact minimum-cost
+matchers: Edmonds' blossom algorithm on the complete graph, for any
+number of covariates, and neighbour pairing in sorted order, for a
+single covariate.  The suboptimal rank-interval grid matcher and its
+within-pair gap diagnostic, which only the checks use, live in
+twoarm.verify.  The blossom matcher
 calls networkx's maximum-weight matching on exactly the graph that
 nx.min_weight_matching builds (the same inverted weights, the same
 edge order), so it returns the pairing that function returns.
@@ -14,7 +15,6 @@ edge order), so it returns the pairing that function returns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -128,50 +128,3 @@ def match_sorted(x: CovariateMatrix) -> MatchResult:
     tuples = sorted(tuple(sorted(pair)) for pair in order.reshape(-1, 2).tolist())
     cost = _pair_cost(tuples, mahalanobis_distances(x).values)
     return MatchResult(Blocking.from_pairs(tuples), cost, "sorted")
-
-
-def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
-    """Rank-interval grid matching.
-
-    Each covariate's ranks are cut into m = max(1, floor(n^(1/(2p))))
-    equal intervals; subjects sharing the full interval tuple are
-    paired randomly within their group.  One member of every odd-sized
-    group joins an overflow group, itself paired randomly.  The
-    within-pair covariate gaps shrink as n grows because interval
-    widths shrink while groups stay pairable.
-    """
-    vals = x.values
-    n_sub, p = x.n_subjects, x.n_covariates
-    n = x.n_pairs
-    m = max(1, math.floor(n ** (1.0 / (2.0 * p)) + 1e-9))
-    ids = np.empty((n_sub, p), dtype=np.int64)
-    for j in range(p):
-        order = np.argsort(vals[:, j], kind="stable")
-        rank = np.empty(n_sub, dtype=np.int64)
-        rank[order] = np.arange(n_sub)
-        ids[:, j] = rank * m // n_sub
-    groups: dict[tuple, list[int]] = {}
-    for i in range(n_sub):
-        groups.setdefault(tuple(ids[i]), []).append(i)
-    pairs: list[tuple[int, int]] = []
-    overflow: list[int] = []
-    for key in sorted(groups):
-        members = groups[key]
-        shuffled = [members[t] for t in rng.permutation(len(members))]
-        if len(shuffled) % 2:
-            overflow.append(shuffled.pop())
-        pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
-    if overflow:
-        shuffled = [overflow[t] for t in rng.permutation(len(overflow))]
-        pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
-    cost = _pair_cost(pairs, mahalanobis_distances(x).values)
-    return MatchResult(Blocking.from_pairs(pairs), cost, "grid")
-
-
-def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
-    """Average squared within-pair gap of a mean vector: (1/n) sum (mu_a - mu_b)^2."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape[0] != pairing.n_subjects:
-        raise ValueError("mu length must match the pairing")
-    gaps = [mu[a] - mu[b] for a, b in pairing.pairs()]
-    return float(np.mean(np.square(gaps)))

@@ -13,9 +13,8 @@ _BOOTSTRAP_BLOCK // N rows of N, and evaluates the statistic row-wise
 on that (rows, N) block; the stream is consumed exactly as one draw per
 resample would consume it, so the intervals are unchanged.
 
-The variance-floor and convergence reports run noise-only cells
-through the same chunk loop, and the variance decomposition splits the
-squared-error variance over noise and allocation.
+The variance-floor and convergence reports in twoarm.verify run
+noise-only cells through the same chunk loop.
 """
 
 from __future__ import annotations
@@ -25,20 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, OutcomePair
-from .criteria import (
-    C_95,
-    approx_quantile,
-    asymptotic_reference,
-    pm_conditional_variance,
-    pm_variance_candidate,
-)
-from .designs import (
-    DesignSpec,
-    design_covariance,
-    enumerate_allocations,
-    sample_allocations,
-)
+from .core import CovariateMatrix
+from .criteria import C_95, approx_quantile
+from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, potential_means
 from .streams import chunk_sizes, substream
 
@@ -203,187 +191,3 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
         approx_quantile=apx_q,
         approx_ci=apx_ci,
     )
-
-
-def enumerate_design_oracle(
-    spec: DesignSpec, outcomes: OutcomePair
-) -> tuple[float, float]:
-    """Exact (mean, variance) of the squared error over the design support.
-
-    Outcomes are held fixed; the average runs over every allocation in
-    the support with equal weight, which is exact for block-type
-    designs (independent uniform blocks) and for pb ({w*, -w*}).
-    """
-    allocs = enumerate_allocations(spec).astype(float)
-    n = spec.n_subjects // 2
-    v = outcomes.y_t + outcomes.y_c
-    sq = np.square(allocs @ v / (2.0 * n))
-    return float(sq.mean()), float(sq.var())
-
-
-def variance_decomposition_terms(
-    spec: DesignSpec,
-    model: ResponseModel,
-    x,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Split Var[(tau_hat - tau)^2] over noise and allocation.
-
-    Returns (Var_Z of the allocation-conditional mean, E_Z of the
-    allocation-conditional variance); the two sum to the unconditional
-    variance.  The conditional variance needs either the
-    pairwise-matching closed form, the degenerate pb case, or an
-    enumerable support; other designs are rejected.
-    """
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
-    if x.n_subjects != spec.n_subjects:
-        raise ValueError(
-            f"covariates have {x.n_subjects} subjects but the design has "
-            f"{spec.n_subjects}"
-        )
-    n = spec.n_subjects // 2
-    mu_t, mu_c = potential_means(model, x)
-    y_t = draw_outcomes(model, mu_t, rng, n_draws)
-    y_c = draw_outcomes(model, mu_c, rng, n_draws)
-    v = y_t + y_c
-    sigma = design_covariance(spec).sigma_w
-    cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
-    if spec.kind == "pb":
-        cond_var = np.zeros(n_draws)
-    elif spec.kind == "pm":
-        # pm_conditional_variance expects pairs at consecutive positions
-        order = np.ravel(spec.blocking.pairs())
-        cond_var = np.array([pm_conditional_variance(row) for row in v[:, order]])
-    else:
-        allocs = enumerate_allocations(spec, max_support=4096).astype(float)
-        cond_var = np.square(v @ allocs.T / (2.0 * n)).var(axis=1)
-    return float(cond_mean.var(ddof=1)), float(cond_var.mean())
-
-
-def _noise_only_cell(
-    cell_id: str, spec: DesignSpec, n_reps: int, master_seed: int, rho: float
-) -> CellConfig:
-    """A continuous cell whose squared error comes from the noise alone.
-
-    Every subject has mean 0 (a constant covariate, no intercept or
-    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w; each
-    arm carries Gaussian noise of variance rho / 2, so rho per subject.
-    """
-    model = ResponseModel(
-        kind="continuous",
-        beta0=0.0,
-        beta=np.array([1.0]),
-        beta_t=0.0,
-        sigma=math.sqrt(rho / 2.0),
-    )
-    return CellConfig(
-        cell_id=cell_id,
-        model=model,
-        x=CovariateMatrix(np.zeros((spec.n_subjects, 1))),
-        design=spec,
-        n_reps=n_reps,
-        master_seed=master_seed,
-    )
-
-
-def _scaled_variance(sq: np.ndarray, n: int) -> tuple[float, float]:
-    """n^2 Var of a squared-error sample and its moment-based standard error."""
-    var = float(sq.var(ddof=1))
-    m4 = float(np.mean((sq - sq.mean()) ** 4))
-    se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
-    return n * n * var, n * n * se
-
-
-def variance_floor_report(
-    n_subjects_grid,
-    block_counts,
-    n_reps: int,
-    master_seed: int,
-    rho: float = 1.0,
-) -> list[dict]:
-    """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
-
-    Simulates block designs on a noise-only cell (so the allocation
-    term vanishes) with total per-subject noise variance rho, and
-    reports the scaled variance estimate with a moment-based standard
-    error next to the floor.
-    """
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    rows = []
-    bound = rho**2 / 8.0
-    for n_sub in n_subjects_grid:
-        for n_blocks in block_counts:
-            if n_blocks < 1:
-                raise ValueError(f"block_counts entries must be >= 1, got {n_blocks}")
-            if n_sub % n_blocks or (n_sub // n_blocks) % 2:
-                raise ValueError(
-                    f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
-                )
-            spec = DesignSpec.block(
-                Blocking(np.arange(n_sub) // (n_sub // n_blocks))
-            )
-            cfg = _noise_only_cell(
-                f"floor::{n_sub}::{n_blocks}", spec, n_reps, master_seed, rho
-            )
-            est, est_se = _scaled_variance(simulate_squared_errors(cfg), n_sub // 2)
-            rows.append(
-                {
-                    "n_subjects": int(n_sub),
-                    "n_blocks": int(n_blocks),
-                    "n_reps": int(n_reps),
-                    "scaled_variance": est,
-                    "se": est_se,
-                    "bound": bound,
-                    "satisfied": bool(est >= bound - 3.0 * est_se),
-                }
-            )
-    return rows
-
-
-def convergence_study(
-    design_kinds,
-    n_subjects_grid,
-    n_reps: int,
-    master_seed: int,
-) -> list[dict]:
-    """Track n^2 Var[(tau_hat - tau)^2] as the sample grows.
-
-    Runs pm and/or pb on a noise-only cell (Gaussian noise with rho = 1)
-    and reports the scaled variance with a moment-based standard error,
-    next to the published reference constants and the
-    enumeration-implied pm candidate.
-    """
-    ref = asymptotic_reference(1.0)
-    rows = []
-    for kind in design_kinds:
-        if kind not in ("pm", "pb"):
-            raise ValueError(f"convergence study covers pm and pb, not {kind!r}")
-        for n_sub in n_subjects_grid:
-            if n_sub % 2 or n_sub < 4:
-                raise ValueError("n_subjects must be even and >= 4")
-            if kind == "pm":
-                pairing = Blocking(np.arange(n_sub) // 2)
-                spec = DesignSpec.pm(pairing)
-            else:
-                w_star = np.tile(np.array([1, -1], dtype=np.int8), n_sub // 2)
-                spec = DesignSpec.pb(Allocation(w_star))
-            cfg = _noise_only_cell(
-                f"convergence::{kind}::{n_sub}", spec, n_reps, master_seed, 1.0
-            )
-            est, est_se = _scaled_variance(simulate_squared_errors(cfg), n_sub // 2)
-            rows.append(
-                {
-                    "design": kind,
-                    "n_subjects": int(n_sub),
-                    "n_reps": int(n_reps),
-                    "scaled_variance": est,
-                    "se": est_se,
-                    "pm_reference": ref.pm_reference,
-                    "pb_reference": ref.pb_reference,
-                    "pm_enumeration_candidate": pm_variance_candidate(1.0),
-                }
-            )
-    return rows

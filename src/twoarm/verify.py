@@ -1,0 +1,399 @@
+"""Exact oracles and convergence reports that check the design pipeline.
+
+Nothing on the grid path imports this module; it imports the production
+modules and checks them.  It holds the potential-outcome type and the
+estimator algebra, support enumeration with the exact squared-error
+moments over a design's support, the imbalance of one allocation, the
+suboptimal rank-interval grid matcher, the noise/allocation variance
+split, and the variance-floor and convergence reports, which run
+noise-only cells through the production chunk loop.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import Allocation, Blocking, CovariateMatrix, _frozen
+from .criteria import pm_conditional_variance
+from .designs import DesignSpec, design_covariance, regularized_covariance
+from .matching import MatchResult, _pair_cost, mahalanobis_distances
+from .montecarlo import CellConfig, simulate_squared_errors
+from .response import ResponseModel, draw_outcomes, potential_means
+
+# Externally reported pm conditional-variance coefficient; exhaustive
+# enumeration gives criteria.PM_COND_VAR_COEFF = 1/4 instead.
+PM_COND_VAR_COEFF_REPORTED = 0.0625
+
+# Published large-n limits of n^2 Var[(tau_hat - tau)^2] at unit
+# average noise variance (rho_bar^2 / 8 for pm, rho_bar^2 / 2 for pb),
+# and the pm limit that the enumeration-resolved coefficient implies.
+PM_REFERENCE = 0.125
+PB_REFERENCE = 0.5
+PM_ENUMERATION_CANDIDATE = 0.5
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomePair:
+    """Potential outcomes with their means and noise variances.
+
+    rho_i is the total residual variance Var(y_T,i) + Var(y_C,i).
+    """
+
+    y_t: np.ndarray
+    y_c: np.ndarray
+    mu_t: np.ndarray
+    mu_c: np.ndarray
+    rho: np.ndarray
+
+    def __post_init__(self):
+        arrays = {}
+        n = None
+        for name in ("y_t", "y_c", "mu_t", "mu_c", "rho"):
+            arr = _frozen(getattr(self, name))
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D")
+            if n is None:
+                n = arr.shape[0]
+            elif arr.shape[0] != n:
+                raise ValueError("all outcome vectors must share one length")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+            arrays[name] = arr
+        if (arrays["rho"] < 0).any():
+            raise ValueError("rho entries must be >= 0")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def deterministic(cls, y_t, y_c) -> "OutcomePair":
+        """Noise-free outcomes: means equal the values, rho = 0."""
+        y_t = np.asarray(y_t, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        return cls(y_t, y_c, y_t, y_c, np.zeros_like(y_t))
+
+    @property
+    def n_subjects(self) -> int:
+        return self.y_t.shape[0]
+
+
+def _check_lengths(w: Allocation, outcomes: OutcomePair) -> None:
+    if w.n_subjects != outcomes.n_subjects:
+        raise ValueError(
+            f"allocation length {w.n_subjects} does not match "
+            f"outcomes length {outcomes.n_subjects}"
+        )
+
+
+def estimand(outcomes: OutcomePair) -> float:
+    """Sample average treatment effect mean(y_T - y_C)."""
+    return float(np.mean(outcomes.y_t - outcomes.y_c))
+
+
+def estimate(w: Allocation, outcomes: OutcomePair) -> float:
+    """Difference in arm means under allocation w.
+
+    Each treated subject reveals y_T, each control reveals y_C; with n
+    subjects per arm the estimator is mean(treated y_T) - mean(control
+    y_C), which equals sum((y_T - y_C) + w * (y_T + y_C)) / 2n.
+    """
+    _check_lengths(w, outcomes)
+    n = w.n_subjects // 2
+    treated = w.signs == 1
+    return float(
+        (outcomes.y_t[treated].sum() - outcomes.y_c[~treated].sum()) / n
+    )
+
+
+def squared_error(w: Allocation, outcomes: OutcomePair) -> float:
+    """(estimate - estimand)^2 via the quadratic form (w'(y_T+y_C))^2 / 4n^2."""
+    _check_lengths(w, outcomes)
+    n = w.n_subjects // 2
+    contrast = float(w.signs @ (outcomes.y_t + outcomes.y_c))
+    return contrast * contrast / (4.0 * n * n)
+
+
+def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.ndarray:
+    """The design's full support as an (S, 2n) array of +-1 (int8).
+
+    Every row is equally likely under the design.  Block-type supports
+    are the product of per-block balanced patterns, so S =
+    prod_b C(n_B, n_B/2); pb contributes exactly {w*, -w*}.  Supports
+    larger than max_support are rejected.
+    """
+    n_sub = spec.n_subjects
+    if spec.kind == "pb":
+        w = spec.w_star.signs
+        return np.stack([w, -w]).astype(np.int8)
+    blocks = spec.blocking.blocks()
+    total = 1
+    for members in blocks:
+        m = members.shape[0]
+        total *= math.comb(m, m // 2)
+        if total > max_support:
+            raise ValueError(f"design support exceeds {max_support} allocations")
+    patterns = []
+    for members in blocks:
+        m = members.shape[0]
+        pats = np.full((math.comb(m, m // 2), m), -1, dtype=np.int8)
+        for r, chosen in enumerate(itertools.combinations(range(m), m // 2)):
+            pats[r, list(chosen)] = 1
+        patterns.append(pats)
+    out = np.empty((total, n_sub), dtype=np.int8)
+    stride = total
+    for members, pats in zip(blocks, patterns):
+        k = pats.shape[0]
+        stride //= k
+        idx = (np.arange(total) // stride) % k
+        out[:, members] = pats[idx]
+    return out
+
+
+def _support_squared_errors(
+    spec: DesignSpec, v: np.ndarray, max_support: int = 1 << 20
+) -> np.ndarray:
+    """(w'v / 2n)^2 over the support (last axis) for v = y_T + y_C, 1-D or 2-D."""
+    allocs = enumerate_allocations(spec, max_support).astype(float)
+    n = spec.n_subjects // 2
+    return np.square(v @ allocs.T / (2.0 * n))
+
+
+def enumerate_design_oracle(
+    spec: DesignSpec, outcomes: OutcomePair
+) -> tuple[float, float]:
+    """Exact (mean, variance) of the squared error over the design support.
+
+    Outcomes are held fixed; the average runs over every allocation in
+    the support with equal weight, which is exact for block-type
+    designs (independent uniform blocks) and for pb ({w*, -w*}).
+    """
+    sq = _support_squared_errors(spec, outcomes.y_t + outcomes.y_c)
+    return float(sq.mean()), float(sq.var())
+
+
+def mahalanobis_imbalance(x: CovariateMatrix, w: Allocation) -> float:
+    """Imbalance objective (X'w)' S^-1 (X'w) for an allocation."""
+    if w.n_subjects != x.n_subjects:
+        raise ValueError("allocation and covariates disagree on 2n")
+    u = x.values.T @ w.signs.astype(float)
+    m = np.linalg.inv(regularized_covariance(x.values))
+    return float(u @ m @ u)
+
+
+def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
+    """Rank-interval grid matching.
+
+    Each covariate's ranks are cut into m = max(1, floor(n^(1/(2p))))
+    equal intervals; subjects sharing the full interval tuple are
+    paired randomly within their group.  One member of every odd-sized
+    group joins an overflow group, itself paired randomly.  The
+    within-pair covariate gaps shrink as n grows because interval
+    widths shrink while groups stay pairable.
+    """
+    vals = x.values
+    n_sub, p = x.n_subjects, x.n_covariates
+    n = x.n_pairs
+    m = max(1, math.floor(n ** (1.0 / (2.0 * p)) + 1e-9))
+    ids = np.empty((n_sub, p), dtype=np.int64)
+    for j in range(p):
+        order = np.argsort(vals[:, j], kind="stable")
+        rank = np.empty(n_sub, dtype=np.int64)
+        rank[order] = np.arange(n_sub)
+        ids[:, j] = rank * m // n_sub
+    groups: dict[tuple, list[int]] = {}
+    for i in range(n_sub):
+        groups.setdefault(tuple(ids[i]), []).append(i)
+    pairs: list[tuple[int, int]] = []
+    overflow: list[int] = []
+    for key in sorted(groups):
+        members = groups[key]
+        shuffled = [members[t] for t in rng.permutation(len(members))]
+        if len(shuffled) % 2:
+            overflow.append(shuffled.pop())
+        pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
+    if overflow:
+        shuffled = [overflow[t] for t in rng.permutation(len(overflow))]
+        pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
+    cost = _pair_cost(pairs, mahalanobis_distances(x).values)
+    return MatchResult(Blocking.from_pairs(pairs), cost, "grid")
+
+
+def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
+    """Average squared within-pair gap of a mean vector: (1/n) sum (mu_a - mu_b)^2."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape[0] != pairing.n_subjects:
+        raise ValueError("mu length must match the pairing")
+    gaps = [mu[a] - mu[b] for a, b in pairing.pairs()]
+    return float(np.mean(np.square(gaps)))
+
+
+def variance_decomposition_terms(
+    spec: DesignSpec,
+    model: ResponseModel,
+    x,
+    n_draws: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Split Var[(tau_hat - tau)^2] over noise and allocation.
+
+    Returns (Var_Z of the allocation-conditional mean, E_Z of the
+    allocation-conditional variance); the two sum to the unconditional
+    variance.  The conditional variance needs either the
+    pairwise-matching closed form, the degenerate pb case, or an
+    enumerable support; other designs are rejected.
+    """
+    if n_draws < 2:
+        raise ValueError("n_draws must be >= 2")
+    if x.n_subjects != spec.n_subjects:
+        raise ValueError(
+            f"covariates have {x.n_subjects} subjects but the design has "
+            f"{spec.n_subjects}"
+        )
+    n = spec.n_subjects // 2
+    mu_t, mu_c = potential_means(model, x)
+    y_t = draw_outcomes(model, mu_t, rng, n_draws)
+    y_c = draw_outcomes(model, mu_c, rng, n_draws)
+    v = y_t + y_c
+    sigma = design_covariance(spec).sigma_w
+    cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
+    if spec.kind == "pb":
+        cond_var = np.zeros(n_draws)
+    elif spec.kind == "pm":
+        # pm_conditional_variance expects pairs at consecutive positions
+        order = np.ravel(spec.blocking.pairs())
+        cond_var = np.array([pm_conditional_variance(row) for row in v[:, order]])
+    else:
+        cond_var = _support_squared_errors(spec, v, max_support=4096).var(axis=1)
+    return float(cond_mean.var(ddof=1)), float(cond_var.mean())
+
+
+def _check_subject_count(n_sub: int) -> None:
+    if n_sub % 2 or n_sub < 4:
+        raise ValueError(
+            f"n_subjects_grid entries must be even and >= 4, got {n_sub}"
+        )
+
+
+def _noise_only_scaled_variance(
+    cell_id: str, spec: DesignSpec, n_reps: int, master_seed: int, rho: float
+) -> tuple[float, float]:
+    """n^2 Var of a noise-only cell's squared error, with its standard error.
+
+    Every subject has mean 0 (a constant covariate, no intercept or
+    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w; each
+    arm carries Gaussian noise of variance rho / 2, so rho per subject.
+    The standard error comes from the sample's fourth central moment.
+    """
+    model = ResponseModel(
+        kind="continuous",
+        beta0=0.0,
+        beta=np.array([1.0]),
+        beta_t=0.0,
+        sigma=math.sqrt(rho / 2.0),
+    )
+    cfg = CellConfig(
+        cell_id=cell_id,
+        model=model,
+        x=CovariateMatrix(np.zeros((spec.n_subjects, 1))),
+        design=spec,
+        n_reps=n_reps,
+        master_seed=master_seed,
+    )
+    sq = simulate_squared_errors(cfg)
+    n = spec.n_subjects // 2
+    var = float(sq.var(ddof=1))
+    m4 = float(np.mean((sq - sq.mean()) ** 4))
+    se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
+    return n * n * var, n * n * se
+
+
+def variance_floor_report(
+    n_subjects_grid,
+    block_counts,
+    n_reps: int,
+    master_seed: int,
+    rho: float = 1.0,
+) -> list[dict]:
+    """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
+
+    Simulates block designs on a noise-only cell (so the allocation
+    term vanishes) with total per-subject noise variance rho, and
+    reports the scaled variance estimate with a moment-based standard
+    error next to the floor.
+    """
+    if not rho > 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    rows = []
+    bound = PM_REFERENCE * rho**2
+    for n_sub in n_subjects_grid:
+        _check_subject_count(n_sub)
+        for n_blocks in block_counts:
+            if n_blocks < 1:
+                raise ValueError(f"block_counts entries must be >= 1, got {n_blocks}")
+            if n_sub % n_blocks or (n_sub // n_blocks) % 2:
+                raise ValueError(
+                    f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
+                )
+            spec = DesignSpec.block(
+                Blocking(np.arange(n_sub) // (n_sub // n_blocks))
+            )
+            est, est_se = _noise_only_scaled_variance(
+                f"floor::{n_sub}::{n_blocks}", spec, n_reps, master_seed, rho
+            )
+            rows.append(
+                {
+                    "n_subjects": int(n_sub),
+                    "n_blocks": int(n_blocks),
+                    "n_reps": int(n_reps),
+                    "scaled_variance": est,
+                    "se": est_se,
+                    "bound": bound,
+                    "satisfied": bool(est >= bound - 3.0 * est_se),
+                }
+            )
+    return rows
+
+
+def convergence_study(
+    design_kinds,
+    n_subjects_grid,
+    n_reps: int,
+    master_seed: int,
+) -> list[dict]:
+    """Track n^2 Var[(tau_hat - tau)^2] as the sample grows.
+
+    Runs pm and/or pb on a noise-only cell (Gaussian noise with rho = 1)
+    and reports the scaled variance with a moment-based standard error,
+    next to the published reference constants and the
+    enumeration-implied pm candidate.
+    """
+    rows = []
+    for kind in design_kinds:
+        if kind not in ("pm", "pb"):
+            raise ValueError(f"convergence study covers pm and pb, not {kind!r}")
+        for n_sub in n_subjects_grid:
+            _check_subject_count(n_sub)
+            if kind == "pm":
+                spec = DesignSpec.pm(Blocking(np.arange(n_sub) // 2))
+            else:
+                w_star = np.tile(np.array([1, -1], dtype=np.int8), n_sub // 2)
+                spec = DesignSpec.pb(Allocation(w_star))
+            est, est_se = _noise_only_scaled_variance(
+                f"convergence::{kind}::{n_sub}", spec, n_reps, master_seed, 1.0
+            )
+            rows.append(
+                {
+                    "design": kind,
+                    "n_subjects": int(n_sub),
+                    "n_reps": int(n_reps),
+                    "scaled_variance": est,
+                    "se": est_se,
+                    "pm_reference": PM_REFERENCE,
+                    "pb_reference": PB_REFERENCE,
+                    "pm_enumeration_candidate": PM_ENUMERATION_CANDIDATE,
+                }
+            )
+    return rows

@@ -9,27 +9,26 @@ import numpy as np
 import pytest
 
 from twoarm.cli import build_grid, run_grid
-from twoarm.core import Allocation, Blocking, CovariateMatrix, OutcomePair, estimand, estimate
+from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
     PM_COND_VAR_COEFF,
-    PM_COND_VAR_COEFF_REPORTED,
     CriterionInputs,
     mean_mse,
     pm_conditional_variance,
 )
-from twoarm.designs import (
-    DesignSpec,
-    design_covariance,
+from twoarm.designs import DesignSpec, design_covariance, sample_allocations
+from twoarm.matching import mahalanobis_distances, match_heuristic
+from twoarm.verify import (
+    PM_COND_VAR_COEFF_REPORTED,
+    OutcomePair,
+    convergence_study,
     enumerate_allocations,
-    sample_allocations,
-)
-from twoarm.matching import (
-    mahalanobis_distances,
+    enumerate_design_oracle,
+    estimand,
+    estimate,
     match_grid,
-    match_heuristic,
     pair_gap_diagnostic,
 )
-from twoarm.montecarlo import convergence_study, enumerate_design_oracle
 from twoarm.response import default_covariate_source, draw_covariates
 from twoarm.streams import substream
 

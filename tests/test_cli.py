@@ -155,6 +155,14 @@ class TestBuildGrid:
         with pytest.raises(ConfigError, match="empty configuration"):
             build_grid({})
 
+    def test_empty_override_is_rejected(self):
+        # an unset "$OUTDIR" passed as --out would write into the cwd
+        for key in ("out", "seed", "preset"):
+            with pytest.raises(ConfigError, match=f"empty value for '{key}'"):
+                build_grid(_micro_config(), {key: ""})
+        with pytest.raises(ConfigError, match="empty value for 'out'"):
+            build_grid(_micro_config(), {"out": "  "})
+
     def test_repeated_list_entries_are_rejected(self):
         # each repeat would run its cells again under the same cell ids
         with pytest.raises(ConfigError, match="'responses': entry 'continuous' is repeated"):
@@ -298,6 +306,24 @@ class TestCsvOutput:
             blobs.append(files[0].read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_rerun_removes_panel_files_it_did_not_write(self, tmp_path):
+        rows = run_grid(build_grid(_micro_config()))
+        survival = [dict(row, response="survival") for row in rows]
+        emit_plot_data(rows + survival, tmp_path)
+        (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "continuous_p6.csv").write_text("kept\n", encoding="utf-8")
+        files = emit_plot_data(rows, tmp_path)
+        assert [f.name for f in files] == ["continuous_p1.csv"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "continuous_p1.csv", "continuous_p6.csv", "notes.txt",
+        ]
+        # a panel whose every cell failed leaves no file behind either
+        failed = [dict(row, error="RuntimeError: boom") for row in rows]
+        assert emit_plot_data(failed, tmp_path) == []
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "continuous_p6.csv", "notes.txt",
+        ]
+
     def test_panel_files_skip_error_rows(self, tmp_path):
         rows = run_grid(build_grid(_micro_config()))
         rows[1] = dict(rows[1], error="RuntimeError: boom")
@@ -342,6 +368,27 @@ class TestMain:
         assert "unknown key" in capsys.readouterr().err
         assert main([str(tmp_path / "missing.cfg")]) == 2
         assert main(["--preset", "fig1"]) == 2  # no seed anywhere
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed=1 # caf\xe9\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
+
+    def test_empty_out_flag_exits_two_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
+            "p=1\nblocks=1\nbootstrap_reps=100\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg), "--out", ""]) == 2
+        assert "empty value for 'out'" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["grid.cfg"]
 
     def test_output_path_that_is_a_file_exits_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys

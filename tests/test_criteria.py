@@ -9,17 +9,12 @@ from twoarm.core import Allocation, Blocking
 from twoarm.criteria import (
     C_95,
     PM_COND_VAR_COEFF,
-    PM_COND_VAR_COEFF_REPORTED,
-    AsymptoticReference,
     CriterionInputs,
     approx_quantile,
-    asymptotic_reference,
     mean_mse,
     pm_conditional_variance,
-    pm_variance_candidate,
 )
-from twoarm.designs import DesignSpec, design_covariance, enumerate_allocations
-from twoarm.montecarlo import variance_decomposition_terms, variance_floor_report
+from twoarm.designs import DesignSpec, design_covariance
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -28,6 +23,15 @@ from twoarm.response import (
     potential_means,
 )
 from twoarm.streams import substream
+from twoarm.verify import (
+    PB_REFERENCE,
+    PM_COND_VAR_COEFF_REPORTED,
+    PM_ENUMERATION_CANDIDATE,
+    PM_REFERENCE,
+    enumerate_allocations,
+    variance_decomposition_terms,
+    variance_floor_report,
+)
 
 from util_oracles import sign_patterns
 
@@ -178,25 +182,10 @@ class TestApproxQuantile:
 
 class TestAsymptoticReference:
     def test_published_constants_at_unit_rho(self):
-        ref = asymptotic_reference(1.0)
-        assert isinstance(ref, AsymptoticReference)
-        assert ref.pm_reference == pytest.approx(0.125)
-        assert ref.pb_reference == pytest.approx(0.5)
-
-    def test_quadratic_in_rho_bar(self):
-        ref = asymptotic_reference(3.0)
-        assert ref.pm_reference == pytest.approx(9.0 / 8.0)
-        assert ref.pb_reference == pytest.approx(4.5)
-
-    def test_candidate_matches_the_pb_scaling(self):
-        assert pm_variance_candidate(1.0) == pytest.approx(0.5)
-        assert pm_variance_candidate(2.0) == pytest.approx(2.0)
-
-    def test_rejects_negative_rho_bar(self):
-        with pytest.raises(ValueError):
-            asymptotic_reference(-1.0)
-        with pytest.raises(ValueError):
-            pm_variance_candidate(-0.5)
+        # rho_bar^2 / 8 for pm, rho_bar^2 / 2 for pb and the candidate
+        assert PM_REFERENCE == 0.125
+        assert PB_REFERENCE == 0.5
+        assert PM_ENUMERATION_CANDIDATE == 0.5
 
 
 class TestVarianceDecomposition:
@@ -305,6 +294,9 @@ class TestVarianceFloorReport:
         for n_blocks in (0, -2):
             with pytest.raises(ValueError, match=f"block_counts.*got {n_blocks}"):
                 variance_floor_report([8], [n_blocks], n_reps=10, master_seed=1)
+        for n_sub in (-4, 0, 2, 7):
+            with pytest.raises(ValueError, match=f"n_subjects_grid.*got {n_sub}"):
+                variance_floor_report([n_sub], [1], n_reps=10, master_seed=1)
 
     def test_deterministic(self):
         a = variance_floor_report([8], [2], n_reps=2000, master_seed=5)

@@ -8,13 +8,12 @@ from twoarm.designs import (
     _descend_lockstep,
     build_blocking,
     design_covariance,
-    enumerate_allocations,
     greedy_pair_switch,
-    mahalanobis_imbalance,
     regularized_covariance,
     sample_allocations,
 )
 from twoarm.streams import substream
+from twoarm.verify import enumerate_allocations, mahalanobis_imbalance
 
 from util_oracles import (
     balanced_allocations,

@@ -6,10 +6,8 @@ from twoarm.core import Blocking, CovariateMatrix
 from twoarm.matching import (
     DistanceMatrix,
     mahalanobis_distances,
-    match_grid,
     match_heuristic,
     match_sorted,
-    pair_gap_diagnostic,
 )
 from twoarm.response import (
     default_covariate_source,
@@ -18,6 +16,7 @@ from twoarm.response import (
     potential_means,
 )
 from twoarm.streams import substream
+from twoarm.verify import match_grid, pair_gap_diagnostic
 
 from util_oracles import (
     EXACT_CAPACITY,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twoarm.core import Allocation, Blocking, CovariateMatrix, OutcomePair
+from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import C_95, CriterionInputs, mean_mse
 from twoarm.designs import DesignSpec, design_covariance
 from twoarm.montecarlo import (
@@ -13,9 +13,7 @@ from twoarm.montecarlo import (
     _approx_q95_rows,
     _empirical_q95_rows,
     bootstrap_ci,
-    convergence_study,
     empirical_quantile,
-    enumerate_design_oracle,
     run_cell,
     simulate_squared_errors,
 )
@@ -25,6 +23,7 @@ from twoarm.response import (
     residual_variances,
 )
 from twoarm.streams import substream
+from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracle
 
 from util_oracles import (
     balanced_allocations,
@@ -338,9 +337,9 @@ class TestConvergenceStudy:
     def test_rejects_other_designs_and_odd_sizes(self):
         with pytest.raises(ValueError):
             convergence_study(["bcrd"], [8], n_reps=100, master_seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_subjects_grid.*got 7"):
             convergence_study(["pm"], [7], n_reps=100, master_seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_subjects_grid.*got 2"):
             convergence_study(["pm"], [2], n_reps=100, master_seed=0)
 
     def test_deterministic(self):
