@@ -94,10 +94,6 @@ class ExperimentGrid:
     workers: int
     out_dir: str
 
-    @property
-    def axis(self) -> str:
-        return "blocks" if self.blocks is not None else "designs"
-
 
 def parse_config(text: str) -> dict[str, str]:
     """Parse ``key=value`` lines; unknown or repeated keys error."""
@@ -162,16 +158,21 @@ def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) 
                 raise ConfigError(f"empty value for {key!r}")
             raw[key] = str(value)
     preset = raw.pop("preset", None)
+    axis_keys = raw.keys() & {"blocks", "designs"}
+    if len(axis_keys) == 2:
+        raise ConfigError("specify blocks or designs, not both")
     if preset is not None:
         if preset not in _PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}"
             )
-        raw = {**_PRESETS[preset], **raw}
+        defaults = dict(_PRESETS[preset])
+        if axis_keys:  # a design axis given explicitly replaces the preset's
+            defaults.pop("blocks", None)
+            defaults.pop("designs", None)
+        raw = {**defaults, **raw}
     if not raw:
         raise ConfigError("empty configuration: give a preset or explicit keys")
-    if "blocks" in raw and "designs" in raw:
-        raise ConfigError("specify blocks or designs, not both")
     if "blocks" not in raw and "designs" not in raw:
         raise ConfigError("specify a design axis: blocks=... or designs=...")
 
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config: dict[str, str] = {}
         if args.config is not None:
-            config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
         overrides = {
             "preset": args.preset,
             "seed": args.seed,

@@ -87,9 +87,6 @@ class Allocation:
     def n_subjects(self) -> int:
         return self.signs.shape[0]
 
-    def mirror(self) -> "Allocation":
-        return Allocation(-self.signs)
-
 
 @dataclass(frozen=True, eq=False)
 class Blocking:

@@ -44,6 +44,9 @@ class CriterionInputs:
             raise ValueError("mu length must match sigma_w")
         if mu.shape[0] % 2:
             raise ValueError("subject count must be even")
+        for name, arr in (("mu", mu), ("rho", rho)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if (rho < 0).any():
             raise ValueError("rho entries must be >= 0")
         mu.setflags(write=False)
@@ -76,8 +79,10 @@ def pm_conditional_variance(v) -> float:
     through sum_{i<j} d_i^2 d_j^2 = ((sum d^2)^2 - sum d^4) / 2.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] % 2:
-        raise ValueError("v must be 1-D with even length")
+    if v.ndim != 1 or v.shape[0] % 2 or v.shape[0] == 0:
+        raise ValueError(
+            f"v must be 1-D with non-zero even length, got shape {v.shape}"
+        )
     n = v.shape[0] // 2
     d_sq = np.square(v[1::2] - v[0::2])
     s2 = float(d_sq.sum())

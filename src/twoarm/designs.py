@@ -76,10 +76,6 @@ class DesignSpec:
             return self.w_star.n_subjects
         return self.blocking.n_subjects
 
-    @property
-    def n_blocks(self) -> int | None:
-        return None if self.kind == "pb" else self.blocking.n_blocks
-
 
 def sample_allocations(
     spec: DesignSpec, n_draws: int, rng: np.random.Generator

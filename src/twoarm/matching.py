@@ -96,6 +96,10 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     in row-major order, weighted (1 + max d) - d_ij and matched at
     maximum cardinality.  Deterministic for a given distance matrix.
     """
+    if d.n_subjects < 2 or d.n_subjects % 2:
+        raise ValueError(
+            f"matching needs an even subject count >= 2, got {d.n_subjects}"
+        )
     dist = d.values
     first, second = np.triu_indices(d.n_subjects, 1)
     weights = dist[first, second]

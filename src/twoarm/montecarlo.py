@@ -72,20 +72,19 @@ class CriterionReport:
 _BOOTSTRAP_BLOCK = 1 << 16
 
 
-def _order_statistic(values: np.ndarray, q: float) -> np.ndarray:
-    """The ceil(q * N)-th order statistic along the last axis of N."""
-    k = math.ceil(q * values.shape[-1])
+def _order_statistic(values: np.ndarray) -> np.ndarray:
+    """The ceil(0.95 * N)-th order statistic along the last axis of N."""
+    k = math.ceil(0.95 * values.shape[-1])
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
-def empirical_quantile(samples: np.ndarray, q: float) -> float:
-    """The ceil(q * N)-th order statistic (inverse-CDF definition)."""
+def empirical_quantile(samples: np.ndarray) -> float:
+    """The empirical 0.95 quantile: the ceil(0.95 * N)-th order statistic
+    (inverse-CDF definition)."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    return float(_order_statistic(samples, q))
+    return float(_order_statistic(samples))
 
 
 def bootstrap_ci(
@@ -130,11 +129,6 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-def _empirical_q95_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise empirical 0.95 quantile of a (b, N) block of resamples."""
-    return _order_statistic(v, 0.95)
-
-
 def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
     """Row-wise mean + C_95 * sd of a (b, N) block of resamples."""
     return v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
@@ -169,11 +163,11 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     sq = simulate_squared_errors(cfg)
     mean_sq = float(sq.mean())
     sd_sq = float(sq.std(ddof=1))
-    emp_q = empirical_quantile(sq, 0.95)
+    emp_q = empirical_quantile(sq)
     apx_q = approx_quantile(mean_sq, sd_sq * sd_sq)
     emp_ci = bootstrap_ci(
         sq,
-        _empirical_q95_rows,
+        _order_statistic,
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-empirical"),
     )

@@ -11,7 +11,8 @@ proportion  inverse-logit   Beta(phi mu, phi (1 - mu))  mu (1 - mu) / (phi + 1)
 count       exp             Poisson(mu)                 mu
 survival    exp             Weibull(shape k, mean mu)   mu^2 (G2/G1^2 - 1)
 
-with G1 = Gamma(1 + 1/k), G2 = Gamma(1 + 2/k).
+with phi = PROPORTION_PHI, k = SURVIVAL_SHAPE, G1 = Gamma(1 + 1/k) and
+G2 = Gamma(1 + 2/k).
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ RESPONSE_KINDS = ("continuous", "incidence", "proportion", "count", "survival")
 ETA_LIMIT = 700.0
 # Poisson means beyond this are rejected rather than sampled.
 POISSON_MEAN_LIMIT = 1e12
+# Beta precision of the proportion response and Weibull shape of the
+# survival response.
+PROPORTION_PHI = 2.0
+SURVIVAL_SHAPE = 4.0
 
 _DEFAULT_BETA = (1.0, -1.0, 1.0, -1.0, 1.0)
 
@@ -47,8 +52,6 @@ class ResponseModel:
     beta: np.ndarray
     beta_t: float
     sigma: float = 1.0
-    phi: float = 2.0
-    k: float = 4.0
 
     def __post_init__(self):
         if self.kind not in RESPONSE_KINDS:
@@ -58,9 +61,8 @@ class ResponseModel:
             raise ValueError("beta must be a non-empty vector")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        for name in ("sigma", "phi", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be > 0")
 
     @property
     def n_covariates(self) -> int:
@@ -82,46 +84,32 @@ def default_model(kind: str, n_covariates: int) -> ResponseModel:
 
 @dataclass(frozen=True, eq=False)
 class CovariateSource:
-    """Distribution the fixed covariates are drawn from."""
+    """Distribution the fixed covariates are drawn from.
+
+    uniform is Uniform(-h, h); exponential is Exponential(rate) shifted
+    by -1/rate, so mean 0, with rate = sqrt(12) / 2h giving it the
+    uniform's variance h^2 / 3 = 1 / rate^2.
+    """
 
     family: str
-    low: float = 0.0
-    high: float = 0.0
-    rate: float = 0.0
+    half_width: float
 
     def __post_init__(self):
         if self.family not in ("uniform", "exponential"):
             raise ValueError(f"unknown covariate family {self.family!r}")
-        if self.family == "uniform" and not self.high > self.low:
-            raise ValueError("uniform needs high > low")
-        if self.family == "exponential" and not self.rate > 0:
-            raise ValueError("exponential needs rate > 0")
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "CovariateSource":
-        return cls("uniform", low=low, high=high)
-
-    @classmethod
-    def exponential_centered(cls, rate: float) -> "CovariateSource":
-        """Exponential(rate) shifted by -1/rate, so mean 0, var 1/rate^2."""
-        return cls("exponential", rate=rate)
+        if not self.half_width > 0:
+            raise ValueError(f"half_width must be > 0, got {self.half_width}")
 
 
 def default_covariate_source(kind: str, family: str = "uniform") -> CovariateSource:
     """Covariate scale matched to the response type.
 
-    The discrete endpoints (incidence, count) use wider scales; the
-    exponential variants reproduce each uniform's variance
-    ((high - low)^2 / 12 = 1 / rate^2).
+    The discrete endpoints (incidence, count) use wider scales: half
+    width 10 for incidence, 5 for count and 1 otherwise.
     """
     if kind not in RESPONSE_KINDS:
         raise ValueError(f"unknown response kind {kind!r}")
-    half_width = {"incidence": 10.0, "count": 5.0}.get(kind, 1.0)
-    if family == "uniform":
-        return CovariateSource.uniform(-half_width, half_width)
-    if family == "exponential":
-        return CovariateSource.exponential_centered(math.sqrt(12.0) / (2 * half_width))
-    raise ValueError(f"unknown covariate family {family!r}")
+    return CovariateSource(family, {"incidence": 10.0, "count": 5.0}.get(kind, 1.0))
 
 
 def draw_covariates(
@@ -131,10 +119,15 @@ def draw_covariates(
     rng: np.random.Generator,
 ) -> CovariateMatrix:
     shape = (n_subjects, n_covariates)
+    # Written out as low + (high - low) * u and as 1 / rate of the rate,
+    # not simplified: a folded formula can round the panels differently.
+    h = source.half_width
     if source.family == "uniform":
-        vals = source.low + (source.high - source.low) * rng.random(shape)
+        low, high = -h, h
+        vals = low + (high - low) * rng.random(shape)
     else:
-        vals = rng.exponential(1.0 / source.rate, shape) - 1.0 / source.rate
+        rate = math.sqrt(12.0) / (2 * h)
+        vals = rng.exponential(1.0 / rate, shape) - 1.0 / rate
     return CovariateMatrix(vals)
 
 
@@ -195,30 +188,26 @@ def draw_outcomes(
     model: ResponseModel,
     mu: np.ndarray,
     rng: np.random.Generator,
-    n_draws: int | None = None,
+    n_draws: int,
 ) -> np.ndarray:
-    """Sample outcomes with mean vector mu.
-
-    Returns shape (len(mu),) when n_draws is None, else
-    (n_draws, len(mu)) with independent rows.
-    """
+    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu."""
     mu = np.asarray(mu, dtype=float)
     _validate_mu(model, mu)
-    size = mu.shape if n_draws is None else (n_draws,) + mu.shape
+    size = (n_draws,) + mu.shape
     kind = model.kind
     if kind == "continuous":
         return rng.normal(mu, model.sigma, size)
     if kind == "incidence":
         return (rng.random(size) < mu).astype(float)
     if kind == "proportion":
-        g1 = rng.standard_gamma(np.broadcast_to(model.phi * mu, size))
-        g2 = rng.standard_gamma(np.broadcast_to(model.phi * (1.0 - mu), size))
+        g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
+        g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
         denom = g1 + g2
         return np.divide(g1, denom, out=np.full(size, 0.5), where=denom > 0)
     if kind == "count":
         return rng.poisson(np.broadcast_to(mu, size)).astype(float)
-    scale = mu / math.gamma(1.0 + 1.0 / model.k)
-    return scale * rng.weibull(model.k, size)
+    scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
+    return scale * rng.weibull(SURVIVAL_SHAPE, size)
 
 
 def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:
@@ -230,11 +219,11 @@ def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:
     if kind == "incidence":
         return mu * (1.0 - mu)
     if kind == "proportion":
-        return mu * (1.0 - mu) / (model.phi + 1.0)
+        return mu * (1.0 - mu) / (PROPORTION_PHI + 1.0)
     if kind == "count":
         return mu.copy()
-    g1 = math.gamma(1.0 + 1.0 / model.k)
-    g2 = math.gamma(1.0 + 2.0 / model.k)
+    g1 = math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
+    g2 = math.gamma(1.0 + 2.0 / SURVIVAL_SHAPE)
     return mu**2 * (g2 / g1**2 - 1.0)
 
 

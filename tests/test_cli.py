@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,6 @@ class TestParseConfig:
 class TestBuildGrid:
     def test_fig1_preset(self):
         grid = build_grid({"preset": "fig1", "seed": "5"})
-        assert grid.axis == "blocks"
         assert grid.n_subjects == 96
         assert grid.blocks == (1, 2, 3, 4, 6, 8, 12, 16, 24, 48)
         assert grid.designs is None
@@ -84,7 +84,6 @@ class TestBuildGrid:
 
     def test_fig2_preset(self):
         grid = build_grid({"preset": "fig2", "seed": "5"})
-        assert grid.axis == "designs"
         assert grid.designs == ("bcrd", "pm", "pb")
         assert grid.blocks is None
         assert grid.n_reps == 30_000
@@ -102,6 +101,11 @@ class TestBuildGrid:
             {"preset": "fig1", "seed": "5", "reps": "500"}, {"reps": 250}
         )
         assert grid.n_reps == 250
+        # a config's design axis replaces the preset's, whichever it is
+        grid = build_grid({"preset": "fig2", "seed": "5", "blocks": "1,2"})
+        assert (grid.blocks, grid.designs, grid.n_reps) == ((1, 2), None, 30_000)
+        grid = build_grid({"preset": "fig1", "seed": "5", "designs": "pm"})
+        assert (grid.blocks, grid.designs) == (None, ("pm",))
 
     def test_defaults(self):
         grid = build_grid(_micro_config())
@@ -113,6 +117,8 @@ class TestBuildGrid:
     def test_axis_is_exclusive_and_required(self):
         with pytest.raises(ConfigError, match="not both"):
             build_grid(_micro_config(designs="bcrd"))
+        with pytest.raises(ConfigError, match="not both"):
+            build_grid({"preset": "fig2", "seed": "5", "blocks": "1", "designs": "pm"})
         cfg = _micro_config()
         del cfg["blocks"]
         with pytest.raises(ConfigError, match="design axis"):
@@ -369,6 +375,16 @@ class TestMain:
         assert main([str(tmp_path / "missing.cfg")]) == 2
         assert main(["--preset", "fig1"]) == 2  # no seed anywhere
 
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(
+            b"\xef\xbb\xbfseed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
+            + f"p=1\nblocks=1\nbootstrap_reps=100\nout={out}\n".encode("utf-8")
+        )
+        assert main([str(cfg)]) == 0
+        assert _read_csv(out / "results.csv")[0]["seed"] == "7"
+
     def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"seed=1 # caf\xe9\n")
@@ -424,3 +440,63 @@ class TestMain:
         assert "1 failed cells" in capsys.readouterr().out
         table = _read_csv(out / "results.csv")
         assert table[0]["error"] == "RuntimeError: cell exploded"
+
+
+def _results_digest(path: Path) -> str:
+    """SHA-256 of results.csv without runtime_ms, as gridbench's gate
+    digests it: kept fields joined by US (0x1f), one LF per row."""
+    h = hashlib.sha256()
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        drop = header.index("runtime_ms")
+        for row in [header, *reader]:
+            kept = row[:drop] + row[drop + 1 :]
+            h.update(("\x1f".join(kept) + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
+def _panels_digest(panel_dir: Path) -> str:
+    """SHA-256 over each sorted panel file's name, a NUL and its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(panel_dir.glob("*.csv")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputBytes:
+    """Output bytes of two micro grids, pinned by digest.
+
+    2n=16, every response, p=1, designs bcrd and pm, so no value in the
+    output passes through a BLAS-summed product.  Recorded with numpy
+    2.4.6; a numpy whose random streams or reductions differ changes
+    these digests without any change to twoarm.
+    """
+
+    PINNED = {
+        "uniform": (
+            "9d2ebebfbb3f79d7e398ee76a04145dc52f5f28ad1a1a1274d8e344d225ab1fa",
+            "f7f28b9cdebb2912de5cc16ae354c2f6b2bbeb93ad18bb30d3d5b8909c13f73a",
+        ),
+        "exponential": (
+            "23f3f9b4585a5845ba5dd550df0d705d686c428cee2505c0f0d41172f01c3ad2",
+            "507c2546bcabf0cf92561bd4e9e060cd32055a1e153ca136ea5da25d35a23ab0",
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_micro_grid_bytes_match_the_pinned_digests(self, family, tmp_path):
+        out = tmp_path / family
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            f"seed=2024\nreps=300\nn_subjects=16\np=1\ndesigns=bcrd,pm\n"
+            f"covariates={family}\nbootstrap_reps=60\nout={out}\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg)]) == 0
+        assert len(list((out / "panels").glob("*.csv"))) == len(RESPONSE_KINDS)
+        digests = (
+            _results_digest(out / "results.csv"),
+            _panels_digest(out / "panels"),
+        )
+        assert digests == self.PINNED[family]

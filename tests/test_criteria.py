@@ -61,6 +61,11 @@ class TestCriterionInputs:
             CriterionInputs(np.zeros(6), np.ones(6), sigma)
         with pytest.raises(ValueError):
             CriterionInputs(np.zeros(4), [1.0, 1.0, -0.5, 1.0], sigma)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                CriterionInputs([0.0, bad, 0.0, 0.0], np.ones(4), sigma)
+            with pytest.raises(ValueError, match="rho must be finite"):
+                CriterionInputs(np.zeros(4), [1.0, 1.0, bad, 1.0], sigma)
 
     def test_arrays_are_read_only(self):
         sigma = design_covariance(DesignSpec.bcrd(4))
@@ -143,6 +148,8 @@ class TestPmConditionalVariance:
             pm_conditional_variance([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             pm_conditional_variance(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="v must be"):
+            pm_conditional_variance([])
 
     @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 5, 6])
     def test_matches_sign_pattern_enumeration(self, n_pairs):

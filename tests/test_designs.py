@@ -28,13 +28,13 @@ _CHI2_001 = {3: 16.266, 5: 20.515}
 
 class TestDesignSpec:
     def test_factories(self):
-        assert DesignSpec.bcrd(6).n_blocks == 1
+        assert DesignSpec.bcrd(6).blocking.n_blocks == 1
         b = DesignSpec.block(Blocking([0, 0, 1, 1]))
-        assert b.n_blocks == 2
+        assert b.blocking.n_blocks == 2
         pm = DesignSpec.pm(Blocking.from_pairs([(0, 1), (2, 3)]))
         assert pm.kind == "pm"
         pb = DesignSpec.pb(Allocation([1, -1, -1, 1]))
-        assert pb.n_blocks is None
+        assert pb.blocking is None
         assert pb.n_subjects == 4
 
     def test_invalid_combinations(self):

@@ -108,6 +108,12 @@ class TestMatchExact:
 
 
 class TestMatchHeuristic:
+    @pytest.mark.parametrize("n_subjects", [0, 1, 3, 5])
+    def test_rejects_odd_or_too_few_subjects(self, n_subjects):
+        d = DistanceMatrix(np.ones((n_subjects, n_subjects)) - np.eye(n_subjects))
+        with pytest.raises(ValueError, match=f"got {n_subjects}$"):
+            match_heuristic(d)
+
     def test_never_better_than_exact_and_close(self):
         for seed in range(20):
             d = _random_distances(8, 300 + seed)

@@ -11,7 +11,7 @@ from twoarm.montecarlo import (
     CellConfig,
     CriterionReport,
     _approx_q95_rows,
-    _empirical_q95_rows,
+    _order_statistic,
     bootstrap_ci,
     empirical_quantile,
     run_cell,
@@ -53,28 +53,25 @@ def _pm_cell(n_reps=20_000, seed=404):
 class TestEmpiricalQuantile:
     def test_integer_grid(self):
         samples = np.arange(1.0, 101.0)
-        assert empirical_quantile(samples, 0.95) == 95.0
-        assert empirical_quantile(samples, 0.951) == 96.0
-        assert empirical_quantile(samples, 0.99) == 99.0
+        assert empirical_quantile(samples) == 95.0
+        # ceil(0.95 * 21) = 20
+        assert empirical_quantile(np.arange(1.0, 22.0)) == 20.0
 
     def test_small_sample_order_statistic(self):
-        assert empirical_quantile(np.array([4.0, 2.0, 1.0, 3.0]), 0.5) == 2.0
-        assert empirical_quantile(np.array([7.0]), 0.95) == 7.0
+        assert empirical_quantile(np.array([4.0, 2.0, 1.0, 3.0])) == 4.0
+        assert empirical_quantile(np.array([7.0])) == 7.0
 
     def test_invariant_to_order(self):
         rng = substream(8, "shuffle")
         samples = rng.normal(0.0, 1.0, 501)
         shuffled = rng.permutation(samples)
-        assert empirical_quantile(samples, 0.95) == empirical_quantile(shuffled, 0.95)
+        assert empirical_quantile(samples) == empirical_quantile(shuffled)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            empirical_quantile(np.array([]), 0.95)
+            empirical_quantile(np.array([]))
         with pytest.raises(ValueError):
-            empirical_quantile(np.zeros((2, 2)), 0.95)
-        for q in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                empirical_quantile(np.ones(4), q)
+            empirical_quantile(np.zeros((2, 2)))
 
 
 class TestBootstrapCi:
@@ -130,7 +127,7 @@ class TestBootstrapCi:
     @pytest.mark.parametrize(
         "rows, reference",
         [
-            (_empirical_q95_rows, lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1]),
+            (_order_statistic, lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1]),
             (
                 _approx_q95_rows,
                 lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
@@ -234,7 +231,7 @@ class TestRunCell:
         sq = simulate_squared_errors(cfg)
         assert report.mean_sq_err == pytest.approx(float(sq.mean()), rel=1e-12)
         assert report.sd_sq_err == pytest.approx(float(sq.std(ddof=1)), rel=1e-12)
-        assert report.emp_quantile == empirical_quantile(sq, 0.95)
+        assert report.emp_quantile == empirical_quantile(sq)
         assert report.approx_quantile == pytest.approx(
             report.mean_sq_err + 1.645 * report.sd_sq_err, rel=1e-12
         )

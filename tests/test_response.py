@@ -32,12 +32,10 @@ class TestResponseModel:
             ResponseModel(kind="continuous", beta0=0.0, beta=[[1.0]], beta_t=0.0)
         with pytest.raises(ValueError):
             ResponseModel(kind="continuous", beta0=0.0, beta=[], beta_t=0.0)
-        for name in ("sigma", "phi", "k"):
-            with pytest.raises(ValueError):
-                ResponseModel(
-                    kind="continuous", beta0=0.0, beta=[1.0], beta_t=0.0,
-                    **{name: 0.0},
-                )
+        with pytest.raises(ValueError, match="sigma"):
+            ResponseModel(
+                kind="continuous", beta0=0.0, beta=[1.0], beta_t=0.0, sigma=0.0
+            )
 
     def test_beta_is_read_only(self):
         model = default_model("continuous", 3)
@@ -162,34 +160,34 @@ class TestMeanValidation:
         model = default_model("incidence", 1)
         rng = substream(0, "v")
         with pytest.raises(ValueError):
-            draw_outcomes(model, [0.5, 1.2], rng)
+            draw_outcomes(model, [0.5, 1.2], rng, 1)
         with pytest.raises(ValueError):
-            draw_outcomes(model, [-0.1, 0.5], rng)
+            draw_outcomes(model, [-0.1, 0.5], rng, 1)
 
     def test_proportion_open_interval(self):
         model = default_model("proportion", 1)
         rng = substream(0, "v")
         with pytest.raises(ValueError):
-            draw_outcomes(model, [0.0, 0.5], rng)
+            draw_outcomes(model, [0.0, 0.5], rng, 1)
         with pytest.raises(ValueError):
-            draw_outcomes(model, [0.5, 1.0], rng)
+            draw_outcomes(model, [0.5, 1.0], rng, 1)
 
     def test_positive_means(self):
         rng = substream(0, "v")
         for kind in ("count", "survival"):
             with pytest.raises(ValueError):
-                draw_outcomes(default_model(kind, 1), [0.0, 1.0], rng)
+                draw_outcomes(default_model(kind, 1), [0.0, 1.0], rng, 1)
 
     def test_poisson_mean_cap(self):
         model = default_model("count", 1)
         rng = substream(0, "v")
         with pytest.raises(ValueError, match="count means"):
-            draw_outcomes(model, [1.0, 2.0 * POISSON_MEAN_LIMIT], rng)
+            draw_outcomes(model, [1.0, 2.0 * POISSON_MEAN_LIMIT], rng, 1)
 
     def test_rejects_non_finite(self):
         model = default_model("continuous", 1)
         with pytest.raises(ValueError):
-            draw_outcomes(model, [0.0, math.inf], substream(0, "v"))
+            draw_outcomes(model, [0.0, math.inf], substream(0, "v"), 1)
 
 
 class TestDrawOutcomes:
@@ -197,7 +195,6 @@ class TestDrawOutcomes:
         model = default_model("continuous", 1)
         rng = substream(3, "shapes")
         mu = np.zeros(6)
-        assert draw_outcomes(model, mu, rng).shape == (6,)
         assert draw_outcomes(model, mu, rng, n_draws=7).shape == (7, 6)
 
     def test_determinism(self):
@@ -279,29 +276,33 @@ class TestArmVariance:
 
 class TestCovariateSource:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CovariateSource("gamma")
-        with pytest.raises(ValueError):
-            CovariateSource.uniform(1.0, 1.0)
-        with pytest.raises(ValueError):
-            CovariateSource.exponential_centered(0.0)
+        with pytest.raises(ValueError, match="family"):
+            CovariateSource("gamma", 1.0)
+        for family in ("uniform", "exponential"):
+            for half_width in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="half_width"):
+                    CovariateSource(family, half_width)
 
     def test_default_scales(self):
-        assert default_covariate_source("continuous").high == 1.0
-        assert default_covariate_source("incidence").high == 10.0
-        assert default_covariate_source("count").high == 5.0
-        assert default_covariate_source("proportion").low == -1.0
-        assert default_covariate_source("survival").high == 1.0
+        assert default_covariate_source("continuous").half_width == 1.0
+        assert default_covariate_source("incidence").half_width == 10.0
+        assert default_covariate_source("count").half_width == 5.0
+        assert default_covariate_source("proportion").half_width == 1.0
+        assert default_covariate_source("survival").half_width == 1.0
+        assert default_covariate_source("count").family == "uniform"
         with pytest.raises(ValueError):
             default_covariate_source("ordinal")
         with pytest.raises(ValueError):
             default_covariate_source("count", family="gamma")
 
     def test_exponential_rate_matches_uniform_variance(self):
-        # 1 / rate^2 == (high - low)^2 / 12 for each response kind
+        # both families draw with variance half_width^2 / 3 for each kind
         for kind, half_width in (("continuous", 1.0), ("incidence", 10.0), ("count", 5.0)):
-            src = default_covariate_source(kind, family="exponential")
-            assert 1.0 / src.rate**2 == pytest.approx(half_width**2 / 3.0)
+            for family in ("uniform", "exponential"):
+                src = default_covariate_source(kind, family=family)
+                assert src.half_width == half_width
+                x = draw_covariates(src, 100_000, 1, substream(5, "var", kind, family))
+                assert x.values.var() == pytest.approx(half_width**2 / 3.0, rel=0.05)
 
     def test_uniform_draws_stay_in_range(self):
         src = default_covariate_source("incidence")
@@ -321,8 +322,9 @@ class TestCovariateSource:
         vals = x.values.ravel()
         assert vals.mean() == pytest.approx(0.0, abs=0.01)
         assert vals.var() == pytest.approx(1.0 / 3.0, rel=0.05)
-        # shifted exponential keeps its hard left edge at -1/rate
-        assert vals.min() > -1.0 / src.rate
+        # shifted exponential keeps its hard left edge at -1/rate,
+        # rate = sqrt(12) / (2 * half_width)
+        assert vals.min() > -2.0 * src.half_width / math.sqrt(12.0)
         skew = ((vals - vals.mean()) ** 3).mean() / vals.std() ** 3
         assert skew == pytest.approx(2.0, abs=0.1)
 
