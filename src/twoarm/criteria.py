@@ -3,9 +3,10 @@
 The design criterion is the 0.95 quantile of the estimator's squared
 error; no other level is supported.  This module provides the exact
 mean of the squared error, the pairwise-matching conditional variance
-in closed form and the normal approximation to the quantile
-(mean + C_95 * sd).  The published reference constants for the large-n
-variance scaling live in twoarm.verify with the convergence reports.
+in closed form and C_95, the constant of the normal approximation
+mean + C_95 * sd to the quantile, which twoarm.montecarlo evaluates.
+The published reference constants for the large-n variance scaling live
+in twoarm.verify with the convergence reports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignCovariance
+from .core import DesignCovariance, _frozen
 
 # Coefficient c in Var_W[(tau_hat - tau)^2 | v] = c * sum_{i<j} d_i^2 d_j^2 / n^4
 # for pairwise matching.  Fixed by exhaustive enumeration of the n = 2
@@ -36,8 +37,8 @@ class CriterionInputs:
     sigma_w: DesignCovariance
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float, copy=True)
-        rho = np.array(self.rho, dtype=float, copy=True)
+        mu = _frozen(self.mu)
+        rho = _frozen(self.rho)
         if mu.ndim != 1 or rho.shape != mu.shape:
             raise ValueError("mu and rho must be 1-D vectors of one length")
         if mu.shape[0] != self.sigma_w.n_subjects:
@@ -49,8 +50,6 @@ class CriterionInputs:
                 raise ValueError(f"{name} must be finite")
         if (rho < 0).any():
             raise ValueError("rho entries must be >= 0")
-        mu.setflags(write=False)
-        rho.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rho", rho)
 
@@ -83,17 +82,11 @@ def pm_conditional_variance(v) -> float:
         raise ValueError(
             f"v must be 1-D with non-zero even length, got shape {v.shape}"
         )
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
     n = v.shape[0] // 2
     d_sq = np.square(v[1::2] - v[0::2])
     s2 = float(d_sq.sum())
     s4 = float(np.square(d_sq).sum())
     return PM_COND_VAR_COEFF * (s2 * s2 - s4) / (2.0 * n**4)
 
-
-def approx_quantile(mean_sq_err: float, var_sq_err: float) -> float:
-    """Normal approximation mean + C_95 * sqrt(variance) to the 0.95 quantile."""
-    if not np.isfinite(mean_sq_err):
-        raise ValueError("mean_sq_err must be finite")
-    if not var_sq_err >= 0:
-        raise ValueError(f"var_sq_err must be >= 0, got {var_sq_err}")
-    return mean_sq_err + C_95 * float(np.sqrt(var_sq_err))

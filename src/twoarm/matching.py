@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .core import Blocking, CovariateMatrix
+from .core import Blocking, CovariateMatrix, _frozen
 from .designs import regularized_covariance
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +30,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = _frozen(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distances must form a square matrix")
         if not np.allclose(arr, arr.T, rtol=0, atol=1e-9):
@@ -39,7 +39,6 @@ class DistanceMatrix:
             raise ValueError("distances must be >= 0")
         if not np.allclose(np.diag(arr), 0.0, rtol=0, atol=1e-12):
             raise ValueError("self-distances must be 0")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -53,7 +52,6 @@ class MatchResult:
 
     pairing: Blocking
     cost: float
-    method: str
 
 
 def mahalanobis_distances(x: CovariateMatrix) -> DistanceMatrix:
@@ -110,9 +108,7 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     )
     mate = nx.max_weight_matching(graph, maxcardinality=True)
     tuples = sorted(tuple(sorted(edge)) for edge in mate)
-    return MatchResult(
-        Blocking.from_pairs(tuples), _pair_cost(tuples, dist), "blossom"
-    )
+    return MatchResult(Blocking.from_pairs(tuples), _pair_cost(tuples, dist))
 
 
 def match_sorted(x: CovariateMatrix) -> MatchResult:
@@ -131,4 +127,4 @@ def match_sorted(x: CovariateMatrix) -> MatchResult:
     order = np.argsort(x.values[:, 0], kind="stable")
     tuples = sorted(tuple(sorted(pair)) for pair in order.reshape(-1, 2).tolist())
     cost = _pair_cost(tuples, mahalanobis_distances(x).values)
-    return MatchResult(Blocking.from_pairs(tuples), cost, "sorted")
+    return MatchResult(Blocking.from_pairs(tuples), cost)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovariateMatrix
-from .criteria import C_95, approx_quantile
+from .criteria import C_95
 from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, potential_means
 from .streams import chunk_sizes, substream
@@ -130,7 +130,11 @@ def bootstrap_ci(
 
 
 def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise mean + C_95 * sd of a (b, N) block of resamples."""
+    """Row-wise mean + C_95 * sd of a (b, N) block.
+
+    The one evaluation of the normal approximation: run_cell applies it
+    to the sample as a single row and the bootstrap to its resamples.
+    """
     return v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
 
 
@@ -162,9 +166,11 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     """
     sq = simulate_squared_errors(cfg)
     mean_sq = float(sq.mean())
+    if not np.isfinite(mean_sq):
+        raise ValueError("mean_sq_err must be finite")
     sd_sq = float(sq.std(ddof=1))
     emp_q = empirical_quantile(sq)
-    apx_q = approx_quantile(mean_sq, sd_sq * sd_sq)
+    apx_q = float(_approx_q95_rows(sq[None, :])[0])
     emp_ci = bootstrap_ci(
         sq,
         _order_statistic,

@@ -5,7 +5,7 @@ component eta = beta0 + x'beta + beta_t * w and a mean function to the
 arm mean mu, then draws outcomes from a distribution indexed by mu:
 
 kind        mean function   outcome distribution        variance given mu
-continuous  identity        Normal(mu, sigma^2)         sigma^2
+continuous  identity        Normal(mu, 1)               1
 incidence   inverse-logit   Bernoulli(mu)               mu (1 - mu)
 proportion  inverse-logit   Beta(phi mu, phi (1 - mu))  mu (1 - mu) / (phi + 1)
 count       exp             Poisson(mu)                 mu
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovariateMatrix
+from .core import CovariateMatrix, _frozen
 
 RESPONSE_KINDS = ("continuous", "incidence", "proportion", "count", "survival")
 
@@ -51,18 +51,14 @@ class ResponseModel:
     beta0: float
     beta: np.ndarray
     beta_t: float
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in RESPONSE_KINDS:
             raise ValueError(f"unknown response kind {self.kind!r}")
-        beta = np.array(self.beta, dtype=float, copy=True)
+        beta = _frozen(self.beta)
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a non-empty vector")
-        beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
 
     @property
     def n_covariates(self) -> int:
@@ -192,11 +188,15 @@ def draw_outcomes(
 ) -> np.ndarray:
     """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu."""
     mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1:
+        raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
+    if n_draws < 0:
+        raise ValueError(f"n_draws must be >= 0, got {n_draws}")
     _validate_mu(model, mu)
     size = (n_draws,) + mu.shape
     kind = model.kind
     if kind == "continuous":
-        return rng.normal(mu, model.sigma, size)
+        return rng.normal(mu, 1.0, size)
     if kind == "incidence":
         return (rng.random(size) < mu).astype(float)
     if kind == "proportion":
@@ -215,7 +215,7 @@ def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     kind = model.kind
     if kind == "continuous":
-        return np.full_like(mu, model.sigma**2)
+        return np.full_like(mu, 1.0)
     if kind == "incidence":
         return mu * (1.0 - mu)
     if kind == "proportion":

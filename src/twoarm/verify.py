@@ -38,42 +38,21 @@ PM_ENUMERATION_CANDIDATE = 0.5
 
 @dataclass(frozen=True, eq=False)
 class OutcomePair:
-    """Potential outcomes with their means and noise variances.
-
-    rho_i is the total residual variance Var(y_T,i) + Var(y_C,i).
-    """
+    """Realised potential outcomes (y_T, y_C) of every subject."""
 
     y_t: np.ndarray
     y_c: np.ndarray
-    mu_t: np.ndarray
-    mu_c: np.ndarray
-    rho: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in ("y_t", "y_c", "mu_t", "mu_c", "rho"):
+        for name in ("y_t", "y_c"):
             arr = _frozen(getattr(self, name))
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise ValueError("all outcome vectors must share one length")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-            arrays[name] = arr
-        if (arrays["rho"] < 0).any():
-            raise ValueError("rho entries must be >= 0")
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def deterministic(cls, y_t, y_c) -> "OutcomePair":
-        """Noise-free outcomes: means equal the values, rho = 0."""
-        y_t = np.asarray(y_t, dtype=float)
-        y_c = np.asarray(y_c, dtype=float)
-        return cls(y_t, y_c, y_t, y_c, np.zeros_like(y_t))
+        if self.y_t.shape != self.y_c.shape:
+            raise ValueError("y_t and y_c must share one length")
 
     @property
     def n_subjects(self) -> int:
@@ -170,6 +149,11 @@ def enumerate_design_oracle(
     the support with equal weight, which is exact for block-type
     designs (independent uniform blocks) and for pb ({w*, -w*}).
     """
+    if outcomes.n_subjects != spec.n_subjects:
+        raise ValueError(
+            f"outcomes have {outcomes.n_subjects} subjects but the design "
+            f"has {spec.n_subjects}"
+        )
     sq = _support_squared_errors(spec, outcomes.y_t + outcomes.y_c)
     return float(sq.mean()), float(sq.var())
 
@@ -218,7 +202,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
         shuffled = [overflow[t] for t in rng.permutation(len(overflow))]
         pairs.extend(zip(shuffled[0::2], shuffled[1::2]))
     cost = _pair_cost(pairs, mahalanobis_distances(x).values)
-    return MatchResult(Blocking.from_pairs(pairs), cost, "grid")
+    return MatchResult(Blocking.from_pairs(pairs), cost)
 
 
 def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
@@ -283,16 +267,16 @@ def _noise_only_scaled_variance(
     """n^2 Var of a noise-only cell's squared error, with its standard error.
 
     Every subject has mean 0 (a constant covariate, no intercept or
-    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w; each
-    arm carries Gaussian noise of variance rho / 2, so rho per subject.
-    The standard error comes from the sample's fourth central moment.
+    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w, and
+    each arm carries the continuous response's unit-variance Gaussian
+    noise, so 2 per subject.  The squared error of such a cell scales
+    with the noise variance, so its variance and that variance's standard
+    error scale with the square: both are multiplied by (rho / 2)^2 to
+    give total per-subject noise variance rho.  The standard error comes
+    from the sample's fourth central moment.
     """
     model = ResponseModel(
-        kind="continuous",
-        beta0=0.0,
-        beta=np.array([1.0]),
-        beta_t=0.0,
-        sigma=math.sqrt(rho / 2.0),
+        kind="continuous", beta0=0.0, beta=np.array([1.0]), beta_t=0.0
     )
     cfg = CellConfig(
         cell_id=cell_id,
@@ -307,7 +291,8 @@ def _noise_only_scaled_variance(
     var = float(sq.var(ddof=1))
     m4 = float(np.mean((sq - sq.mean()) ** 4))
     se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
-    return n * n * var, n * n * se
+    scale = n * n * (rho / 2.0) ** 2
+    return scale * var, scale * se
 
 
 def variance_floor_report(

@@ -90,7 +90,7 @@ def test_criterion_1_mean_criterion_matches_support_enumeration():
                 mu_c = rng.normal(0.0, 2.0, n_sub)
                 rho = np.abs(rng.normal(1.0, 0.5, n_sub))
                 base, _ = enumerate_design_oracle(
-                    spec, OutcomePair.deterministic(mu_t, mu_c)
+                    spec, OutcomePair(mu_t, mu_c)
                 )
                 oracle = base + float(rho.sum()) / (4.0 * n * n)
                 got = mean_mse(CriterionInputs(mu_t + mu_c, rho, sigma))
@@ -331,7 +331,7 @@ def test_criterion_10_unbiasedness_over_the_support():
             allocs = enumerate_allocations(spec)
             for rep in range(50):
                 rng = substream(MASTER_SEED, "c10", n_sub, si, rep)
-                outcomes = OutcomePair.deterministic(
+                outcomes = OutcomePair(
                     rng.normal(0.0, 1.0, n_sub), rng.normal(0.0, 1.0, n_sub)
                 )
                 support_mean = float(

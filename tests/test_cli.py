@@ -17,7 +17,8 @@ from twoarm.cli import (
     run_grid,
     write_rows,
 )
-from twoarm.response import RESPONSE_KINDS
+from twoarm.response import RESPONSE_KINDS, default_covariate_source, draw_covariates
+from twoarm.streams import substream
 
 
 def _micro_config(**extra):
@@ -465,12 +466,13 @@ def _panels_digest(panel_dir: Path) -> str:
 
 
 class TestPinnedOutputBytes:
-    """Output bytes of two micro grids, pinned by digest.
+    """Output bytes of three micro grids, pinned by digest.
 
-    2n=16, every response, p=1, designs bcrd and pm, so no value in the
-    output passes through a BLAS-summed product.  Recorded with numpy
-    2.4.6; a numpy whose random streams or reductions differ changes
-    these digests without any change to twoarm.
+    2n=16, every response, p=1, designs bcrd and pm or the blocking
+    sweep B in {1, 2, 4, 8}, so no value in the output passes through a
+    BLAS-summed product.  Recorded with numpy 2.4.6; a numpy whose random
+    streams or reductions differ changes these digests without any
+    change to twoarm.
     """
 
     PINNED = {
@@ -500,3 +502,74 @@ class TestPinnedOutputBytes:
             _panels_digest(out / "panels"),
         )
         assert digests == self.PINNED[family]
+
+    # The same micro grid, run as a p=1 blocking sweep.
+    PINNED_SWEEP = (
+        "ff23249568404a51abb12df4e26639b25ea9c4f3857a01425918b907c63eda18",
+        "0666d423e0d7022da792232a41a0d0a6bbfa90f353869486939cf806aa5221d5",
+    )
+
+    def test_blocking_sweep_bytes_match_the_pinned_digests(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            f"seed=2024\nreps=300\nn_subjects=16\np=1\nblocks=1,2,4,8\n"
+            f"covariates=uniform\nbootstrap_reps=60\nout={out}\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg)]) == 0
+        digests = (
+            _results_digest(out / "results.csv"),
+            _panels_digest(out / "panels"),
+        )
+        assert digests == self.PINNED_SWEEP
+
+
+def _design_picks_digest(n_subjects: int) -> str:
+    """SHA-256 of the integer design picks of a continuous grid.
+
+    Each panel is drawn and each design built as run_grid and _run_task
+    build them: blossom pairings at p=2 and 5 (block ids, int64 LE) and
+    pb's w* at p=1, 2 and 5 (signs, int8), with 8 restarts.
+    """
+    grid = build_grid(
+        {
+            "seed": "2024", "reps": "2", "n_subjects": str(n_subjects),
+            "responses": "continuous", "p": "1,2,5", "designs": "pm,pb",
+            "pb_restarts": "8",
+        }
+    )
+    h = hashlib.sha256()
+    for task in _tasks(grid):
+        p, label = task["p"], task["design"]
+        if label == "pm" and p == 1:
+            continue  # sorted neighbours, not blossom
+        source = default_covariate_source("continuous", grid.covariate_family)
+        rng = substream(grid.seed, "covariates", grid.covariate_family, "continuous", p)
+        x = draw_covariates(source, grid.n_subjects, p, rng)
+        cell_id = f"continuous|p{p}|{label}|B{task['B']}|n{grid.n_subjects}"
+        spec = cli._build_design(label, task["B"], x, grid, cell_id)
+        if label == "pm":
+            picks = spec.blocking.block_of.astype("<i8")
+        else:
+            picks = spec.w_star.signs.astype("<i1")
+        h.update(f"{label}|p{p}\0".encode("utf-8") + picks.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedDesignPicks:
+    """Blossom pairings and pb picks of the grid path, pinned by digest.
+
+    At p >= 2 both pass through BLAS-summed products, so a numpy or BLAS
+    whose sums round differently can move a pick without any change to
+    twoarm.  Recorded with numpy 2.4.6.
+    """
+
+    PINNED = {
+        16: "9b4d273e41df7da3047171038f03e7ca1f08f85572a083b14895c5c5f9590b7b",
+        96: "1ab8aaf16cd3631b070b4fed0147a9171b838a7eec7c4a935eb2c83c7bbea0c6",
+    }
+
+    @pytest.mark.parametrize("n_subjects", sorted(PINNED))
+    def test_picks_match_the_pinned_digests(self, n_subjects):
+        assert _design_picks_digest(n_subjects) == self.PINNED[n_subjects]

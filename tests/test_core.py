@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,18 +99,25 @@ class TestBlocking:
 
 
 class TestOutcomePair:
-    def test_deterministic_constructor(self):
-        out = OutcomePair.deterministic([1.0, 2.0], [0.0, 1.0])
-        np.testing.assert_array_equal(out.mu_t, out.y_t)
-        np.testing.assert_array_equal(out.rho, [0.0, 0.0])
-
-    def test_rejects_negative_rho(self):
+    def test_holds_read_only_copies(self):
+        y_t = np.array([1.0, 2.0])
+        out = OutcomePair(y_t, [0.0, 1.0])
+        y_t[0] = 9.0
+        np.testing.assert_array_equal(out.y_t, [1.0, 2.0])
+        assert out.n_subjects == 2
         with pytest.raises(ValueError):
-            OutcomePair([1.0], [0.0], [1.0], [0.0], [-0.5])
+            out.y_c[0] = 9.0
+
+    def test_rejects_non_1d_and_non_finite(self):
+        with pytest.raises(ValueError, match="y_t must be 1-D"):
+            OutcomePair([[1.0, 2.0]], [0.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="y_c must be finite"):
+                OutcomePair([1.0, 2.0], [0.0, bad])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            OutcomePair([1.0, 2.0], [0.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
+            OutcomePair([1.0, 2.0], [0.0])
 
 
 class TestDesignCovariance:
@@ -129,26 +138,26 @@ class TestDesignCovariance:
 
 class TestEstimatorAlgebra:
     def test_estimate_example(self):
-        out = OutcomePair.deterministic([3.0, 5.0], [1.0, 2.0])
+        out = OutcomePair([3.0, 5.0], [1.0, 2.0])
         assert estimate(Allocation([1, -1]), out) == pytest.approx(1.0)
 
     def test_estimand_example(self):
-        out = OutcomePair.deterministic([3.0, 5.0], [1.0, 2.0])
+        out = OutcomePair([3.0, 5.0], [1.0, 2.0])
         assert estimand(out) == pytest.approx(2.5)
 
     def test_squared_error_example(self):
-        out = OutcomePair.deterministic([3.0, 5.0], [1.0, 2.0])
+        out = OutcomePair([3.0, 5.0], [1.0, 2.0])
         assert squared_error(Allocation([1, -1]), out) == pytest.approx(2.25)
 
     def test_estimate_group_sum_form(self):
         rng = np.random.default_rng(5)
-        out = OutcomePair.deterministic(rng.normal(size=6), rng.normal(size=6))
+        out = OutcomePair(rng.normal(size=6), rng.normal(size=6))
         w = Allocation([1, 1, -1, -1, 1, -1])
         manual = out.y_t[[0, 1, 4]].mean() - out.y_c[[2, 3, 5]].mean()
         assert estimate(w, out) == pytest.approx(manual, rel=1e-12)
 
     def test_length_mismatch_rejected(self):
-        out = OutcomePair.deterministic([1.0, 2.0], [0.0, 0.0])
+        out = OutcomePair([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             estimate(Allocation([1, -1, 1, -1]), out)
 
@@ -160,7 +169,7 @@ def outcome_and_allocation(draw):
     y_t = draw(st.lists(finite, min_size=2 * n, max_size=2 * n))
     y_c = draw(st.lists(finite, min_size=2 * n, max_size=2 * n))
     signs = draw(st.permutations([1] * n + [-1] * n))
-    return OutcomePair.deterministic(y_t, y_c), Allocation(list(signs))
+    return OutcomePair(y_t, y_c), Allocation(list(signs))
 
 
 @given(outcome_and_allocation())
@@ -183,9 +192,7 @@ def test_mirror_allocations_average_to_estimand(case):
 @pytest.mark.parametrize("n_subjects", [4, 6, 8])
 def test_enumeration_average_is_estimand(n_subjects):
     rng = np.random.default_rng(n_subjects)
-    out = OutcomePair.deterministic(
-        rng.normal(size=n_subjects), rng.normal(size=n_subjects)
-    )
+    out = OutcomePair(rng.normal(size=n_subjects), rng.normal(size=n_subjects))
     ests = [
         estimate(Allocation(w.astype(int)), out)
         for w in balanced_allocations(n_subjects)

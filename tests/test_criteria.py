@@ -1,20 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoarm.core import Allocation, Blocking
+from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
     C_95,
     PM_COND_VAR_COEFF,
     CriterionInputs,
-    approx_quantile,
     mean_mse,
     pm_conditional_variance,
 )
 from twoarm.designs import DesignSpec, design_covariance
+from twoarm.montecarlo import CellConfig, _approx_q95_rows, run_cell
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -151,6 +152,11 @@ class TestPmConditionalVariance:
         with pytest.raises(ValueError, match="v must be"):
             pm_conditional_variance([])
 
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="v must be finite"):
+                pm_conditional_variance([bad, 1.0])
+
     @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 5, 6])
     def test_matches_sign_pattern_enumeration(self, n_pairs):
         rng = substream(271, "pm-cond", n_pairs)
@@ -174,17 +180,31 @@ class TestPmConditionalVariance:
 
 
 class TestApproxQuantile:
+    """mean + C_95 * sd, as run_cell evaluates it on a one-row block."""
+
     def test_worked_example(self):
-        assert approx_quantile(2.0, 4.0) == pytest.approx(5.29, rel=1e-12)
+        # mean 2, sample variance 4
+        got = _approx_q95_rows(np.array([[0.0, 2.0, 4.0]]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(5.29, rel=1e-12)
 
     def test_zero_variance_returns_the_mean(self):
-        assert approx_quantile(0.7, 0.0) == 0.7
+        assert _approx_q95_rows(np.full((1, 4), 0.75))[0] == 0.75
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            approx_quantile(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            approx_quantile(1.0, -1e-9)
+        # survival means near exp(700) overflow the squared errors
+        cfg = CellConfig(
+            cell_id="unit::overflow",
+            model=default_model("survival", 1),
+            x=CovariateMatrix(np.full((4, 1), 700.0)),
+            design=DesignSpec.bcrd(4),
+            n_reps=8,
+            master_seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="mean_sq_err must be finite"):
+                run_cell(cfg)
 
 
 class TestAsymptoticReference:
@@ -289,6 +309,15 @@ class TestVarianceFloorReport:
         rows = variance_floor_report([8], [1], n_reps=4000, master_seed=78, rho=2.0)
         assert rows[0]["bound"] == pytest.approx(0.5)
         assert abs(rows[0]["scaled_variance"] - 2.0) <= 4.0 * rows[0]["se"]
+
+    def test_rho_rescales_one_unit_noise_sample(self):
+        # every rho runs the same unit-sd cell; only the factor (rho/2)^2 moves
+        unit, half = (
+            variance_floor_report([8], [2], n_reps=500, master_seed=9, rho=rho)[0]
+            for rho in (2.0, 1.0)
+        )
+        assert half["scaled_variance"] == unit["scaled_variance"] / 4.0
+        assert half["se"] == unit["se"] / 4.0
 
     def test_rejects_uneven_blockings(self):
         with pytest.raises(ValueError):

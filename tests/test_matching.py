@@ -69,7 +69,6 @@ class TestMatchExact:
         res = match_exact(d)
         assert res.pairing.pairs() == [(0, 1), (2, 3)]
         assert res.cost == pytest.approx(2.0)
-        assert res.method == "exact"
 
     @pytest.mark.parametrize(
         "match, n_subjects",
@@ -179,7 +178,6 @@ class TestMatchSorted:
                     got.pairing.block_of, want.pairing.block_of
                 )
                 assert got.cost == pytest.approx(want.cost, rel=1e-12)
-                assert got.method == "sorted"
 
     @pytest.mark.parametrize("n_subjects", [4, 6, 8, 10])
     def test_agrees_with_exact(self, n_subjects):

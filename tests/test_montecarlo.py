@@ -296,7 +296,7 @@ class TestEnumerateDesignOracle:
     def test_pb_support_is_a_mirror_pair(self):
         w_star = Allocation([1, -1, 1, -1])
         spec = DesignSpec.pb(w_star)
-        outcomes = OutcomePair.deterministic([1.0, 2.0, 4.0, 0.0], [0.5, 1.5, 3.5, 1.0])
+        outcomes = OutcomePair([1.0, 2.0, 4.0, 0.0], [0.5, 1.5, 3.5, 1.0])
         mean, var = enumerate_design_oracle(spec, outcomes)
         v = outcomes.y_t + outcomes.y_c
         expected = float(v @ w_star.signs) ** 2 / 16.0
@@ -308,11 +308,17 @@ class TestEnumerateDesignOracle:
         rng = substream(21, "oracle")
         y_t = rng.normal(0.0, 1.0, 6)
         y_c = rng.normal(0.0, 1.0, 6)
-        outcomes = OutcomePair.deterministic(y_t, y_c)
+        outcomes = OutcomePair(y_t, y_c)
         mean, var = enumerate_design_oracle(spec, outcomes)
         sq = squared_errors_over(balanced_allocations(6), y_t, y_c)
         assert mean == pytest.approx(float(sq.mean()), rel=1e-12)
         assert var == pytest.approx(float(sq.var()), rel=1e-12)
+
+    def test_rejects_outcomes_of_another_size(self):
+        with pytest.raises(ValueError, match="outcomes have 2 subjects.*has 4"):
+            enumerate_design_oracle(
+                DesignSpec.bcrd(4), OutcomePair([1.0, 2.0], [0.0, 1.0])
+            )
 
 
 class TestConvergenceStudy:

@@ -1,12 +1,21 @@
+import importlib.util
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import twoarm
+import numpy as np
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import twoarm
+import twoarm.cli
+import twoarm.montecarlo
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+GRID_CHILD = ROOT / "gridbench" / "grid_child.py"
 
 # Runs in a fresh interpreter: whether importing the command line loaded
 # twoarm.verify, whether that module exists at all (find_spec does not
@@ -49,3 +58,38 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
     exported = set(names.split())
     assert len(exported) == 13
     assert exported == _readme_exports()
+
+
+class _Stub:
+    """Stands in for any bound argument: int() gives 0, attributes chain."""
+
+    def __int__(self):
+        return 0
+
+    def __getattr__(self, name):
+        return self
+
+
+def _grid_child_spans():
+    """SPANS of the benchmark's tracing script, loaded without running it."""
+    spec = importlib.util.spec_from_file_location("_grid_child", GRID_CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, count",
+    [pytest.param(m, a, c, id=f"{m}.{a}") for m, a, _, c in _grid_child_spans()],
+)
+def test_every_traced_name_resolves_and_takes_its_counted_arguments(
+    module_name, attr, count
+):
+    module = {"cli": twoarm.cli, "montecarlo": twoarm.montecarlo}[module_name]
+    target = getattr(module, attr, None)
+    assert callable(target), f"twoarm.{module_name}.{attr} is not callable"
+    if count is not None:
+        _, work = count
+        # a counted argument that the signature lacks raises KeyError here
+        args = {name: _Stub() for name in inspect.signature(target).parameters}
+        work(args, np.zeros(1))

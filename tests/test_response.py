@@ -32,10 +32,6 @@ class TestResponseModel:
             ResponseModel(kind="continuous", beta0=0.0, beta=[[1.0]], beta_t=0.0)
         with pytest.raises(ValueError):
             ResponseModel(kind="continuous", beta0=0.0, beta=[], beta_t=0.0)
-        with pytest.raises(ValueError, match="sigma"):
-            ResponseModel(
-                kind="continuous", beta0=0.0, beta=[1.0], beta_t=0.0, sigma=0.0
-            )
 
     def test_beta_is_read_only(self):
         model = default_model("continuous", 3)
@@ -197,6 +193,14 @@ class TestDrawOutcomes:
         mu = np.zeros(6)
         assert draw_outcomes(model, mu, rng, n_draws=7).shape == (7, 6)
 
+    def test_rejects_bad_shapes_and_counts(self):
+        model = default_model("continuous", 1)
+        rng = substream(3, "shapes")
+        with pytest.raises(ValueError, match="mu must be 1-D"):
+            draw_outcomes(model, [[0.0, 1.0]], rng, 2)
+        with pytest.raises(ValueError, match="n_draws must be >= 0"):
+            draw_outcomes(model, [0.0, 1.0], rng, -1)
+
     def test_determinism(self):
         model = default_model("survival", 1)
         mu = np.array([1.0, 2.0, 3.0, 4.0])
@@ -260,12 +264,6 @@ class TestArmVariance:
             arm_variance(default_model("survival", 1), mu),
             mu**2 * (g2 / g1**2 - 1.0),
         )
-
-    def test_custom_sigma(self):
-        model = ResponseModel(
-            kind="continuous", beta0=0.0, beta=[1.0], beta_t=0.0, sigma=3.0
-        )
-        np.testing.assert_allclose(arm_variance(model, np.zeros(2)), [9.0, 9.0])
 
     def test_residual_variances_add_the_arms(self):
         model = default_model("count", 1)

@@ -146,7 +146,7 @@ def match_exact(d: DistanceMatrix) -> MatchResult:
         else:
             raise AssertionError("matching reconstruction failed")
     cost = float(sum(dist[i, j] for i, j in pairs))
-    return MatchResult(Blocking.from_pairs(pairs), cost, "exact")
+    return MatchResult(Blocking.from_pairs(pairs), cost)
 
 
 def descend_reference(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list[float]]:
