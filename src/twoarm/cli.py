@@ -5,7 +5,9 @@ axis: either a list of block counts (the blocking sweep) or a list of
 design families (bcrd / pm / pb).  Covariates are drawn once per
 (response, p) panel and shared by every design in that panel; every
 stochastic step runs on substreams derived from the master seed, so a
-grid is reproducible cell by cell regardless of worker count.
+grid is reproducible cell by cell regardless of worker count.  Block
+designs are sorted blockings (designs.build_blocking): bcrd is B = 1 and
+pm at p = 1 is B = n, the minimum-cost pairing; pm at p >= 2 is blossom.
 
 Config files are plain ``key=value`` lines with ``#`` comments.  Flags
 override config values; the available presets are
@@ -23,14 +25,14 @@ import concurrent.futures
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import CovariateMatrix
+from .core import Blocking, CovariateMatrix
 from .designs import DesignSpec, build_blocking, greedy_pair_switch
-from .matching import mahalanobis_distances, match_heuristic, match_sorted
+from .matching import mahalanobis_distances, match_heuristic
 from .montecarlo import CellConfig, run_cell
 from .response import RESPONSE_KINDS, default_covariate_source, default_model, draw_covariates
 from .streams import substream
@@ -236,18 +238,17 @@ def _tasks(grid: ExperimentGrid) -> list[dict]:
 def _build_design(
     label: str, b: int, x: CovariateMatrix, grid: ExperimentGrid, cell_id: str
 ) -> DesignSpec:
-    if label == "block":
-        return DesignSpec.block(build_blocking(x, b))
-    if label == "bcrd":
-        return DesignSpec.bcrd(x.n_subjects)
-    if label == "pm":
-        if x.n_covariates == 1:
-            return DesignSpec.pm(match_sorted(x).pairing)
-        return DesignSpec.pm(match_heuristic(mahalanobis_distances(x)).pairing)
     if label == "pb":
         rng = substream(grid.seed, cell_id, "design")
         return DesignSpec.pb(greedy_pair_switch(x, grid.pb_restarts, rng))
-    raise ValueError(f"unknown design label {label!r}")
+    if label == "pm" and x.n_covariates >= 2:
+        return DesignSpec.pm(match_heuristic(mahalanobis_distances(x)).pairing)
+    blocking = build_blocking(x, b)
+    if label == "pm":
+        # Blocks draw in id order, so pairs are numbered by their lower
+        # member, as the blossom matching numbers them.
+        blocking = Blocking.from_pairs(blocking.pairs())
+    return DesignSpec(label, blocking)
 
 
 def _run_task(payload: tuple) -> dict:
@@ -277,22 +278,10 @@ def _run_task(payload: tuple) -> dict:
             master_seed=grid.seed,
             bootstrap_reps=grid.bootstrap_reps,
         )
-        report = run_cell(cfg)
+        row.update(asdict(run_cell(cfg)))
     except Exception as exc:  # noqa: BLE001 - cell failures become rows
-        row["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    row.update(
-        mean_sq_err=report.mean_sq_err,
-        sd_sq_err=report.sd_sq_err,
-        emp_q95=report.emp_quantile,
-        emp_q95_lo=report.emp_ci[0],
-        emp_q95_hi=report.emp_ci[1],
-        approx_q95=report.approx_quantile,
-        approx_q95_lo=report.approx_ci[0],
-        approx_q95_hi=report.approx_ci[1],
-        runtime_ms=round((time.perf_counter() - start) * 1000.0, 3),
-    )
+    row["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return row
 
 
@@ -319,20 +308,18 @@ def run_grid(grid: ExperimentGrid) -> list[dict]:
     return [_run_task(payload) for payload in payloads]
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: Path, columns: tuple, rows: list[dict]) -> None:
+    """Header and rows as UTF-8 with LF endings; csv writes a float as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[col] for col in columns] for row in rows)
 
 
 def write_rows(rows: list[dict], path: Path) -> None:
-    """Write the long-form results table (UTF-8, LF line endings)."""
+    """Write the long-form results table."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format(row[col]) for col in CSV_COLUMNS])
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 def emit_plot_data(rows: list[dict], out_dir: Path) -> list[Path]:
@@ -355,11 +342,7 @@ def emit_plot_data(rows: list[dict], out_dir: Path) -> list[Path]:
     written = []
     for (resp, p), series in sorted(panels.items()):
         path = out_dir / f"{resp}_p{p}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in series:
-                writer.writerow([_format(row[col]) for col in columns])
+        _write_csv(path, columns, series)
         written.append(path)
     for resp in RESPONSE_KINDS:
         for p in _P_VALUES:
@@ -409,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     panel_files = emit_plot_data(rows, out_dir / "panels")
     failures = [row for row in rows if row["error"]]
     for row in rows:
-        status = row["error"] or f"emp_q95={_format(row['emp_q95'])}"
+        status = row["error"] or f"emp_q95={row['emp_q95']!r}"
         print(
             f"{row['response']} p={row['p']} {row['design']} B={row['B']}: {status}"
         )

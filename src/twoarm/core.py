@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,17 @@ def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    """value as an int if it is an integer >= minimum; else ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +133,7 @@ class Blocking:
     @classmethod
     def from_pairs(cls, pairs) -> "Blocking":
         """Build a size-2 blocking from an iterable of index pairs."""
-        pairs = [tuple(int(i) for i in p) for p in pairs]
+        pairs = [tuple(_check_int("pair index", i, 0) for i in p) for p in pairs]
         n = 2 * len(pairs)
         block_of = np.full(n, -1, dtype=np.int64)
         for b, (i, j) in enumerate(pairs):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, DesignCovariance
+from .core import Allocation, Blocking, CovariateMatrix, DesignCovariance, _check_int
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
 
@@ -85,8 +85,7 @@ def sample_allocations(
     Block-type designs randomize each block independently, exactly half
     of each block treated; pb flips a fair coin between w* and -w*.
     """
-    if n_draws < 0:
-        raise ValueError("n_draws must be >= 0")
+    _check_int("n_draws", n_draws, 0)
     n_sub = spec.n_subjects
     if spec.kind == "pb":
         coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
@@ -132,8 +131,7 @@ def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
     ignored.  The sorted order is cut into n_blocks blocks of size n_B.
     """
     n_sub = x.n_subjects
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
+    _check_int("n_blocks", n_blocks, 1)
     if n_sub % n_blocks:
         raise ValueError(f"{n_blocks} blocks do not divide {n_sub} subjects")
     size = n_sub // n_blocks
@@ -233,8 +231,7 @@ def greedy_pair_switch(
     the descents then run in lockstep batches of restarts, which
     changes neither a restart's path nor its tie-breaks.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_int("restarts", restarts, 1)
     vals = x.values
     n_sub, n = x.n_subjects, x.n_pairs
     m = np.linalg.inv(regularized_covariance(vals))

@@ -2,15 +2,16 @@
 
 The pairwise-matching design needs a partition of the 2n subjects into
 n pairs with small within-pair covariate distance.  This module
-provides the Mahalanobis distance matrix and two exact minimum-cost
-matchers: Edmonds' blossom algorithm on the complete graph, for any
-number of covariates, and neighbour pairing in sorted order, for a
-single covariate.  The suboptimal rank-interval grid matcher and its
-within-pair gap diagnostic, which only the checks use, live in
-twoarm.verify.  The blossom matcher
-calls networkx's maximum-weight matching on exactly the graph that
+provides the Mahalanobis distance matrix and the one exact minimum-cost
+matcher, Edmonds' blossom algorithm on the complete graph.  It calls
+networkx's maximum-weight matching on exactly the graph that
 nx.min_weight_matching builds (the same inverted weights, the same
-edge order), so it returns the pairing that function returns.
+edge order), so it returns the pairing that function returns.  With a
+single covariate the grid needs no graph: the minimum-cost pairing is
+the sorted blocking with B = n (designs.build_blocking), which pairs
+neighbours in stable-sorted order.  The suboptimal rank-interval grid
+matcher and its within-pair gap diagnostic, which only the checks use,
+live in twoarm.verify.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class DistanceMatrix:
         arr = _frozen(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distances must form a square matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("distances must be finite")
         if not np.allclose(arr, arr.T, rtol=0, atol=1e-9):
             raise ValueError("distances must be symmetric")
         if (arr < 0).any():
@@ -109,22 +112,3 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     mate = nx.max_weight_matching(graph, maxcardinality=True)
     tuples = sorted(tuple(sorted(edge)) for edge in mate)
     return MatchResult(Blocking.from_pairs(tuples), _pair_cost(tuples, dist))
-
-
-def match_sorted(x: CovariateMatrix) -> MatchResult:
-    """Minimum-cost perfect matching of subjects with one covariate.
-
-    With one covariate the Mahalanobis distance is a convex function of
-    |x_i - x_j|, so pairing neighbours in stable-sorted order minimizes
-    the total within-pair cost; no graph is needed.  The pairs are
-    labelled in sorted (lo, hi) order, as in match_heuristic, so where
-    the minimum is unique both return the same Blocking.
-    """
-    if x.n_covariates != 1:
-        raise ValueError(
-            f"match_sorted needs exactly one covariate, got {x.n_covariates}"
-        )
-    order = np.argsort(x.values[:, 0], kind="stable")
-    tuples = sorted(tuple(sorted(pair)) for pair in order.reshape(-1, 2).tolist())
-    cost = _pair_cost(tuples, mahalanobis_distances(x).values)
-    return MatchResult(Blocking.from_pairs(tuples), cost)

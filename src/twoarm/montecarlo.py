@@ -5,9 +5,10 @@ replicate draws fresh potential outcomes and one allocation and records
 the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.  A
-cell's report summarises the sample at the 0.95 quantile only: the
-empirical quantile, the normal approximation mean + C_95 * sd, and a
-95% percentile-bootstrap interval for each.  The bootstrap draws the
+cell's report, whose fields are the result columns of results.csv,
+summarises the sample at the 0.95 quantile only: the empirical
+quantile, the normal approximation mean + C_95 * sd, and a 95%
+percentile-bootstrap interval for each.  The bootstrap draws the
 indices of a block of whole resamples at once, at most
 _BOOTSTRAP_BLOCK // N rows of N, and evaluates the statistic row-wise
 on that (rows, N) block; the stream is consumed exactly as one draw per
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovariateMatrix
+from .core import CovariateMatrix, _check_int
 from .criteria import C_95
 from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, potential_means
@@ -44,10 +45,8 @@ class CellConfig:
     bootstrap_reps: int = 1000
 
     def __post_init__(self):
-        if self.n_reps < 2:
-            raise ValueError("n_reps must be >= 2")
-        if self.bootstrap_reps < 1:
-            raise ValueError("bootstrap_reps must be >= 1")
+        _check_int("n_reps", self.n_reps, 2)
+        _check_int("bootstrap_reps", self.bootstrap_reps, 1)
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
         if self.model.n_covariates != self.x.n_covariates:
@@ -56,14 +55,16 @@ class CellConfig:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Summary statistics of one cell's squared-error sample."""
+    """One cell's summary, named and ordered as results.csv's result columns."""
 
     mean_sq_err: float
     sd_sq_err: float
-    emp_quantile: float
-    emp_ci: tuple[float, float]
-    approx_quantile: float
-    approx_ci: tuple[float, float]
+    emp_q95: float
+    emp_q95_lo: float
+    emp_q95_hi: float
+    approx_q95: float
+    approx_q95_lo: float
+    approx_q95_hi: float
 
 
 # Index elements per bootstrap block: a block's int64 indices and the
@@ -108,8 +109,7 @@ def bootstrap_ci(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    _check_int("n_resamples", n_resamples, 1)
     n = samples.size
     rows = max(1, _BOOTSTRAP_BLOCK // n)
     stats = np.empty(n_resamples)
@@ -168,16 +168,13 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     mean_sq = float(sq.mean())
     if not np.isfinite(mean_sq):
         raise ValueError("mean_sq_err must be finite")
-    sd_sq = float(sq.std(ddof=1))
-    emp_q = empirical_quantile(sq)
-    apx_q = float(_approx_q95_rows(sq[None, :])[0])
-    emp_ci = bootstrap_ci(
+    emp_lo, emp_hi = bootstrap_ci(
         sq,
         _order_statistic,
         n_resamples=cfg.bootstrap_reps,
         rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-empirical"),
     )
-    apx_ci = bootstrap_ci(
+    apx_lo, apx_hi = bootstrap_ci(
         sq,
         _approx_q95_rows,
         n_resamples=cfg.bootstrap_reps,
@@ -185,9 +182,11 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     )
     return CriterionReport(
         mean_sq_err=mean_sq,
-        sd_sq_err=sd_sq,
-        emp_quantile=emp_q,
-        emp_ci=emp_ci,
-        approx_quantile=apx_q,
-        approx_ci=apx_ci,
+        sd_sq_err=float(sq.std(ddof=1)),
+        emp_q95=empirical_quantile(sq),
+        emp_q95_lo=emp_lo,
+        emp_q95_hi=emp_hi,
+        approx_q95=float(_approx_q95_rows(sq[None, :])[0]),
+        approx_q95_lo=apx_lo,
+        approx_q95_hi=apx_hi,
     )

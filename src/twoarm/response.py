@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovariateMatrix, _frozen
+from .core import CovariateMatrix, _check_int, _frozen
 
 RESPONSE_KINDS = ("continuous", "incidence", "proportion", "count", "survival")
 
@@ -190,8 +190,7 @@ def draw_outcomes(
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1:
         raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
-    if n_draws < 0:
-        raise ValueError(f"n_draws must be >= 0, got {n_draws}")
+    _check_int("n_draws", n_draws, 0)
     _validate_mu(model, mu)
     size = (n_draws,) + mu.shape
     kind = model.kind

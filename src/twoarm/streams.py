@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .core import _check_int
+
 # Replicates are always drawn in chunks of this size so that serial and
 # parallel runs consume identical stream segments.
 CHUNK_SIZE = 8192
@@ -43,7 +45,6 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
 
 def chunk_sizes(total: int) -> list[int]:
     """Split `total` replicates into CHUNK_SIZE chunks (last one ragged)."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    _check_int("total", total, 0)
     full, rest = divmod(total, CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rest] if rest else [])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, _frozen
+from .core import Allocation, Blocking, CovariateMatrix, _check_int, _frozen
 from .criteria import pm_conditional_variance
 from .designs import DesignSpec, design_covariance, regularized_covariance
 from .matching import MatchResult, _pair_cost, mahalanobis_distances
@@ -229,8 +229,7 @@ def variance_decomposition_terms(
     pairwise-matching closed form, the degenerate pb case, or an
     enumerable support; other designs are rejected.
     """
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
+    _check_int("n_draws", n_draws, 2)
     if x.n_subjects != spec.n_subjects:
         raise ValueError(
             f"covariates have {x.n_subjects} subjects but the design has "
@@ -309,15 +308,14 @@ def variance_floor_report(
     reports the scaled variance estimate with a moment-based standard
     error next to the floor.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
     rows = []
     bound = PM_REFERENCE * rho**2
     for n_sub in n_subjects_grid:
         _check_subject_count(n_sub)
         for n_blocks in block_counts:
-            if n_blocks < 1:
-                raise ValueError(f"block_counts entries must be >= 1, got {n_blocks}")
+            _check_int("block_counts entries", n_blocks, 1)
             if n_sub % n_blocks or (n_sub // n_blocks) % 2:
                 raise ValueError(
                     f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"

@@ -17,6 +17,7 @@ from twoarm.cli import (
     run_grid,
     write_rows,
 )
+from twoarm.montecarlo import CriterionReport
 from twoarm.response import RESPONSE_KINDS, default_covariate_source, draw_covariates
 from twoarm.streams import substream
 
@@ -525,30 +526,33 @@ class TestPinnedOutputBytes:
         assert digests == self.PINNED_SWEEP
 
 
-def _design_picks_digest(n_subjects: int) -> str:
-    """SHA-256 of the integer design picks of a continuous grid.
-
-    Each panel is drawn and each design built as run_grid and _run_task
-    build them: blossom pairings at p=2 and 5 (block ids, int64 LE) and
-    pb's w* at p=1, 2 and 5 (signs, int8), with 8 restarts.
-    """
+def _grid_designs(n_subjects: int, p_list: str, designs: str):
+    """(label, p, spec) of each continuous cell, with every panel drawn
+    and every design built as run_grid and _run_task build them."""
     grid = build_grid(
         {
             "seed": "2024", "reps": "2", "n_subjects": str(n_subjects),
-            "responses": "continuous", "p": "1,2,5", "designs": "pm,pb",
+            "responses": "continuous", "p": p_list, "designs": designs,
             "pb_restarts": "8",
         }
     )
-    h = hashlib.sha256()
     for task in _tasks(grid):
         p, label = task["p"], task["design"]
-        if label == "pm" and p == 1:
-            continue  # sorted neighbours, not blossom
         source = default_covariate_source("continuous", grid.covariate_family)
         rng = substream(grid.seed, "covariates", grid.covariate_family, "continuous", p)
         x = draw_covariates(source, grid.n_subjects, p, rng)
         cell_id = f"continuous|p{p}|{label}|B{task['B']}|n{grid.n_subjects}"
-        spec = cli._build_design(label, task["B"], x, grid, cell_id)
+        yield label, p, cli._build_design(label, task["B"], x, grid, cell_id)
+
+
+def _design_picks_digest(n_subjects: int) -> str:
+    """SHA-256 of the integer design picks of a continuous grid: blossom
+    pairings at p=2 and 5 (block ids, int64 LE) and pb's w* at p=1, 2
+    and 5 (signs, int8), with 8 restarts."""
+    h = hashlib.sha256()
+    for label, p, spec in _grid_designs(n_subjects, "1,2,5", "pm,pb"):
+        if label == "pm" and p == 1:
+            continue  # sorted neighbours, not blossom
         if label == "pm":
             picks = spec.blocking.block_of.astype("<i8")
         else:
@@ -557,12 +561,26 @@ def _design_picks_digest(n_subjects: int) -> str:
     return h.hexdigest()
 
 
-class TestPinnedDesignPicks:
-    """Blossom pairings and pb picks of the grid path, pinned by digest.
+def _sorted_block_ids_digest(n_subjects: int) -> str:
+    """SHA-256 of the block ids (int64 LE) of bcrd and of pm at p=1.
 
-    At p >= 2 both pass through BLAS-summed products, so a numpy or BLAS
-    whose sums round differently can move a pick without any change to
-    twoarm.  Recorded with numpy 2.4.6.
+    The ids, not only the pairs, are pinned: sample_allocations draws
+    the blocks in id order, so relabelling the pairs moves every draw.
+    """
+    h = hashlib.sha256()
+    for label, p, spec in _grid_designs(n_subjects, "1", "bcrd,pm"):
+        ids = spec.blocking.block_of.astype("<i8")
+        h.update(f"{label}|p{p}\0".encode("utf-8") + ids.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedDesignPicks:
+    """Blossom pairings, pb picks and sorted block ids of the grid path,
+    pinned by digest.
+
+    At p >= 2 blossom and pb pass through BLAS-summed products, so a
+    numpy or BLAS whose sums round differently can move a pick without
+    any change to twoarm.  Recorded with numpy 2.4.6.
     """
 
     PINNED = {
@@ -573,3 +591,19 @@ class TestPinnedDesignPicks:
     @pytest.mark.parametrize("n_subjects", sorted(PINNED))
     def test_picks_match_the_pinned_digests(self, n_subjects):
         assert _design_picks_digest(n_subjects) == self.PINNED[n_subjects]
+
+    PINNED_SORTED = {
+        16: "c86e77996caf3f5450e2507b89c7cd78d8949d5b22e8293d517be8fde62650fa",
+        96: "97f1272a4e39acfbb62960d9e1f12491e7b82282143a3109d96f00a8d8cfe2cb",
+    }
+
+    @pytest.mark.parametrize("n_subjects", sorted(PINNED_SORTED))
+    def test_sorted_block_ids_match_the_pinned_digests(self, n_subjects):
+        assert _sorted_block_ids_digest(n_subjects) == self.PINNED_SORTED[n_subjects]
+
+
+def test_report_fields_are_the_csv_result_columns():
+    # _run_task fills the result columns straight from the report
+    first, last = CSV_COLUMNS.index("seed") + 1, CSV_COLUMNS.index("runtime_ms")
+    fields = tuple(f.name for f in dataclasses.fields(CriterionReport))
+    assert fields == CSV_COLUMNS[first:last]

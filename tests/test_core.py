@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
+from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
+from twoarm.montecarlo import CellConfig, bootstrap_ci
+from twoarm.response import default_model, draw_outcomes
+from twoarm.streams import chunk_sizes
 from twoarm.verify import OutcomePair, estimand, estimate, squared_error
 
 from util_oracles import balanced_allocations
@@ -74,6 +78,12 @@ class TestBlocking:
         with pytest.raises(ValueError):
             Blocking.from_pairs([(0, 1), (1, 2)])
 
+    def test_from_pairs_rejects_non_integer_indices(self):
+        # int() would truncate 1.7 to the pair (0, 1)
+        with pytest.raises(ValueError, match="pair index must be an integer, got 1.7"):
+            Blocking.from_pairs([(0, 1.7), (2, 3)])
+        assert Blocking.from_pairs([(np.int64(0), 1), (2, 3)]).pairs() == [(0, 1), (2, 3)]
+
     def test_rejects_uneven_blocks(self):
         with pytest.raises(ValueError):
             Blocking([0, 0, 0, 1])
@@ -118,6 +128,41 @@ class TestOutcomePair:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             OutcomePair([1.0, 2.0], [0.0])
+
+
+_X4 = CovariateMatrix([[0.0], [0.5], [1.0], [2.0]])
+_BCRD4 = DesignSpec.bcrd(4)
+_MODEL = default_model("continuous", 1)
+_RNG = np.random.default_rng(0)
+
+# Every count checked at the boundary: where -> (name, call), where
+# call(value) passes value as that count and valid values elsewhere.
+_COUNTS = {
+    "CellConfig.n_reps": (
+        "n_reps", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, v, 1)
+    ),
+    "CellConfig.bootstrap_reps": (
+        "bootstrap_reps", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, 10, 1, v)
+    ),
+    "bootstrap_ci": (
+        "n_resamples", lambda v: bootstrap_ci([1.0, 2.0], np.mean, v, rng=_RNG)
+    ),
+    "sample_allocations": ("n_draws", lambda v: sample_allocations(_BCRD4, v, _RNG)),
+    "draw_outcomes": ("n_draws", lambda v: draw_outcomes(_MODEL, [0.0], _RNG, v)),
+    "build_blocking": ("n_blocks", lambda v: build_blocking(_X4, v)),
+    "greedy_pair_switch": ("restarts", lambda v: greedy_pair_switch(_X4, v, _RNG)),
+    "chunk_sizes": ("total", chunk_sizes),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_COUNTS))
+def test_counts_must_be_integers_at_or_above_their_minimum(where):
+    name, call = _COUNTS[where]
+    for bad in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be >= \\d+, got -1$"):
+        call(-1)
 
 
 class TestDesignCovariance:

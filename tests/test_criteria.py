@@ -324,7 +324,7 @@ class TestVarianceFloorReport:
             variance_floor_report([12], [4], n_reps=100, master_seed=1)
         with pytest.raises(ValueError):
             variance_floor_report([16], [3], n_reps=100, master_seed=1)
-        for rho in (0.0, -1.0):
+        for rho in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="rho"):
                 variance_floor_report([8], [1], n_reps=100, master_seed=1, rho=rho)
         for n_blocks in (0, -2):

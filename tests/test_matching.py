@@ -2,13 +2,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import twoarm.cli as cli
+from twoarm.cli import build_grid
 from twoarm.core import Blocking, CovariateMatrix
-from twoarm.matching import (
-    DistanceMatrix,
-    mahalanobis_distances,
-    match_heuristic,
-    match_sorted,
-)
+from twoarm.matching import DistanceMatrix, mahalanobis_distances, match_heuristic
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -54,6 +51,13 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
             DistanceMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        d = np.array([[0.0, bad, 1.0, 1.0], [bad, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="distances must be finite"):
+            DistanceMatrix(d)
 
     def test_duplicate_rows_distance_zero(self):
         x = CovariateMatrix(np.repeat([[1.0, 2.0], [3.0, 4.0]], 2, axis=0))
@@ -161,7 +165,22 @@ class TestMatchHeuristic:
             assert match_heuristic(d).pairing.pairs() == want
 
 
+def _grid_pm_at_one_covariate(x: CovariateMatrix) -> Blocking:
+    """The pm pairing that the grid builds at p=1: sorted blocking, B = n."""
+    grid = build_grid(
+        {"seed": "0", "reps": "2", "n_subjects": str(x.n_subjects), "designs": "pm"}
+    )
+    return cli._build_design("pm", x.n_pairs, x, grid, "pm").blocking
+
+
+def _cost(pairing: Blocking, d: DistanceMatrix) -> float:
+    return sum(d.values[i, j] for i, j in pairing.pairs())
+
+
 class TestMatchSorted:
+    """At one covariate the grid's pm cell pairs stable-sorted neighbours,
+    which is the minimum-cost matching."""
+
     @pytest.mark.parametrize("family", ["uniform", "exponential"])
     @pytest.mark.parametrize("n_subjects", [10, 40])
     def test_same_blocking_as_blossom_at_one_covariate(self, family, n_subjects):
@@ -171,13 +190,12 @@ class TestMatchSorted:
                     default_covariate_source(resp, family),
                     n_subjects, 1, substream(seed, "sorted", family, resp),
                 )
-                got = match_sorted(x)
-                want = match_heuristic(mahalanobis_distances(x))
-                assert got.pairing.pairs() == want.pairing.pairs()
-                np.testing.assert_array_equal(
-                    got.pairing.block_of, want.pairing.block_of
-                )
-                assert got.cost == pytest.approx(want.cost, rel=1e-12)
+                got = _grid_pm_at_one_covariate(x)
+                d = mahalanobis_distances(x)
+                want = match_heuristic(d)
+                assert got.pairs() == want.pairing.pairs()
+                np.testing.assert_array_equal(got.block_of, want.pairing.block_of)
+                assert _cost(got, d) == pytest.approx(want.cost, rel=1e-12)
 
     @pytest.mark.parametrize("n_subjects", [4, 6, 8, 10])
     def test_agrees_with_exact(self, n_subjects):
@@ -185,20 +203,15 @@ class TestMatchSorted:
             x = CovariateMatrix(
                 np.random.default_rng(60 + seed).normal(size=(n_subjects, 1))
             )
-            got = match_sorted(x)
-            want = match_exact(mahalanobis_distances(x))
-            assert got.pairing.pairs() == want.pairing.pairs()
-            assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=1e-12)
+            got = _grid_pm_at_one_covariate(x)
+            d = mahalanobis_distances(x)
+            want = match_exact(d)
+            assert got.pairs() == want.pairing.pairs()
+            assert _cost(got, d) == pytest.approx(want.cost, rel=1e-12, abs=1e-12)
 
     def test_stable_on_ties(self):
         x = CovariateMatrix([[1.0], [0.0], [1.0], [0.0]])
-        assert match_sorted(x).pairing.pairs() == [(0, 2), (1, 3)]
-
-    @pytest.mark.parametrize("p", [2, 5])
-    def test_rejects_several_covariates(self, p):
-        x = CovariateMatrix(np.random.default_rng(70).normal(size=(8, p)))
-        with pytest.raises(ValueError, match=f"one covariate, got {p}"):
-            match_sorted(x)
+        assert _grid_pm_at_one_covariate(x).pairs() == [(0, 2), (1, 3)]
 
 
 class TestMatchGrid:

@@ -231,12 +231,12 @@ class TestRunCell:
         sq = simulate_squared_errors(cfg)
         assert report.mean_sq_err == pytest.approx(float(sq.mean()), rel=1e-12)
         assert report.sd_sq_err == pytest.approx(float(sq.std(ddof=1)), rel=1e-12)
-        assert report.emp_quantile == empirical_quantile(sq)
-        assert report.approx_quantile == pytest.approx(
+        assert report.emp_q95 == empirical_quantile(sq)
+        assert report.approx_q95 == pytest.approx(
             report.mean_sq_err + 1.645 * report.sd_sq_err, rel=1e-12
         )
-        assert report.emp_ci[0] <= report.emp_quantile <= report.emp_ci[1]
-        assert report.approx_ci[0] <= report.approx_quantile <= report.approx_ci[1]
+        assert report.emp_q95_lo <= report.emp_q95 <= report.emp_q95_hi
+        assert report.approx_q95_lo <= report.approx_q95 <= report.approx_q95_hi
 
     @pytest.mark.parametrize(
         "design, kind, expected",
@@ -284,10 +284,10 @@ class TestRunCell:
         got = (
             report.mean_sq_err,
             report.sd_sq_err,
-            report.emp_quantile,
-            report.emp_ci,
-            report.approx_quantile,
-            report.approx_ci,
+            report.emp_q95,
+            (report.emp_q95_lo, report.emp_q95_hi),
+            report.approx_q95,
+            (report.approx_q95_lo, report.approx_q95_hi),
         )
         assert got == expected
 
