@@ -3,11 +3,14 @@
 A grid is a product of response types, covariate counts, and a design
 axis: either a list of block counts (the blocking sweep) or a list of
 design families (bcrd / pm / pb).  Covariates are drawn once per
-(response, p) panel and shared by every design in that panel; every
-stochastic step runs on substreams derived from the master seed, so a
-grid is reproducible cell by cell regardless of worker count.  Block
-designs are sorted blockings (designs.build_blocking): bcrd is B = 1 and
-pm at p = 1 is B = n, the minimum-cost pairing; pm at p >= 2 is blossom.
+(response, p) panel and shared by every design in that panel.  A panel
+is the unit of work: one worker draws its covariates and runs its cells
+in row order, so a grid uses at most one worker per panel.  Every
+stochastic step runs on a substream keyed by the master seed and its
+panel or cell, so a grid is reproducible cell by cell regardless of
+worker count or of how panels are scheduled.  Block designs are sorted
+blockings (designs.build_blocking): bcrd is B = 1 and pm at p = 1 is
+B = n, the minimum-cost pairing; pm at p >= 2 is blossom.
 
 Config files are plain ``key=value`` lines with ``#`` comments.  Flags
 override config values; the available presets are
@@ -27,8 +30,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .core import Blocking, CovariateMatrix
 from .designs import DesignSpec, build_blocking, greedy_pair_switch
@@ -220,19 +221,12 @@ def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) 
     )
 
 
-def _tasks(grid: ExperimentGrid) -> list[dict]:
-    axis: list[tuple[str, int]]
+def _axis(grid: ExperimentGrid) -> list[tuple[str, int]]:
+    """(design, B) of each cell of a panel, in row order."""
     if grid.blocks is not None:
-        axis = [("block", b) for b in grid.blocks]
-    else:
-        b_of = {"bcrd": 1, "pm": grid.n_subjects // 2, "pb": 0}
-        axis = [(kind, b_of[kind]) for kind in grid.designs]
-    return [
-        {"response": resp, "p": p, "design": design, "B": b}
-        for resp in grid.responses
-        for p in grid.p_list
-        for design, b in axis
-    ]
+        return [("block", b) for b in grid.blocks]
+    b_of = {"bcrd": 1, "pm": grid.n_subjects // 2, "pb": 0}
+    return [(kind, b_of[kind]) for kind in grid.designs]
 
 
 def _build_design(
@@ -251,61 +245,51 @@ def _build_design(
     return DesignSpec(label, blocking)
 
 
-def _run_task(payload: tuple) -> dict:
-    """Run one cell; exceptions land in the row's error column."""
-    grid, task, x_values = payload
-    row = {col: "" for col in CSV_COLUMNS}
-    row.update(
-        response=task["response"], p=task["p"], design=task["design"],
-        B=task["B"], n_subjects=grid.n_subjects, n_reps=grid.n_reps,
-        seed=grid.seed, error="",
-    )
-    cell_id = (
-        f"{task['response']}|p{task['p']}|{task['design']}|B{task['B']}"
-        f"|n{grid.n_subjects}"
-    )
-    start = time.perf_counter()
-    try:
-        x = CovariateMatrix(x_values)
-        model = default_model(task["response"], task["p"])
-        design = _build_design(task["design"], task["B"], x, grid, cell_id)
-        cfg = CellConfig(
-            cell_id=cell_id,
-            model=model,
-            x=x,
-            design=design,
-            n_reps=grid.n_reps,
-            master_seed=grid.seed,
-            bootstrap_reps=grid.bootstrap_reps,
+def _run_panel(task: tuple) -> list[dict]:
+    """Run one (response, p) panel's cells in row order on one covariate
+    draw; a cell's exception lands in its own row's error column."""
+    grid, response, p = task
+    source = default_covariate_source(response, grid.covariate_family)
+    rng = substream(grid.seed, "covariates", grid.covariate_family, response, p)
+    x = draw_covariates(source, grid.n_subjects, p, rng)
+    model = default_model(response, p)
+    rows = []
+    for design, b in _axis(grid):
+        row = {col: "" for col in CSV_COLUMNS}
+        row.update(
+            response=response, p=p, design=design, B=b,
+            n_subjects=grid.n_subjects, n_reps=grid.n_reps, seed=grid.seed,
         )
-        row.update(asdict(run_cell(cfg)))
-    except Exception as exc:  # noqa: BLE001 - cell failures become rows
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    return row
+        cell_id = f"{response}|p{p}|{design}|B{b}|n{grid.n_subjects}"
+        start = time.perf_counter()
+        try:
+            cfg = CellConfig(
+                cell_id=cell_id,
+                model=model,
+                x=x,
+                design=_build_design(design, b, x, grid, cell_id),
+                n_reps=grid.n_reps,
+                master_seed=grid.seed,
+                bootstrap_reps=grid.bootstrap_reps,
+            )
+            row.update(asdict(run_cell(cfg)))
+        except Exception as exc:  # noqa: BLE001 - cell failures become rows
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        row["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        rows.append(row)
+    return rows
 
 
 def run_grid(grid: ExperimentGrid) -> list[dict]:
     """Run every cell, one fixed covariate draw per (response, p) panel."""
-    panels: dict[tuple[str, int], np.ndarray] = {}
-    for resp in grid.responses:
-        for p in grid.p_list:
-            source = default_covariate_source(resp, grid.covariate_family)
-            rng = substream(grid.seed, "covariates", grid.covariate_family, resp, p)
-            panels[(resp, p)] = draw_covariates(
-                source, grid.n_subjects, p, rng
-            ).values
-    payloads = [
-        (grid, task, panels[(task["response"], task["p"])])
-        for task in _tasks(grid)
-    ]
-    workers = min(grid.workers, len(payloads))
+    panels = [(grid, resp, p) for resp in grid.responses for p in grid.p_list]
+    workers = min(grid.workers, len(panels))
     if workers > 1:
         # the fork start method starts every worker at once, so a pool
-        # larger than the grid would only start idle processes
+        # larger than the panel count would only start idle processes
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            return list(pool.map(_run_task, payloads))
-    return [_run_task(payload) for payload in payloads]
+            return [row for rows in pool.map(_run_panel, panels) for row in rows]
+    return [row for panel in panels for row in _run_panel(panel)]
 
 
 def _write_csv(path: Path, columns: tuple, rows: list[dict]) -> None:
@@ -361,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--preset", choices=sorted(_PRESETS), help="named grid")
     parser.add_argument("--seed", type=int, help="master seed (required somewhere)")
     parser.add_argument("--reps", type=int, help="replicates per cell")
-    parser.add_argument("--workers", type=int, help="parallel cell workers")
+    parser.add_argument("--workers", type=int, help="parallel panel workers")
     parser.add_argument("--out", help="output directory (default: results)")
     args = parser.parse_args(argv)
 

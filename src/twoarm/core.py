@@ -133,6 +133,10 @@ class Blocking:
     @classmethod
     def from_pairs(cls, pairs) -> "Blocking":
         """Build a size-2 blocking from an iterable of index pairs."""
+        pairs = [tuple(p) if np.iterable(p) else (p,) for p in pairs]
+        for p in pairs:
+            if len(p) != 2:
+                raise ValueError(f"a pair must be two indices, got {p}")
         pairs = [tuple(_check_int("pair index", i, 0) for i in p) for p in pairs]
         n = 2 * len(pairs)
         block_of = np.full(n, -1, dtype=np.int64)

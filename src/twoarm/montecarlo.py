@@ -47,6 +47,7 @@ class CellConfig:
     def __post_init__(self):
         _check_int("n_reps", self.n_reps, 2)
         _check_int("bootstrap_reps", self.bootstrap_reps, 1)
+        _check_int("master_seed", self.master_seed, 0)
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
         if self.model.n_covariates != self.x.n_covariates:

@@ -68,7 +68,7 @@ class ResponseModel:
 def default_model(kind: str, n_covariates: int) -> ResponseModel:
     """Simulation defaults: intercept -1, alternating-sign slopes,
     additive treatment effect 0.001 on the linear scale."""
-    if not 1 <= n_covariates <= len(_DEFAULT_BETA):
+    if _check_int("n_covariates", n_covariates, 1) > len(_DEFAULT_BETA):
         raise ValueError("default coefficients support 1..5 covariates")
     return ResponseModel(
         kind=kind,
@@ -114,7 +114,8 @@ def draw_covariates(
     n_covariates: int,
     rng: np.random.Generator,
 ) -> CovariateMatrix:
-    shape = (n_subjects, n_covariates)
+    n_subjects = _check_int("n_subjects", n_subjects, 4)
+    shape = (n_subjects, _check_int("n_covariates", n_covariates, 1))
     # Written out as low + (high - low) * u and as 1 / rate of the rate,
     # not simplified: a folded formula can round the panels differently.
     h = source.half_width

@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from a generator derived
 from a master seed plus a structured path (cell id, role, chunk index).
 Streams therefore do not depend on execution order, worker count, or
-which cells run in the same process, which is what makes per-cell
-parallelism reproducible.
+which cells run in the same process, which is what makes a parallel
+grid reproducible.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     Distinct paths yield statistically independent PCG64 streams; the
     same (seed, path) always yields the same stream.
     """
-    words: list[int] = [int(master_seed)]
+    words: list[int] = [_check_int("master_seed", master_seed, 0)]
     for part in path:
         words.extend(_encode(part))
     return np.random.default_rng(np.random.SeedSequence(words))

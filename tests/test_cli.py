@@ -9,7 +9,7 @@ import twoarm.cli as cli
 from twoarm.cli import (
     CSV_COLUMNS,
     ConfigError,
-    _tasks,
+    _axis,
     build_grid,
     emit_plot_data,
     main,
@@ -185,19 +185,28 @@ class TestBuildGrid:
             build_grid(cfg)
 
 
+def _cells(grid) -> list[tuple]:
+    return [
+        (resp, p, design, b)
+        for resp in grid.responses
+        for p in grid.p_list
+        for design, b in _axis(grid)
+    ]
+
+
 class TestTasks:
     def test_blocking_sweep_counts(self):
         grid = build_grid({"preset": "fig1", "seed": "5"})
-        tasks = _tasks(grid)
-        assert len(tasks) == 5 * 3 * 10
-        assert {t["design"] for t in tasks} == {"block"}
-        assert sorted({t["B"] for t in tasks}) == [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
+        cells = _cells(grid)
+        assert len(cells) == 5 * 3 * 10
+        assert {design for _, _, design, _ in cells} == {"block"}
+        assert sorted({b for *_, b in cells}) == [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
 
     def test_design_comparison_counts_and_b_labels(self):
         grid = build_grid({"preset": "fig2", "seed": "5"})
-        tasks = _tasks(grid)
-        assert len(tasks) == 5 * 3 * 3
-        b_of = {t["design"]: t["B"] for t in tasks}
+        cells = _cells(grid)
+        assert len(cells) == 5 * 3 * 3
+        b_of = {design: b for _, _, design, b in cells}
         assert b_of == {"bcrd": 1, "pm": 48, "pb": 0}
 
 
@@ -234,15 +243,16 @@ class TestRunGrid:
         assert all(row["error"] == "" for row in rows)
 
     def test_worker_count_does_not_change_results(self):
-        grid = build_grid(_micro_config())
+        # two panels, so that two workers really start a pool
+        grid = build_grid(_micro_config(p="1,2"))
         parallel = dataclasses.replace(grid, workers=2)
         assert _strip_runtime(run_grid(grid)) == _strip_runtime(run_grid(parallel))
 
-    def test_worker_pool_is_capped_at_the_cell_count(self, monkeypatch):
+    def test_worker_pool_is_capped_at_the_panel_count(self, monkeypatch):
         sizes = []
 
         class RecordingPool:
-            """Records the requested pool size and runs cells in-process."""
+            """Records the requested pool size and runs panels in-process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -253,18 +263,36 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+            def map(self, fn, tasks):
+                return map(fn, tasks)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        grid = build_grid(_micro_config(workers=5000))
+        grid = build_grid(_micro_config(workers=5000, p="1,2"))
         rows = run_grid(grid)
         assert sizes == [2]
         serial = dataclasses.replace(grid, workers=1)
         assert _strip_runtime(rows) == _strip_runtime(run_grid(serial))
-        # one cell needs no pool at all
-        run_grid(build_grid(_micro_config(workers=3, blocks=2)))
+        # one panel, here of two cells, needs no pool at all
+        run_grid(build_grid(_micro_config(workers=3)))
         assert sizes == [2]
+
+    def test_covariates_are_drawn_once_per_panel(self, monkeypatch):
+        drawn = []
+
+        def counting_draw(source, n_subjects, n_covariates, rng):
+            drawn.append((source.half_width, n_covariates))
+            return draw_covariates(source, n_subjects, n_covariates, rng)
+
+        monkeypatch.setattr(cli, "draw_covariates", counting_draw)
+        responses = ("continuous", "incidence")
+        grid = build_grid(_micro_config(responses=",".join(responses), p="1,2"))
+        rows = run_grid(grid)
+        assert len(rows) == 2 * 2 * 2
+        assert drawn == [
+            (default_covariate_source(resp).half_width, p)
+            for resp in responses
+            for p in (1, 2)
+        ]
 
     def test_cell_failures_become_error_rows(self, monkeypatch):
         def boom(cfg):
@@ -274,6 +302,27 @@ class TestRunGrid:
         rows = run_grid(build_grid(_micro_config()))
         assert all(row["error"] == "RuntimeError: cell exploded" for row in rows)
         assert all(row["mean_sq_err"] == "" for row in rows)
+
+    def test_a_failing_design_fails_only_its_own_rows(self, monkeypatch):
+        cfg = _micro_config(pb_restarts=20, reps=200, p="1,2")
+        del cfg["blocks"]
+        cfg["designs"] = "bcrd,pm,pb"
+        grid = build_grid(cfg)
+        clean = run_grid(grid)
+
+        def boom(x, restarts, rng):
+            raise RuntimeError("search exploded")
+
+        monkeypatch.setattr(cli, "greedy_pair_switch", boom)
+        rows = run_grid(grid)
+        assert [row["design"] for row in rows] == ["bcrd", "pm", "pb"] * 2
+        for row, before in zip(rows, clean):
+            if row["design"] == "pb":
+                assert row["error"] == "RuntimeError: search exploded"
+                assert row["mean_sq_err"] == ""
+            else:
+                assert before["error"] == ""
+                assert _strip_runtime([row]) == _strip_runtime([before])
 
 
 class TestCsvOutput:
@@ -528,7 +577,7 @@ class TestPinnedOutputBytes:
 
 def _grid_designs(n_subjects: int, p_list: str, designs: str):
     """(label, p, spec) of each continuous cell, with every panel drawn
-    and every design built as run_grid and _run_task build them."""
+    and every design built as _run_panel builds them."""
     grid = build_grid(
         {
             "seed": "2024", "reps": "2", "n_subjects": str(n_subjects),
@@ -536,13 +585,13 @@ def _grid_designs(n_subjects: int, p_list: str, designs: str):
             "pb_restarts": "8",
         }
     )
-    for task in _tasks(grid):
-        p, label = task["p"], task["design"]
+    for p in grid.p_list:
         source = default_covariate_source("continuous", grid.covariate_family)
         rng = substream(grid.seed, "covariates", grid.covariate_family, "continuous", p)
         x = draw_covariates(source, grid.n_subjects, p, rng)
-        cell_id = f"continuous|p{p}|{label}|B{task['B']}|n{grid.n_subjects}"
-        yield label, p, cli._build_design(label, task["B"], x, grid, cell_id)
+        for label, b in _axis(grid):
+            cell_id = f"continuous|p{p}|{label}|B{b}|n{grid.n_subjects}"
+            yield label, p, cli._build_design(label, b, x, grid, cell_id)
 
 
 def _design_picks_digest(n_subjects: int) -> str:
@@ -603,7 +652,7 @@ class TestPinnedDesignPicks:
 
 
 def test_report_fields_are_the_csv_result_columns():
-    # _run_task fills the result columns straight from the report
+    # _run_panel fills the result columns straight from the report
     first, last = CSV_COLUMNS.index("seed") + 1, CSV_COLUMNS.index("runtime_ms")
     fields = tuple(f.name for f in dataclasses.fields(CriterionReport))
     assert fields == CSV_COLUMNS[first:last]

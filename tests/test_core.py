@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
 from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
 from twoarm.montecarlo import CellConfig, bootstrap_ci
-from twoarm.response import default_model, draw_outcomes
-from twoarm.streams import chunk_sizes
+from twoarm.response import default_covariate_source, default_model, draw_covariates, draw_outcomes
+from twoarm.streams import chunk_sizes, substream
 from twoarm.verify import OutcomePair, estimand, estimate, squared_error
 
 from util_oracles import balanced_allocations
@@ -84,6 +84,11 @@ class TestBlocking:
             Blocking.from_pairs([(0, 1.7), (2, 3)])
         assert Blocking.from_pairs([(np.int64(0), 1), (2, 3)]).pairs() == [(0, 1), (2, 3)]
 
+    def test_from_pairs_rejects_entries_that_are_not_two_indices(self):
+        for bad in ([(0, 1, 2), (3, 4, 5)], [(0,), (1, 2)], [0, (1, 2)]):
+            with pytest.raises(ValueError, match="a pair must be two indices, got"):
+                Blocking.from_pairs(bad)
+
     def test_rejects_uneven_blocks(self):
         with pytest.raises(ValueError):
             Blocking([0, 0, 0, 1])
@@ -134,6 +139,7 @@ _X4 = CovariateMatrix([[0.0], [0.5], [1.0], [2.0]])
 _BCRD4 = DesignSpec.bcrd(4)
 _MODEL = default_model("continuous", 1)
 _RNG = np.random.default_rng(0)
+_SOURCE = default_covariate_source("continuous")
 
 # Every count checked at the boundary: where -> (name, call), where
 # call(value) passes value as that count and valid values elsewhere.
@@ -144,6 +150,17 @@ _COUNTS = {
     "CellConfig.bootstrap_reps": (
         "bootstrap_reps", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, 10, 1, v)
     ),
+    "CellConfig.master_seed": (
+        "master_seed", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, 10, v)
+    ),
+    "substream": ("master_seed", lambda v: substream(v, "a")),
+    "draw_covariates.n_subjects": (
+        "n_subjects", lambda v: draw_covariates(_SOURCE, v, 1, _RNG)
+    ),
+    "draw_covariates.n_covariates": (
+        "n_covariates", lambda v: draw_covariates(_SOURCE, 4, v, _RNG)
+    ),
+    "default_model": ("n_covariates", lambda v: default_model("continuous", v)),
     "bootstrap_ci": (
         "n_resamples", lambda v: bootstrap_ci([1.0, 2.0], np.mean, v, rng=_RNG)
     ),
