@@ -30,9 +30,20 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _frozen_ints(name: str, values, dtype) -> np.ndarray:
+    """_frozen for integer entries; ValueError naming them if one is not."""
+    raw = np.asarray(values)
+    arr = _frozen(raw, dtype)
+    if not np.array_equal(arr, raw):
+        raise ValueError(f"{name} must be integers, got {raw[arr != raw][0]}")
+    return arr
+
+
 def _check_int(name: str, value, minimum: int) -> int:
-    """value as an int if it is an integer >= minimum; else ValueError naming it."""
+    """value as an int if a non-bool integer >= minimum; else ValueError naming it."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -84,7 +95,7 @@ class Allocation:
     signs: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.signs, dtype=np.int8)
+        arr = _frozen_ints("allocation signs", self.signs, np.int8)
         if arr.size == 0:
             raise ValueError("allocation signs must be non-empty")
         if arr.ndim != 1 or arr.shape[0] % 2:
@@ -107,7 +118,7 @@ class Blocking:
     block_of: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.block_of, dtype=np.int64)
+        arr = _frozen_ints("block_of", self.block_of, np.int64)
         if arr.ndim != 1:
             raise ValueError("block_of must be 1-D")
         if arr.size == 0:

@@ -6,19 +6,19 @@ provides the Mahalanobis distance matrix and the one exact minimum-cost
 matcher, Edmonds' blossom algorithm on the complete graph.  It calls
 networkx's maximum-weight matching on exactly the graph that
 nx.min_weight_matching builds (the same inverted weights, the same
-edge order), so it returns the pairing that function returns.  With a
-single covariate the grid needs no graph: the minimum-cost pairing is
-the sorted blocking with B = n (designs.build_blocking), which pairs
-neighbours in stable-sorted order.  The suboptimal rank-interval grid
-matcher and its within-pair gap diagnostic, which only the checks use,
-live in twoarm.verify.
+edge order), so it returns the pairing that function returns.
+networkx is imported inside the matcher, so only a process that builds
+a blossom matching loads it.  With a single covariate the grid needs no
+graph: the minimum-cost pairing is the sorted blocking with B = n
+(designs.build_blocking), which pairs neighbours in stable-sorted
+order.  The suboptimal rank-interval grid matcher and its within-pair
+gap diagnostic, which only the checks use, live in twoarm.verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .core import Blocking, CovariateMatrix, _frozen
@@ -77,17 +77,6 @@ def _pair_cost(pairs, d: np.ndarray) -> float:
     return float(sum(d[i, j] for i, j in pairs))
 
 
-class _AdjacencyGraph(nx.Graph):
-    """A Graph whose G[u] is the raw adjacency dict of u.
-
-    max_weight_matching reads G[v][w] in its inner slack() loop, where
-    the read-only view that nx.Graph returns costs more than the lookup.
-    """
-
-    def __getitem__(self, n):
-        return self._adj[n]
-
-
 def match_heuristic(d: DistanceMatrix) -> MatchResult:
     """Minimum-cost perfect matching of the subjects.
 
@@ -101,6 +90,14 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
         raise ValueError(
             f"matching needs an even subject count >= 2, got {d.n_subjects}"
         )
+    import networkx as nx  # loaded here: no other grid path needs it
+
+    class _AdjacencyGraph(nx.Graph):
+        # max_weight_matching reads G[v][w] in its inner slack() loop, where
+        # the read-only view that nx.Graph returns costs more than the lookup.
+        def __getitem__(self, n):
+            return self._adj[n]
+
     dist = d.values
     first, second = np.triu_indices(d.n_subjects, 1)
     weights = dist[first, second]

@@ -148,12 +148,11 @@ def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
     for ci, size in enumerate(chunk_sizes(cfg.n_reps)):
         rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
         rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
-        y_t = draw_outcomes(cfg.model, mu_t, rng_y, size)
-        y_c = draw_outcomes(cfg.model, mu_c, rng_y, size)
-        w = sample_allocations(cfg.design, size, rng_w)
-        sq[pos : pos + size] = np.square(
-            (w * (y_t + y_c)).sum(axis=1) / (2.0 * n)
-        )
+        # w * (y_t + y_c), in one buffer: the same sums and products
+        v = draw_outcomes(cfg.model, mu_t, rng_y, size)
+        v += draw_outcomes(cfg.model, mu_c, rng_y, size)
+        v *= sample_allocations(cfg.design, size, rng_w)
+        sq[pos : pos + size] = np.square(v.sum(axis=1) / (2.0 * n))
         pos += size
     return sq
 

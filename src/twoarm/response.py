@@ -202,8 +202,10 @@ def draw_outcomes(
     if kind == "proportion":
         g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
         g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
-        denom = g1 + g2
-        return np.divide(g1, denom, out=np.full(size, 0.5), where=denom > 0)
+        g2 += g1  # the denominator, in place; g1 / g2 is the draw, 0.5 where g2 is 0
+        np.divide(g1, g2, out=g1, where=g2 > 0)
+        g1[g2 == 0] = 0.5
+        return g1
     if kind == "count":
         return rng.poisson(np.broadcast_to(mu, size)).astype(float)
     scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)

@@ -62,6 +62,12 @@ class TestAllocation:
         with pytest.raises(ValueError, match="allocation signs must be non-empty"):
             Allocation([])
 
+    def test_rejects_non_integer_signs(self):
+        # an int8 cast would truncate them to [1, -1]
+        with pytest.raises(ValueError, match="^allocation signs must be integers, got 1.5$"):
+            Allocation([1.5, -1.5])
+        assert Allocation(np.array([1.0, -1.0])).signs.tolist() == [1, -1]
+
 
 class TestBlocking:
     def test_single(self):
@@ -94,6 +100,12 @@ class TestBlocking:
             Blocking([0, 0, 0, 1])
         with pytest.raises(ValueError, match="block_of must be non-empty"):
             Blocking([])
+
+    def test_rejects_non_integer_block_ids(self):
+        # an int64 cast would truncate them to [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="^block_of must be integers, got 0.5$"):
+            Blocking([0.5, 0.5, 1.2, 1.2])
+        assert Blocking(np.array([0, 0, 1, 1], dtype=np.int8)).n_blocks == 2
 
     def test_rejects_odd_block_size(self):
         with pytest.raises(ValueError):
@@ -180,6 +192,15 @@ def test_counts_must_be_integers_at_or_above_their_minimum(where):
             call(bad)
     with pytest.raises(ValueError, match=f"^{name} must be >= \\d+, got -1$"):
         call(-1)
+
+
+@pytest.mark.parametrize("where", sorted(_COUNTS))
+def test_counts_reject_booleans_by_name(where):
+    # operator.index(True) is 1, so a flag would pass as a count
+    name, call = _COUNTS[where]
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got (np\\.)?True"):
+            call(bad)
 
 
 class TestDesignCovariance:

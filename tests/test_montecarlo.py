@@ -6,7 +6,7 @@ import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import C_95, CriterionInputs, mean_mse
-from twoarm.designs import DesignSpec, design_covariance
+from twoarm.designs import DesignSpec, build_blocking, design_covariance
 from twoarm.montecarlo import (
     CellConfig,
     CriterionReport,
@@ -18,7 +18,10 @@ from twoarm.montecarlo import (
     simulate_squared_errors,
 )
 from twoarm.response import (
+    RESPONSE_KINDS,
+    default_covariate_source,
     default_model,
+    draw_covariates,
     potential_means,
     residual_variances,
 )
@@ -28,6 +31,7 @@ from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracl
 from util_oracles import (
     balanced_allocations,
     bootstrap_ci_reference,
+    simulate_squared_errors_reference,
     squared_errors_over,
 )
 
@@ -205,6 +209,24 @@ class TestSimulateSquaredErrors:
         sq = simulate_squared_errors(cfg)
         assert sq.shape == (8292,)
         assert np.isfinite(sq).all()
+
+    @pytest.mark.parametrize("kind", RESPONSE_KINDS)
+    def test_full_and_ragged_chunks_match_the_separate_array_contrast(self, kind):
+        # One full 8,192-draw chunk and one ragged chunk at 2n = 96, for
+        # a bcrd and a B = 8 cell: the in-place chunk loop must give the
+        # bytes of w * (y_t + y_c) built from separate arrays.
+        x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
+        for design in (DesignSpec.bcrd(96), DesignSpec.block(build_blocking(x, 8))):
+            cfg = CellConfig(
+                cell_id=f"chunks::{kind}::{design.kind}",
+                model=default_model(kind, 2),
+                x=x,
+                design=design,
+                n_reps=8192 + 100,
+                master_seed=29,
+            )
+            got = simulate_squared_errors(cfg)
+            assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
 
     def test_mean_matches_the_analytic_criterion(self):
         cfg = _pm_cell(n_reps=40_000)

@@ -19,13 +19,15 @@ GRID_CHILD = ROOT / "gridbench" / "grid_child.py"
 
 # Runs in a fresh interpreter: whether importing the command line loaded
 # twoarm.verify, whether that module exists at all (find_spec does not
-# load it), and the public names of the top level.
+# load it), whether it loaded networkx (only a blossom matching needs
+# it), and the public names of the top level.
 _PROBE = """
 import importlib.util, sys, types
 import twoarm.cli
 import twoarm
 print("twoarm.verify" in sys.modules)
 print(importlib.util.find_spec("twoarm.verify") is not None)
+print("networkx" in sys.modules)
 print(" ".join(sorted(
     name for name, value in vars(twoarm).items()
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
@@ -53,8 +55,9 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
         text=True,
         check=True,
     )
-    loaded, exists, names = done.stdout.splitlines()
+    loaded, exists, networkx_loaded, names = done.stdout.splitlines()
     assert (loaded, exists) == ("False", "True")
+    assert networkx_loaded == "False"
     exported = set(names.split())
     assert len(exported) == 12
     assert exported == _readme_exports()

@@ -7,7 +7,11 @@ library's result types only so that tests can swap it for the blossom
 matcher.  The reference pb search is the one-restart-at-a-time loop
 that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
-block-wise production bootstrap must reproduce bit for bit.
+block-wise production bootstrap must reproduce bit for bit.  The
+reference chunk loop forms every outcome chunk's contrast from
+separate arrays, w * (y_t + y_c), with the proportion draw's own
+denominator and 0.5 buffer; the in-place production loop must
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import itertools
 import numpy as np
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.designs import regularized_covariance
+from twoarm.designs import regularized_covariance, sample_allocations
 from twoarm.matching import DistanceMatrix, MatchResult
+from twoarm.response import PROPORTION_PHI, draw_outcomes, potential_means
+from twoarm.streams import chunk_sizes, substream
 
 # Largest 2n the exact bitmask DP accepts.
 EXACT_CAPACITY = 12
@@ -216,6 +222,33 @@ def bootstrap_ci_reference(
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
+    """draw_outcomes, with the proportion ratio taken into a fresh buffer."""
+    if model.kind != "proportion":
+        return draw_outcomes(model, mu, rng, n_draws)
+    size = (n_draws,) + mu.shape
+    g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
+    g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
+    denom = g1 + g2
+    return np.divide(g1, denom, out=np.full(size, 0.5), where=denom > 0)
+
+
+def simulate_squared_errors_reference(cfg) -> np.ndarray:
+    """Every replicate squared error of a cell, each chunk's contrast
+    w * (y_t + y_c) built from separate arrays on the production streams."""
+    mu_t, mu_c = potential_means(cfg.model, cfg.x)
+    n = cfg.x.n_pairs
+    out = []
+    for ci, size in enumerate(chunk_sizes(cfg.n_reps)):
+        rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
+        rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
+        y_t = draw_outcomes_reference(cfg.model, mu_t, rng_y, size)
+        y_c = draw_outcomes_reference(cfg.model, mu_c, rng_y, size)
+        w = sample_allocations(cfg.design, size, rng_w)
+        out.append(np.square((w * (y_t + y_c)).sum(axis=1) / (2.0 * n)))
+    return np.concatenate(out)
 
 
 def squared_errors_over(allocs: np.ndarray, y_t, y_c) -> np.ndarray:
