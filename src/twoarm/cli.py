@@ -363,7 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         grid = build_grid(config, overrides)
         out_dir = Path(grid.out_dir)
         # an unusable output path fails here, before any cell runs
-        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "panels").mkdir(parents=True, exist_ok=True)
+        if (out_dir / "results.csv").is_dir():
+            raise IsADirectoryError(f"{out_dir / 'results.csv'} is a directory")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

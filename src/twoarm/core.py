@@ -178,17 +178,15 @@ class Blocking:
     def is_pairing(self) -> bool:
         return self.block_size == 2
 
-    def blocks(self) -> list[np.ndarray]:
-        """Member indices of each block, ascending within a block."""
-        order = np.argsort(self.block_of, kind="stable")
-        return [np.sort(g) for g in np.split(order, self.n_blocks)]
+    def blocks(self) -> np.ndarray:
+        """Members as one (B, n_B) array; row b holds block b's, ascending."""
+        return np.argsort(self.block_of, kind="stable").reshape(self.n_blocks, -1)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Canonical pair list (lo, hi), sorted by the low index."""
         if not self.is_pairing:
             raise ValueError("pairs() requires block size 2")
-        out = [(int(b[0]), int(b[1])) for b in self.blocks()]
-        return sorted(out)
+        return sorted(map(tuple, self.blocks().tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,10 +113,9 @@ def design_covariance(spec: DesignSpec) -> DesignCovariance:
         w = spec.w_star.signs.astype(float)
         return DesignCovariance(np.outer(w, w))
     n_sub = spec.n_subjects
+    members = spec.blocking.blocks()
     sigma = np.zeros((n_sub, n_sub))
-    for members in spec.blocking.blocks():
-        m = members.shape[0]
-        sigma[np.ix_(members, members)] = -1.0 / (m - 1)
+    sigma[members[:, :, None], members[:, None, :]] = -1.0 / (members.shape[1] - 1)
     np.fill_diagonal(sigma, 1.0)
     return DesignCovariance(sigma)
 
@@ -126,9 +125,10 @@ def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
 
     Subjects are stable-sorted by the first covariate; with a second
     covariate present, consecutive super-groups of size 2*n_B are then
-    re-sorted by it, so each final block is one half (by covariate 2)
-    of a covariate-1 stratum.  Covariates beyond the second are
-    ignored.  The sorted order is cut into n_blocks blocks of size n_B.
+    re-sorted by it in one stable lexsort, so ties keep covariate-1
+    order and each final block is one half (by covariate 2) of a
+    covariate-1 stratum.  Covariates beyond the second are ignored.
+    The sorted order is cut into n_blocks blocks of size n_B.
     """
     n_sub = x.n_subjects
     _check_int("n_blocks", n_blocks, 1)
@@ -139,11 +139,7 @@ def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
         raise ValueError(f"block size {size} must be even")
     order = np.argsort(x.values[:, 0], kind="stable")
     if x.n_covariates >= 2 and n_blocks >= 2:
-        for start in range(0, n_sub, 2 * size):
-            seg = order[start : start + 2 * size]
-            order[start : start + seg.shape[0]] = seg[
-                np.argsort(x.values[seg, 1], kind="stable")
-            ]
+        order = order[np.lexsort((x.values[order, 1], np.arange(n_sub) // (2 * size)))]
     block_of = np.empty(n_sub, dtype=np.int64)
     block_of[order] = np.arange(n_sub) // size
     return Blocking(block_of)

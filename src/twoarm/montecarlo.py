@@ -168,6 +168,9 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     mean_sq = float(sq.mean())
     if not np.isfinite(mean_sq):
         raise ValueError("mean_sq_err must be finite")
+    sd_sq = float(sq.std(ddof=1))
+    if not np.isfinite(sd_sq):
+        raise ValueError("sd_sq_err must be finite")
     emp_lo, emp_hi = bootstrap_ci(
         sq,
         _order_statistic,
@@ -182,7 +185,7 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     )
     return CriterionReport(
         mean_sq_err=mean_sq,
-        sd_sq_err=float(sq.std(ddof=1)),
+        sd_sq_err=sd_sq,
         emp_q95=empirical_quantile(sq),
         emp_q95_lo=emp_lo,
         emp_q95_hi=emp_hi,

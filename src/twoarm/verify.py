@@ -99,35 +99,25 @@ def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.nd
     """The design's full support as an (S, 2n) array of +-1 (int8).
 
     Every row is equally likely under the design.  Block-type supports
-    are the product of per-block balanced patterns, so S =
-    prod_b C(n_B, n_B/2); pb contributes exactly {w*, -w*}.  Supports
-    larger than max_support are rejected.
+    are the product of the k = C(n_B, n_B/2) balanced patterns of each
+    block, so S = k^B, with block 0's pattern varying slowest; pb
+    contributes exactly {w*, -w*}.  Supports larger than max_support
+    are rejected.
     """
-    n_sub = spec.n_subjects
     if spec.kind == "pb":
         w = spec.w_star.signs
         return np.stack([w, -w]).astype(np.int8)
-    blocks = spec.blocking.blocks()
-    total = 1
-    for members in blocks:
-        m = members.shape[0]
-        total *= math.comb(m, m // 2)
-        if total > max_support:
-            raise ValueError(f"design support exceeds {max_support} allocations")
-    patterns = []
-    for members in blocks:
-        m = members.shape[0]
-        pats = np.full((math.comb(m, m // 2), m), -1, dtype=np.int8)
-        for r, chosen in enumerate(itertools.combinations(range(m), m // 2)):
-            pats[r, list(chosen)] = 1
-        patterns.append(pats)
-    out = np.empty((total, n_sub), dtype=np.int8)
-    stride = total
-    for members, pats in zip(blocks, patterns):
-        k = pats.shape[0]
-        stride //= k
-        idx = (np.arange(total) // stride) % k
-        out[:, members] = pats[idx]
+    members = spec.blocking.blocks()
+    n_blocks, m = members.shape
+    k = math.comb(m, m // 2)
+    if k**n_blocks > max_support:
+        raise ValueError(f"design support exceeds {max_support} allocations")
+    pats = np.full((k, m), -1, dtype=np.int8)
+    for r, chosen in enumerate(itertools.combinations(range(m), m // 2)):
+        pats[r, list(chosen)] = 1
+    digits = np.unravel_index(np.arange(k**n_blocks), (k,) * n_blocks)
+    out = np.empty((k**n_blocks, spec.n_subjects), dtype=np.int8)
+    out[:, members] = pats[np.stack(digits, axis=1)]
     return out
 
 

@@ -475,6 +475,30 @@ class TestMain:
         assert str(afile) in capsys.readouterr().err
         assert afile.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize("name", ["panels", "results.csv"])
+    def test_unusable_output_file_exits_two_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        # panels as a file, or results.csv as a directory, cannot be written
+        ran = []
+        monkeypatch.setattr(cli, "run_grid", lambda grid: ran.append(grid) or [])
+        out = tmp_path / "run"
+        out.mkdir()
+        blocker = out / name
+        if name == "panels":
+            blocker.write_text("not a directory\n", encoding="utf-8")
+        else:
+            blocker.mkdir()
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
+            f"p=1\nblocks=1\nbootstrap_reps=100\nout={out}\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg)]) == 2
+        assert ran == []
+        assert str(blocker) in capsys.readouterr().err
+
     def test_failing_cells_exit_one(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise RuntimeError("cell exploded")

@@ -120,6 +120,15 @@ class TestBlocking:
         got = [list(g) for g in b.blocks()]
         assert got == [[1, 3], [0, 2]]
 
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 6])
+    def test_blocks_is_one_member_array(self, n_blocks):
+        size = 12 // n_blocks
+        ids = np.random.default_rng(n_blocks).permutation(np.arange(12) // size)
+        got = Blocking(ids).blocks()
+        assert got.shape == (n_blocks, size) and got.dtype == np.int64
+        for b in range(n_blocks):
+            np.testing.assert_array_equal(got[b], np.flatnonzero(ids == b))
+
     def test_pairs_requires_size_two(self):
         with pytest.raises(ValueError):
             Blocking.single(4).pairs()

@@ -18,12 +18,23 @@ from twoarm.verify import enumerate_allocations, mahalanobis_imbalance
 from util_oracles import (
     balanced_allocations,
     block_allocations,
+    build_blocking_reference,
     descend_reference,
     greedy_pair_switch_reference,
 )
 
 # chi-square critical values at alpha = 0.001
 _CHI2_001 = {3: 16.266, 5: 20.515}
+
+
+def _block_counts(n_subjects):
+    """Every B that cuts n_subjects into blocks of one even size."""
+    return [b for b in range(1, n_subjects + 1) if n_subjects % (2 * b) == 0]
+
+
+def _permuted_ids(n_subjects, n_blocks, rng):
+    """block_of of B equal blocks, ids scattered over the subjects."""
+    return rng.permutation(np.arange(n_subjects) // (n_subjects // n_blocks))
 
 
 class TestDesignSpec:
@@ -125,6 +136,19 @@ class TestDesignCovariance:
                 sigma[np.ix_(members, members)].sum(axis=1), 0.0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("n_subjects", [4, 12, 48])
+    def test_equals_per_block_reference_on_permuted_ids(self, n_subjects):
+        rng = np.random.default_rng(n_subjects)
+        for b in _block_counts(n_subjects):
+            ids = _permuted_ids(n_subjects, b, rng)
+            want = np.zeros((n_subjects, n_subjects))
+            for k in range(b):
+                members = np.flatnonzero(ids == k)
+                want[np.ix_(members, members)] = -1.0 / (members.size - 1)
+            np.fill_diagonal(want, 1.0)
+            got = design_covariance(DesignSpec.block(Blocking(ids))).sigma_w
+            np.testing.assert_array_equal(got, want)
+
 
 class TestEnumerateAllocations:
     def test_bcrd_support_size_and_uniqueness(self):
@@ -140,9 +164,21 @@ class TestEnumerateAllocations:
     def test_block_support_matches_oracle(self):
         ids = [0, 0, 1, 1, 1, 1, 0, 0]
         spec = DesignSpec.block(Blocking(ids))
-        got = {tuple(r) for r in enumerate_allocations(spec)}
-        want = {tuple(r.astype(int)) for r in block_allocations(ids)}
-        assert got == want
+        np.testing.assert_array_equal(
+            enumerate_allocations(spec), block_allocations(ids)
+        )
+
+    @pytest.mark.parametrize("n_subjects", [4, 6, 8, 12])
+    def test_support_rows_in_oracle_order_on_permuted_ids(self, n_subjects):
+        # block 0's pattern varies slowest, members ascending in a block
+        rng = np.random.default_rng(n_subjects)
+        for _ in range(5):
+            for b in _block_counts(n_subjects):
+                ids = _permuted_ids(n_subjects, b, rng)
+                np.testing.assert_array_equal(
+                    enumerate_allocations(DesignSpec.block(Blocking(ids))),
+                    block_allocations(ids),
+                )
 
     def test_support_cap(self):
         with pytest.raises(ValueError):
@@ -199,6 +235,22 @@ class TestBuildBlocking:
     def test_stable_on_ties(self):
         x = CovariateMatrix([[1.0], [1.0], [1.0], [1.0]])
         np.testing.assert_array_equal(build_blocking(x, 2).block_of, [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("n_subjects", [16, 48, 96])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+    def test_matches_supergroup_reference(self, rounded, p, n_subjects):
+        # odd B leaves a shorter last super-group; one-decimal covariates
+        # tie on both sort keys
+        vals = np.random.default_rng(n_subjects + p).uniform(-1, 1, (n_subjects, p))
+        if rounded:
+            vals = np.round(vals, 1)
+            assert all(np.unique(col).size < n_subjects for col in vals[:, :2].T)
+        x = CovariateMatrix(vals)
+        for b in _block_counts(n_subjects):
+            np.testing.assert_array_equal(
+                build_blocking(x, b).block_of, build_blocking_reference(vals, b)
+            )
 
     def test_divisibility_errors(self):
         x = CovariateMatrix(np.arange(8.0)[:, None])

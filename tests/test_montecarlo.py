@@ -19,6 +19,7 @@ from twoarm.montecarlo import (
 )
 from twoarm.response import (
     RESPONSE_KINDS,
+    ResponseModel,
     default_covariate_source,
     default_model,
     draw_covariates,
@@ -246,6 +247,28 @@ class TestRunCell:
         b = run_cell(cfg)
         assert isinstance(a, CriterionReport)
         assert a == b
+
+    @pytest.mark.parametrize("beta, finite", [(150.0, True), (184.0, False)])
+    def test_overflowing_sd_raises(self, beta, finite):
+        # at beta 184 the squared errors (mean ~1e158) are finite but
+        # their variance is not, which would make sd and approx_q95 inf
+        cfg = CellConfig(
+            cell_id=f"overflow::{beta}",
+            model=ResponseModel("survival", 0.0, np.array([beta]), 0.0),
+            x=CovariateMatrix(np.linspace(-1, 1, 16)[:, None]),
+            design=DesignSpec.bcrd(16),
+            n_reps=200,
+            master_seed=3,
+            bootstrap_reps=50,
+        )
+        if finite:
+            report = run_cell(cfg)
+            assert np.isfinite([report.sd_sq_err, report.approx_q95_hi]).all()
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^sd_sq_err must be finite$"):
+                run_cell(cfg)
 
     def test_summary_fields_are_consistent(self):
         cfg = _pm_cell(n_reps=2000)

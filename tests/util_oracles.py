@@ -11,7 +11,9 @@ block-wise production bootstrap must reproduce bit for bit.  The
 reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with the proportion draw's own
 denominator and 0.5 buffer; the in-place production loop must
-reproduce it bit for bit.
+reproduce it bit for bit.  The reference sorted blocking re-sorts each
+covariate-1 super-group by covariate 2 in its own loop step; the one
+stable lexsort of the production blocking must give the same blocks.
 """
 
 from __future__ import annotations
@@ -66,6 +68,27 @@ def block_allocations(block_ids) -> np.ndarray:
             w[members] = signs
         rows.append(w)
     return np.array(rows)
+
+
+def build_blocking_reference(values: np.ndarray, n_blocks: int) -> np.ndarray:
+    """block_of of the sorted-covariate blocking, one super-group at a time.
+
+    Stable sort by covariate 1; with a second covariate and B >= 2, each
+    run of 2 n_B consecutive subjects (the last one shorter when B is
+    odd) is stable-sorted by covariate 2; the order is cut into blocks.
+    """
+    n_sub = values.shape[0]
+    size = n_sub // n_blocks
+    order = np.argsort(values[:, 0], kind="stable")
+    if values.shape[1] >= 2 and n_blocks >= 2:
+        for start in range(0, n_sub, 2 * size):
+            seg = order[start : start + 2 * size]
+            order[start : start + seg.shape[0]] = seg[
+                np.argsort(values[seg, 1], kind="stable")
+            ]
+    block_of = np.empty(n_sub, dtype=np.int64)
+    block_of[order] = np.arange(n_sub) // size
+    return block_of
 
 
 def sign_patterns(n: int) -> np.ndarray:
