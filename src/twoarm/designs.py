@@ -223,9 +223,9 @@ def greedy_pair_switch(
     applies the single (+1, -1) swap that lowers the Mahalanobis
     imbalance the most, first such swap in row-major scan order on
     ties, for at most 100 * 2n steps.  The winner is the lowest final
-    objective, earliest restart on ties.  All starts are drawn first;
-    the descents then run in lockstep batches of restarts, which
-    changes neither a restart's path nor its tie-breaks.
+    objective, earliest restart on ties.  The descents run in lockstep
+    batches of restarts, each batch spawning its own sub-streams in
+    turn, which changes no restart's start, path or tie-breaks.
     """
     _check_int("restarts", restarts, 1)
     vals = x.values
@@ -234,12 +234,12 @@ def greedy_pair_switch(
     g = vals @ m @ vals.T
     gd = np.diag(g)
     h = gd[:, None] + gd[None, :] - 2.0 * g
-    starts = np.full((restarts, n_sub), -1, dtype=np.int8)
-    for r, child in enumerate(rng.spawn(restarts)):
-        starts[r, child.permutation(n_sub)[:n]] = 1
     best_w, best_obj = None, np.inf
     for lo in range(0, restarts, _RESTART_CHUNK):
-        chunk = starts[lo : lo + _RESTART_CHUNK].astype(float)
+        children = rng.spawn(min(_RESTART_CHUNK, restarts - lo))
+        chunk = np.full((len(children), n_sub), -1.0)
+        for r, child in enumerate(children):
+            chunk[r, child.permutation(n_sub)[:n]] = 1.0
         for w in _descend_lockstep(g, h, chunk):
             obj = float(w @ g @ w)
             if obj < best_obj:

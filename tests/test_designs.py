@@ -388,9 +388,13 @@ class TestLockstepMatchesReference:
     def test_restart_counts_off_the_chunk(self, restarts):
         assert restarts % _RESTART_CHUNK
         x = _uniform_panel(21, 16, 2)
-        got = greedy_pair_switch(x, restarts, substream(22, "pb-count"))
-        want = greedy_pair_switch_reference(x, restarts, substream(22, "pb-count"))
+        rng_got, rng_want = substream(22, "pb-count"), substream(22, "pb-count")
+        got = greedy_pair_switch(x, restarts, rng_got)
+        want = greedy_pair_switch_reference(x, restarts, rng_want)
         np.testing.assert_array_equal(got.signs, want.signs)
+        # spawned chunk by chunk, the parent still hands out `restarts` children
+        spawned = [r.bit_generator.seed_seq.n_children_spawned for r in (rng_got, rng_want)]
+        assert spawned == [restarts, restarts]
 
     def test_row_major_tie_break(self):
         # integer covariates tie many swaps exactly; the first minimum in

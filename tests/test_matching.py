@@ -20,12 +20,51 @@ from util_oracles import (
     CapacityError,
     brute_force_matching_cost,
     match_exact,
+    match_networkx_reference,
 )
 
 
 def _random_distances(n_subjects: int, seed: int) -> DistanceMatrix:
     x = CovariateMatrix(np.random.default_rng(seed).normal(size=(n_subjects, 2)))
     return mahalanobis_distances(x)
+
+
+def _oracle_inputs(p: int):
+    """Distance matrices on which the blossom port must equal networkx.
+
+    Uniform and exponential covariates at 2n = 4..64; tie-heavy inputs
+    (all-zero and integer-valued distances, duplicated covariate rows, a
+    constant covariate), where the port must break ties as networkx does;
+    and the fig2_design benchmark's covariate panels at this p, 2n = 96,
+    seed 101.
+    """
+    for n_subjects in (4, 6, 10, 16, 24, 40, 64):
+        for seed in range(3):
+            rng = np.random.default_rng([p, n_subjects, seed])
+            for draw in (rng.uniform, rng.exponential):
+                yield mahalanobis_distances(CovariateMatrix(draw(size=(n_subjects, p))))
+    for n_subjects in (4, 6, 8, 10, 12, 16, 32):
+        yield DistanceMatrix(np.zeros((n_subjects, n_subjects)))
+        # thirty draws each, with maxima 3 to 5, because a tie-break that
+        # decides the pairing is rare: reversing the tie order of one of
+        # the port's least-slack or least-dual choices changes a few of
+        # these 630 pairings at most
+        for seed in range(30):
+            rng = np.random.default_rng([p, n_subjects, seed, 1])
+            top = 4 + seed % 3
+            upper = np.triu(rng.integers(0, top, (n_subjects, n_subjects)), 1)
+            yield DistanceMatrix((upper + upper.T).astype(float))
+        for seed in range(2):
+            rng = np.random.default_rng([p, n_subjects, seed, 2])
+            rows = rng.uniform(size=(n_subjects // 2, p))
+            yield mahalanobis_distances(CovariateMatrix(np.repeat(rows, 2, axis=0)))
+            vals = rng.uniform(size=(n_subjects, p))
+            vals[:, 1] = 1.0
+            yield mahalanobis_distances(CovariateMatrix(vals))
+    for response in ("continuous", "survival") if p in (2, 5) else ():
+        source = default_covariate_source(response, "uniform")
+        rng = substream(101, "covariates", "uniform", response, p)
+        yield mahalanobis_distances(draw_covariates(source, 96, p, rng))
 
 
 class TestDistanceMatrix:
@@ -152,7 +191,7 @@ class TestMatchHeuristic:
         assert res.cost == pytest.approx(total, rel=1e-12)
 
 
-    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_same_pairing_as_networkx_min_weight_matching(self, p):
         for seed in range(4):
             vals = np.random.default_rng(40 + seed).uniform(-1, 1, (24, p))
@@ -162,7 +201,13 @@ class TestMatchHeuristic:
                 for j in range(i + 1, 24):
                     graph.add_edge(i, j, weight=float(d.values[i, j]))
             want = sorted(tuple(sorted(e)) for e in nx.min_weight_matching(graph))
+            assert match_networkx_reference(d).pairing.pairs() == want
             assert match_heuristic(d).pairing.pairs() == want
+        for d in _oracle_inputs(p):
+            got, want = match_heuristic(d), match_networkx_reference(d)
+            assert got.pairing.pairs() == want.pairing.pairs()
+            np.testing.assert_array_equal(got.pairing.block_of, want.pairing.block_of)
+            assert got.cost == want.cost
 
 
 def _grid_pm_at_one_covariate(x: CovariateMatrix) -> Blocking:

@@ -19,14 +19,23 @@ GRID_CHILD = ROOT / "gridbench" / "grid_child.py"
 
 # Runs in a fresh interpreter: whether importing the command line loaded
 # twoarm.verify, whether that module exists at all (find_spec does not
-# load it), whether it loaded networkx (only a blossom matching needs
-# it), and the public names of the top level.
+# load it), whether networkx is loaded after a pm design at p = 2 has
+# built its blossom matching (the matcher is the package's own), and the
+# public names of the top level.
 _PROBE = """
 import importlib.util, sys, types
+import numpy as np
 import twoarm.cli
 import twoarm
+from twoarm.core import CovariateMatrix
 print("twoarm.verify" in sys.modules)
 print(importlib.util.find_spec("twoarm.verify") is not None)
+grid = twoarm.cli.build_grid(
+    {"seed": "0", "reps": "2", "n_subjects": "8", "designs": "pm", "p": "2"}
+)
+x = CovariateMatrix(np.random.default_rng(0).uniform(size=(8, 2)))
+design = twoarm.cli._build_design("pm", 4, x, grid, "pm")
+assert len(design.blocking.pairs()) == 4
 print("networkx" in sys.modules)
 print(" ".join(sorted(
     name for name, value in vars(twoarm).items()

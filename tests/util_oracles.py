@@ -4,7 +4,10 @@ Everything here enumerates exhaustively and naively on purpose: these
 functions are the ground truth the library is checked against, so they
 avoid the library's own code paths.  The bitmask matcher returns the
 library's result types only so that tests can swap it for the blossom
-matcher.  The reference pb search is the one-restart-at-a-time loop
+matcher.  The networkx matcher is the call that the package's own
+blossom port replaced, kept as the oracle the port must equal pair for
+pair.
+The reference pb search is the one-restart-at-a-time loop
 that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
@@ -125,6 +129,38 @@ def brute_force_matching_cost(dist: np.ndarray) -> float:
         if cost < best:
             best = cost
     return float(best)
+
+
+def match_networkx_reference(d: DistanceMatrix) -> MatchResult:
+    """Minimum-cost perfect matching by networkx's blossom code.
+
+    Calls nx.max_weight_matching on exactly the graph that
+    nx.min_weight_matching builds (the same inverted weights, the same
+    edge order), so it returns the pairing that function returns.
+    """
+    if d.n_subjects < 2 or d.n_subjects % 2:
+        raise ValueError(
+            f"matching needs an even subject count >= 2, got {d.n_subjects}"
+        )
+
+    class _AdjacencyGraph(nx.Graph):
+        # max_weight_matching reads G[v][w] in its inner slack() loop, where
+        # the read-only view that nx.Graph returns costs more than the lookup.
+        def __getitem__(self, n):
+            return self._adj[n]
+
+    dist = d.values
+    first, second = np.triu_indices(d.n_subjects, 1)
+    weights = dist[first, second]
+    top = 1.0 + float(weights.max())
+    graph = _AdjacencyGraph()
+    graph.add_weighted_edges_from(
+        zip(first.tolist(), second.tolist(), (top - weights).tolist())
+    )
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    tuples = sorted(tuple(sorted(edge)) for edge in mate)
+    cost = float(sum(dist[i, j] for i, j in tuples))
+    return MatchResult(Blocking.from_pairs(tuples), cost)
 
 
 def match_exact(d: DistanceMatrix) -> MatchResult:
