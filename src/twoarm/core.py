@@ -123,18 +123,14 @@ class Blocking:
             raise ValueError("block_of must be 1-D")
         if arr.size == 0:
             raise ValueError("block_of must be non-empty")
-        n = arr.shape[0]
         ids, counts = np.unique(arr, return_counts=True)
-        b = ids.shape[0]
-        if not np.array_equal(ids, np.arange(b)):
+        if not np.array_equal(ids, np.arange(ids.shape[0])):
             raise ValueError("block ids must be 0..B-1 with no gaps")
         if counts.min() != counts.max():
             raise ValueError("all blocks must have the same size")
         size = int(counts[0])
         if size % 2:
             raise ValueError(f"block size must be even, got {size}")
-        if b * size != n:
-            raise ValueError("blocks must partition all subjects")
         object.__setattr__(self, "block_of", arr)
 
     @classmethod

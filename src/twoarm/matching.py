@@ -85,7 +85,9 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
     Van Rantwijk's blossom code, in the revision the tests' reference
     matcher calls, restricted to the one path the grid uses: maximum
     cardinality with float weights (no all-integer arithmetic, no
-    optimum verification, no delta1 stop).  `weight` is a dense
+    optimum verification, no delta1 stop).  It returns as soon as a
+    stage finds no delta, without the last dual update, which only the
+    optimum verification read.  `weight` is a dense
     symmetric matrix over the complete graph; its diagonal is ignored.
     Vertices are 0..N-1 and non-trivial blossoms take ids N..2N-1.  The
     visiting order is the reference's on a graph whose nodes and
@@ -411,7 +413,8 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                 if blossomparent[b] == -1 and label[b] == 2 and (deltatype == -1 or z < delta):
                     deltatype, delta, deltablossom = 4, z, b
             if deltatype == -1:
-                deltatype, delta = 1, max(0, min(dualvar))
+                # no augmenting path is left: the matching is maximum
+                return mate
             for v in range(nv):
                 lb = label[inblossom[v]]
                 if lb == 1:
@@ -424,16 +427,12 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                         blossomdual[b] += delta
                     elif label[b] == 2:
                         blossomdual[b] -= delta
-            if deltatype == 1:
-                break
             if deltatype == 4:
                 expand_blossom(deltablossom, False)
             else:
                 v, w = deltaedge
                 allowedge[v * nv + w] = allowedge[w * nv + v] = 1
                 queue.append(v)
-        if not augmented:
-            return mate
         for b in list(blossomdual):
             if (
                 b in blossomdual

@@ -6,13 +6,15 @@ the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.  A
 cell's report, whose fields are the result columns of results.csv,
-summarises the sample at the 0.95 quantile only: the empirical
-quantile, the normal approximation mean + C_95 * sd, and a 95%
-percentile-bootstrap interval for each.  The bootstrap draws the
-indices of a block of whole resamples at once, at most
-_BOOTSTRAP_BLOCK // N rows of N, and evaluates the statistic row-wise
-on that (rows, N) block; the stream is consumed exactly as one draw per
-resample would consume it, so the intervals are unchanged.
+holds the mean and sd of the squared error and two figures of its 0.95
+quantile: the empirical quantile and the normal approximation
+mean + C_95 * sd, each with a 95% percentile-bootstrap interval.  Each
+figure is one row-wise function in the _FIGURES table, which gives its
+point value on the sample as a single row and its statistic on every
+resample.  The bootstrap draws the indices of a block of whole
+resamples at once, at most _BOOTSTRAP_BLOCK // N rows of N, and
+evaluates the statistic on that (rows, N) block; the stream is consumed
+exactly as one draw per resample would consume it.
 
 The variance-floor and convergence reports in twoarm.verify run
 noise-only cells through the same chunk loop.
@@ -75,18 +77,10 @@ _BOOTSTRAP_BLOCK = 1 << 16
 
 
 def _order_statistic(values: np.ndarray) -> np.ndarray:
-    """The ceil(0.95 * N)-th order statistic along the last axis of N."""
+    """Row-wise empirical 0.95 quantile: the ceil(0.95 * N)-th order
+    statistic (inverse-CDF definition) along the last axis of N."""
     k = math.ceil(0.95 * values.shape[-1])
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
-
-
-def empirical_quantile(samples: np.ndarray) -> float:
-    """The empirical 0.95 quantile: the ceil(0.95 * N)-th order statistic
-    (inverse-CDF definition)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("samples must be a non-empty 1-D array")
-    return float(_order_statistic(samples))
 
 
 def bootstrap_ci(
@@ -131,12 +125,16 @@ def bootstrap_ci(
 
 
 def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise mean + C_95 * sd of a (b, N) block.
-
-    The one evaluation of the normal approximation: run_cell applies it
-    to the sample as a single row and the bootstrap to its resamples.
-    """
+    """Row-wise normal approximation mean + C_95 * sd of a (b, N) block."""
     return v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
+
+
+# (result column, row-wise statistic, bootstrap substream role) of each
+# quantile figure; its interval fills the column's _lo and _hi fields.
+_FIGURES = (
+    ("emp_q95", _order_statistic, "bootstrap-empirical"),
+    ("approx_q95", _approx_q95_rows, "bootstrap-approx"),
+)
 
 
 def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
@@ -160,36 +158,23 @@ def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
 def run_cell(cfg: CellConfig) -> CriterionReport:
     """Simulate a cell and summarize its squared-error distribution.
 
-    Both quantile figures get percentile bootstrap intervals on their
-    own seed-derived streams, so reports are reproducible from
+    Each quantile figure gets a percentile bootstrap interval on its own
+    seed-derived stream, so reports are reproducible from
     (cell_id, master_seed) alone.
     """
     sq = simulate_squared_errors(cfg)
-    mean_sq = float(sq.mean())
-    if not np.isfinite(mean_sq):
+    summary = {"mean_sq_err": float(sq.mean())}
+    if not np.isfinite(summary["mean_sq_err"]):
         raise ValueError("mean_sq_err must be finite")
-    sd_sq = float(sq.std(ddof=1))
-    if not np.isfinite(sd_sq):
+    summary["sd_sq_err"] = float(sq.std(ddof=1))
+    if not np.isfinite(summary["sd_sq_err"]):
         raise ValueError("sd_sq_err must be finite")
-    emp_lo, emp_hi = bootstrap_ci(
-        sq,
-        _order_statistic,
-        n_resamples=cfg.bootstrap_reps,
-        rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-empirical"),
-    )
-    apx_lo, apx_hi = bootstrap_ci(
-        sq,
-        _approx_q95_rows,
-        n_resamples=cfg.bootstrap_reps,
-        rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
-    )
-    return CriterionReport(
-        mean_sq_err=mean_sq,
-        sd_sq_err=sd_sq,
-        emp_q95=empirical_quantile(sq),
-        emp_q95_lo=emp_lo,
-        emp_q95_hi=emp_hi,
-        approx_q95=float(_approx_q95_rows(sq[None, :])[0]),
-        approx_q95_lo=apx_lo,
-        approx_q95_hi=apx_hi,
-    )
+    for column, statistic, role in _FIGURES:
+        summary[column] = float(statistic(sq[None, :])[0])
+        summary[f"{column}_lo"], summary[f"{column}_hi"] = bootstrap_ci(
+            sq,
+            statistic,
+            n_resamples=cfg.bootstrap_reps,
+            rng=substream(cfg.master_seed, cfg.cell_id, role),
+        )
+    return CriterionReport(**summary)

@@ -160,6 +160,8 @@ class TestBuildGrid:
             build_grid(_micro_config(n_subjects="9"))
         with pytest.raises(ConfigError, match="integer"):
             build_grid(_micro_config(reps="many"))
+        with pytest.raises(ConfigError, match="^key 'p': bad entry 'x'$"):
+            build_grid(_micro_config(p="1,x"))
         with pytest.raises(ConfigError, match="empty configuration"):
             build_grid({})
 

@@ -37,6 +37,8 @@ class TestCovariateMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             CovariateMatrix(np.zeros(4))
+        with pytest.raises(ValueError, match="^need at least one covariate column$"):
+            CovariateMatrix(np.zeros((4, 0)))
 
     def test_values_are_immutable_copies(self):
         raw = np.zeros((4, 1))
@@ -83,6 +85,10 @@ class TestBlocking:
     def test_from_pairs_rejects_reuse(self):
         with pytest.raises(ValueError):
             Blocking.from_pairs([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^a pair cannot repeat an index$"):
+            Blocking.from_pairs([(0, 0), (1, 2)])
+        with pytest.raises(ValueError, match="^pair index 5 out of range for 2n=4$"):
+            Blocking.from_pairs([(0, 5), (1, 2)])
 
     def test_from_pairs_rejects_non_integer_indices(self):
         # int() would truncate 1.7 to the pair (0, 1)
@@ -100,6 +106,8 @@ class TestBlocking:
             Blocking([0, 0, 0, 1])
         with pytest.raises(ValueError, match="block_of must be non-empty"):
             Blocking([])
+        with pytest.raises(ValueError, match="^block_of must be 1-D$"):
+            Blocking([[0, 0], [1, 1]])
 
     def test_rejects_non_integer_block_ids(self):
         # an int64 cast would truncate them to [0, 0, 1, 1]
@@ -218,6 +226,8 @@ class TestDesignCovariance:
         m[0, 1] = 0.5
         with pytest.raises(ValueError):
             DesignCovariance(m)
+        with pytest.raises(ValueError, match="^sigma_w must be square$"):
+            DesignCovariance(np.ones((2, 3)))
 
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError):

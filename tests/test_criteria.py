@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoarm.core import Allocation, Blocking, CovariateMatrix
+from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
 from twoarm.criteria import (
     C_95,
     PM_COND_VAR_COEFF,
@@ -62,6 +62,8 @@ class TestCriterionInputs:
             CriterionInputs(np.zeros(6), np.ones(6), sigma)
         with pytest.raises(ValueError):
             CriterionInputs(np.zeros(4), [1.0, 1.0, -0.5, 1.0], sigma)
+        with pytest.raises(ValueError, match="^subject count must be even$"):
+            CriterionInputs(np.zeros(3), np.ones(3), DesignCovariance(np.eye(3)))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="mu must be finite"):
                 CriterionInputs([0.0, bad, 0.0, 0.0], np.ones(4), sigma)

@@ -346,6 +346,8 @@ class TestGreedyPairSwitch:
         x = CovariateMatrix(np.arange(4.0)[:, None])
         with pytest.raises(ValueError):
             greedy_pair_switch(x, 0, substream(17, "greedy"))
+        with pytest.raises(ValueError, match="^allocation and covariates disagree on 2n$"):
+            mahalanobis_imbalance(x, Allocation([1, -1, 1, -1, 1, -1]))
 
 
 def _gram(vals):

@@ -278,11 +278,13 @@ class TestMatchGrid:
         assert seen == list(range(40))
 
     def test_odd_groups_spill_to_overflow(self):
-        # 3 distinct values with odd multiplicities still pair everyone
-        vals = np.array([0.0] * 5 + [10.0] * 5 + [20.0] * 6)[:, None]
-        x = CovariateMatrix(vals)
-        res = match_grid(x, substream(2, "grid"))
-        assert len(res.pairing.pairs()) == 8
+        # n = 5 and m = 2 cut the ranks into two groups of 5; each sends
+        # one member to the overflow group, whose pair crosses the groups
+        x = CovariateMatrix(np.arange(10.0)[:, None])
+        pairs = match_grid(x, substream(2, "grid")).pairing.pairs()
+        assert sorted(i for pair in pairs for i in pair) == list(range(10))
+        crossing = [(i, j) for i, j in pairs if (i < 5) != (j < 5)]
+        assert crossing == [(4, 6)]
 
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(9)

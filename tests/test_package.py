@@ -51,6 +51,17 @@ def _readme_exports() -> set[str]:
     return set(re.findall(r"`([A-Za-z_]\w*)`", listing))
 
 
+def _readme_keys() -> list[str]:
+    """The first column of the README's "Available keys" table."""
+    after = README.read_text(encoding="utf-8").split("Available keys:", 1)[1]
+    table = after.split("\n\n")[1]
+    return re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+
+
+def test_readme_keys_table_lists_exactly_the_config_keys():
+    assert sorted(_readme_keys()) == sorted(twoarm.cli._KNOWN_KEYS)
+
+
 def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
     src = str(Path(twoarm.__file__).resolve().parents[1])
     env = dict(os.environ)
