@@ -10,11 +10,15 @@ holds the mean and sd of the squared error and two figures of its 0.95
 quantile: the empirical quantile and the normal approximation
 mean + C_95 * sd, each with a 95% percentile-bootstrap interval.  Each
 figure is one row-wise function in the _FIGURES table, which gives its
-point value on the sample as a single row and its statistic on every
-resample.  The bootstrap draws the indices of a block of whole
+point value on a copy of the sample as a single row and its statistic
+on every resample.  The bootstrap draws the indices of a block of whole
 resamples at once, at most _BOOTSTRAP_BLOCK // N rows of N, and
 evaluates the statistic on that (rows, N) block; the stream is consumed
-exactly as one draw per resample would consume it.
+exactly as one draw per resample would consume it.  The empirical
+quantile, an order statistic, is resampled on the int32 ranks of the
+sample and mapped back through the sorted sample, which gives the same
+value, ties included; the normal approximation computes each
+resample's mean once.
 
 The variance-floor and convergence reports in twoarm.verify run
 noise-only cells through the same chunk loop.
@@ -70,17 +74,23 @@ class CriterionReport:
     approx_q95_hi: float
 
 
-# Index elements per bootstrap block: a block's int64 indices and the
-# values they gather take about 0.5 MB each (a block is never less than
-# one resample, so N above 2**16 takes N elements).
+# Index elements per bootstrap block: a block's int64 indices take
+# about 0.5 MB, and the float64 values or int32 ranks they gather 0.5
+# or 0.25 MB (a block is never less than one resample, so N above 2**16
+# takes N elements).
 _BOOTSTRAP_BLOCK = 1 << 16
 
 
 def _order_statistic(values: np.ndarray) -> np.ndarray:
     """Row-wise empirical 0.95 quantile: the ceil(0.95 * N)-th order
-    statistic (inverse-CDF definition) along the last axis of N."""
+    statistic (inverse-CDF definition) along the last axis of N.
+    Partitions values in place; bootstrap_ci evaluates it on ranks."""
     k = math.ceil(0.95 * values.shape[-1])
-    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+    values.partition(k - 1, axis=-1)
+    return values[..., k - 1]
+
+
+_order_statistic.on_ranks = True
 
 
 def bootstrap_ci(
@@ -94,28 +104,46 @@ def bootstrap_ci(
 
     statistic is row-wise: given a (b, N) block of b resamples it
     returns the b statistics as an array of shape (b,); anything else
-    raises ValueError.  Resamples are drawn in blocks of at most
-    max(1, _BOOTSTRAP_BLOCK // N) rows with one rng.integers call each.
-    For N below 2**32 numpy draws these bounded integers one 32-bit word
-    at a time, so a (b, N) draw consumes the stream exactly as b draws of
-    N do, and the interval does not depend on the block size.  rng is
-    required so that every interval comes from a seed-derived stream.
+    raises ValueError.  It may overwrite the block, which is a fresh
+    gather from samples, never samples itself.  Resamples are drawn in
+    blocks of at most max(1, _BOOTSTRAP_BLOCK // N) rows with one
+    rng.integers call each.  For N below 2**32 numpy draws these bounded
+    integers one 32-bit word at a time, so a (b, N) draw consumes the
+    stream exactly as b draws of N do, and the interval does not depend
+    on the block size.  rng is required so that every interval comes
+    from a seed-derived stream.
+
+    A statistic whose on_ranks attribute is true commutes with every
+    non-decreasing map, as an order statistic does.  It is evaluated on
+    a block of int32 ranks from one stable argsort of samples, which
+    are cheaper to gather and partition than float64 values, and each
+    resulting rank maps back through the sorted sample: the same value,
+    ties included.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
     _check_int("n_resamples", n_resamples, 1)
     n = samples.size
+    if getattr(statistic, "on_ranks", False):
+        order = np.argsort(samples, kind="stable")
+        sorted_samples = samples[order]
+        source = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
+        source[order] = np.arange(n, dtype=source.dtype)
+    else:
+        source, sorted_samples = samples, None
     rows = max(1, _BOOTSTRAP_BLOCK // n)
     stats = np.empty(n_resamples)
     for start in range(0, n_resamples, rows):
         b = min(rows, n_resamples - start)
-        block = np.asarray(statistic(samples[rng.integers(0, n, (b, n))]))
+        block = np.asarray(statistic(source[rng.integers(0, n, (b, n))]))
         if block.shape != (b,):
             raise ValueError(
                 f"statistic must map a ({b}, {n}) block of resamples to "
                 f"shape ({b},), got shape {block.shape}"
             )
+        if sorted_samples is not None:
+            block = sorted_samples[block]
         stats[start : start + b] = block
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
     # endpoints np.quantile returns, so the output bytes, depend on it.
@@ -125,8 +153,21 @@ def bootstrap_ci(
 
 
 def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise normal approximation mean + C_95 * sd of a (b, N) block."""
-    return v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
+    """Row-wise normal approximation mean + C_95 * sd of a (b, N) block.
+
+    Works in place on v.  Each row's mean is computed once, then used in
+    numpy's own variance sequence (sum, divide, subtract, square, sum,
+    divide by N - 1), so the result is bitwise
+    v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1).
+    """
+    n = v.shape[1]
+    mean = np.add.reduce(v, axis=1, keepdims=True)
+    mean /= n
+    v -= mean
+    np.multiply(v, v, out=v)
+    var = np.add.reduce(v, axis=1)
+    var /= n - 1
+    return mean[:, 0] + C_95 * np.sqrt(var, out=var)
 
 
 # (result column, row-wise statistic, bootstrap substream role) of each
@@ -170,7 +211,8 @@ def run_cell(cfg: CellConfig) -> CriterionReport:
     if not np.isfinite(summary["sd_sq_err"]):
         raise ValueError("sd_sq_err must be finite")
     for column, statistic, role in _FIGURES:
-        summary[column] = float(statistic(sq[None, :])[0])
+        # a copy: the statistic works in place, and sq is resampled next
+        summary[column] = float(statistic(sq[None, :].copy())[0])
         summary[f"{column}_lo"], summary[f"{column}_hi"] = bootstrap_ci(
             sq,
             statistic,

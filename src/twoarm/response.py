@@ -196,7 +196,10 @@ def draw_outcomes(
     size = (n_draws,) + mu.shape
     kind = model.kind
     if kind == "continuous":
-        return rng.normal(mu, 1.0, size)
+        # numpy's normal(mu, 1.0) is mu + 1.0 * z: the same draws and bytes
+        v = rng.standard_normal(size)
+        v += mu
+        return v
     if kind == "incidence":
         return (rng.random(size) < mu).astype(float)
     if kind == "proportion":

@@ -10,6 +10,7 @@ from twoarm.designs import DesignSpec, build_blocking, design_covariance
 from twoarm.montecarlo import (
     CellConfig,
     CriterionReport,
+    _FIGURES,
     _approx_q95_rows,
     _order_statistic,
     bootstrap_ci,
@@ -22,6 +23,7 @@ from twoarm.response import (
     default_covariate_source,
     default_model,
     draw_covariates,
+    draw_outcomes,
     potential_means,
     residual_variances,
 )
@@ -31,6 +33,7 @@ from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracl
 from util_oracles import (
     balanced_allocations,
     bootstrap_ci_reference,
+    draw_outcomes_reference,
     simulate_squared_errors_reference,
     squared_errors_over,
 )
@@ -38,6 +41,14 @@ from util_oracles import (
 
 def _row_mean(v):
     return v.mean(axis=1)
+
+
+# Each quantile figure on a 1-D sample, as its textbook formula: the
+# oracles that the row-wise statistics of _FIGURES must equal bit for bit.
+_REFERENCE_STATISTICS = {
+    "emp_q95": lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1],
+    "approx_q95": lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
+}
 
 
 def _pm_cell(n_reps=20_000, seed=404):
@@ -55,8 +66,9 @@ def _pm_cell(n_reps=20_000, seed=404):
 
 
 def _empirical_quantile(samples):
-    """run_cell's emp_q95 of a 1-D sample: _order_statistic on one row."""
-    return _order_statistic(np.asarray(samples)[None, :])[0]
+    """run_cell's emp_q95 of a 1-D sample: _order_statistic on one row
+    (a copy, since the statistic partitions its block in place)."""
+    return _order_statistic(np.array(samples, dtype=float)[None, :])[0]
 
 
 class TestEmpiricalQuantile:
@@ -130,11 +142,8 @@ class TestBootstrapCi:
     @pytest.mark.parametrize(
         "rows, reference",
         [
-            (_order_statistic, lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1]),
-            (
-                _approx_q95_rows,
-                lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
-            ),
+            (_order_statistic, _REFERENCE_STATISTICS["emp_q95"]),
+            (_approx_q95_rows, _REFERENCE_STATISTICS["approx_q95"]),
         ],
         ids=["empirical", "approx"],
     )
@@ -153,6 +162,36 @@ class TestBootstrapCi:
             )
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_resamples", [1, 65, 131])
+    @pytest.mark.parametrize("n", [1, 3, 1000, 8193, 12500, 65537])
+    def test_rank_interval_equals_one_resample_at_a_time_on_ties(self, n, n_resamples):
+        # A lattice sample ties most replicates with many others.  The
+        # empirical interval resamples ranks, which break every tie by
+        # position, and must still give the float order statistic's bytes.
+        chi2 = np.square(substream(n, "tie-data").normal(0.0, 1.0, n))
+        samples = np.floor(3 * chi2) / 9
+        if n >= 1000:
+            assert np.unique(samples).size < n // 10
+        rng = substream(n, n_resamples, "tie-boot")
+        ref_rng = substream(n, n_resamples, "tie-boot")
+        got = bootstrap_ci(samples, _order_statistic, n_resamples=n_resamples, rng=rng)
+        want = bootstrap_ci_reference(
+            samples, _REFERENCE_STATISTICS["emp_q95"], n_resamples, rng=ref_rng
+        )
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "b, n", [(5, 12500), (3, 12500), (65, 1000), (25, 1000), (1, 65537), (8, 2)]
+    )
+    def test_approx_rows_equal_numpy_mean_plus_std(self, b, n):
+        # One mean per row, in numpy's own variance sequence: full and
+        # ragged bootstrap blocks must give numpy's mean and std bytes.
+        # A numpy release that changes that sequence fails here.
+        v = np.square(substream(b, n, "approx-rows").normal(0.0, 1.0, (b, n)))
+        want = v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
+        assert _approx_q95_rows(v.copy()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001, 8193])
     def test_block_draw_consumes_the_stream_like_sequential_draws(self, n):
@@ -227,6 +266,21 @@ class TestSimulateSquaredErrors:
             got = simulate_squared_errors(cfg)
             assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
 
+    @pytest.mark.parametrize("n_draws", [8192, 100])
+    def test_continuous_draw_equals_one_normal_call(self, n_draws):
+        # standard_normal + mu against rng.normal(mu, 1.0): the same bytes
+        # and the same end state, on a full chunk and a ragged one
+        source = default_covariate_source("continuous")
+        x = draw_covariates(source, 96, 2, substream(7, "x"))
+        model = default_model("continuous", 2)
+        mu_t, _ = potential_means(model, x)
+        rng = substream(31, n_draws, "normal")
+        ref_rng = substream(31, n_draws, "normal")
+        got = draw_outcomes(model, mu_t, rng, n_draws)
+        want = draw_outcomes_reference(model, mu_t, ref_rng, n_draws)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_mean_matches_the_analytic_criterion(self):
         cfg = _pm_cell(n_reps=40_000)
         sq = simulate_squared_errors(cfg)
@@ -267,6 +321,23 @@ class TestRunCell:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="^sd_sq_err must be finite$"):
                 run_cell(cfg)
+
+    def test_report_equals_reference_statistics_on_an_untouched_sample(self):
+        # The statistics work in place; the point values must not change
+        # the sample that the intervals resample afterwards.
+        cfg = _pm_cell(n_reps=3000)
+        sq = simulate_squared_errors(cfg)
+        want = {"mean_sq_err": float(sq.mean()), "sd_sq_err": float(sq.std(ddof=1))}
+        for column, _, role in _FIGURES:
+            reference = _REFERENCE_STATISTICS[column]
+            want[column] = float(reference(sq.copy()))
+            want[f"{column}_lo"], want[f"{column}_hi"] = bootstrap_ci_reference(
+                sq.copy(),
+                reference,
+                cfg.bootstrap_reps,
+                rng=substream(cfg.master_seed, cfg.cell_id, role),
+            )
+        assert run_cell(cfg) == CriterionReport(**want)
 
     def test_summary_fields_are_consistent(self):
         cfg = _pm_cell(n_reps=2000)

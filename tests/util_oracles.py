@@ -12,11 +12,12 @@ that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
 reference chunk loop forms every outcome chunk's contrast from
-separate arrays, w * (y_t + y_c), with the proportion draw's own
-denominator and 0.5 buffer; the in-place production loop must
-reproduce it bit for bit.  The reference sorted blocking re-sorts each
-covariate-1 super-group by covariate 2 in its own loop step; the one
-stable lexsort of the production blocking must give the same blocks.
+separate arrays, w * (y_t + y_c), with the continuous draw as one
+rng.normal(mu, 1.0) call and the proportion draw's own denominator and
+0.5 buffer; the in-place production loop must reproduce it bit for bit.
+The reference sorted blocking re-sorts each covariate-1 super-group by
+covariate 2 in its own loop step; the one stable lexsort of the
+production blocking must give the same blocks.
 """
 
 from __future__ import annotations
@@ -284,10 +285,13 @@ def bootstrap_ci_reference(
 
 
 def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
-    """draw_outcomes, with the proportion ratio taken into a fresh buffer."""
+    """draw_outcomes, with the continuous draw as one rng.normal(mu, 1.0)
+    call and the proportion ratio taken into a fresh buffer."""
+    size = (n_draws,) + mu.shape
+    if model.kind == "continuous":
+        return rng.normal(mu, 1.0, size)
     if model.kind != "proportion":
         return draw_outcomes(model, mu, rng, n_draws)
-    size = (n_draws,) + mu.shape
     g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
     g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
     denom = g1 + g2
