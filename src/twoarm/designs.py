@@ -160,8 +160,13 @@ def regularized_covariance(values: np.ndarray) -> np.ndarray:
 
 
 # Restarts descended together in one lockstep batch.  It bounds the
-# (chunk, n, 2n) work array, which stays in cache at the preset 2n=96.
+# (chunk, n, n) work array, which stays in cache at the preset 2n=96.
 _RESTART_CHUNK = 32
+
+
+def _objectives(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w'Gw of every row of w, bitwise float(row @ g @ row) for each row."""
+    return np.matmul(np.matmul(w[:, None, :], g), w[:, :, None])[:, 0, 0]
 
 
 def _descend_lockstep(g: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -169,47 +174,64 @@ def _descend_lockstep(g: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray
 
     h is gd_i + gd_j - 2 g_ij (gd the diagonal of g).  Each step, every
     row still descending applies the swap (i treated, j control) with
-    the lowest delta 4 (h_ij + (gw)_j - (gw)_i), the first in row-major
-    (i, j) order on ties, and stops once no swap lowers its objective
-    by more than 1e-12 (1 + |obj|); rows that stop are dropped.  The
-    arithmetic is a lone descent's, term by term, so every row ends
-    where descending it alone would: gw is one gemv per row, and the
-    4.0 scale, a power of two, is exact and applied at the chosen
-    entry only.  Descends the float rows of w in place and returns w.
+    the lowest delta 4 (h_ij + (gw)_j - (gw)_i), the lowest treated i
+    and then the lowest control j among exact minima on ties (the first
+    in row-major (i, j) order), and stops once no swap lowers its
+    objective by more than 1e-12 (1 + |obj|); rows that stop are
+    dropped.  A row keeps its treated and control subjects in slots tr
+    and ct, in any order, and the block hs[r, t, s] = h[tr[r, s],
+    ct[r, t]]; a swap rewrites one row and one column of hs, so a step
+    adds gw over an n x n block and takes the minimum over its control
+    axis.  The arithmetic is a lone descent's, term by term, so every
+    row ends where descending it alone would: gw is one gemv per row,
+    and the 4.0 scale, a power of two, is exact and applied to the
+    chosen delta only.  Descends the float rows of w in place and
+    returns w.
     """
-    n_rows, n_sub = w.shape
+    n_sub = w.shape[1]
     n = n_sub // 2
-    obj = np.array([float(row @ g @ row) for row in w])
-    active = np.arange(n_rows)
-    buf = np.empty((n_rows, n, n_sub))
+    rows = np.arange(w.shape[0])
+    obj = _objectives(g, w)
+    # treated subjects in slots[:, :n], control ones in slots[:, n:]
+    slots = np.argsort(-w, axis=1, kind="stable")
+    tr, ct = slots[:, :n], slots[:, n:]
+    # flat indices into h, all in range, so "clip" only skips the check
+    hs = np.take(h, tr[:, None, :] * n_sub + ct[:, :, None], mode="clip")
+    buf = np.empty_like(hs)
     for _ in range(100 * n_sub):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        wa = w[active]
-        rows = np.arange(active.size)
-        gw = np.matmul(g, wa[:, :, None])[:, :, 0]
-        tr = np.nonzero(wa == 1)[1].reshape(-1, n)
-        gw_tr = np.take_along_axis(gw, tr, axis=1)
-        # a[r, k, j] = h[tr_k, j] + gw_j; treated columns j are masked
-        # with inf, so the row-major order of the finite entries is the
-        # (treated, control) order of a lone descent.  The indices are
-        # in range; mode="clip" skips the buffered copy that "raise"
-        # makes into out.
-        a = np.take(h, tr, axis=0, out=buf[: active.size], mode="clip")
-        a += np.where(wa == -1, gw, np.inf)[:, None, :]
-        # Rounding is monotone, so min_j fl(a_kj - c) = fl(min_j a_kj - c):
-        # the first row holding the smallest delta is found from the row
-        # minima, and only that row needs the subtraction entry by entry.
-        delta_row = a.min(axis=2) - gw_tr
-        k = np.argmin(delta_row, axis=1)
-        j = np.argmin(a[rows, k] - gw_tr[rows, k][:, None], axis=1)
-        best = 4.0 * delta_row[rows, k]
-        go = best < -1e-12 * (1.0 + np.abs(obj[active]))
-        moving = active[go]
-        w[moving, tr[rows, k][go]] = -1.0
-        w[moving, j[go]] = 1.0
-        obj[moving] += best[go]
-        active = moving
+        k = rows.size
+        at = np.arange(k)
+        gw = np.matmul(g, w[rows][:, :, None])[:, :, 0]
+        gws = np.take_along_axis(gw, slots, axis=1)
+        gw_tr = gws[:, :n]
+        # a[r, t, s] = h[tr_s, ct_t] + gw_ct_t, added as 2-D rows, which
+        # numpy runs faster than the same 3-D broadcast
+        a = buf[:k]
+        np.add(hs.reshape(k * n, n), gws[:, n:].reshape(k * n, 1), out=a.reshape(k * n, n))
+        # Rounding is monotone, so min_t fl(a_ts - c) = fl(min_t a_ts - c):
+        # the best delta of each treated slot comes from the column
+        # minima, and only the chosen column needs the subtraction entry
+        # by entry.  Ties go to the lowest subject, not the lowest slot.
+        delta_col = a.min(axis=1) - gw_tr
+        best = delta_col.min(axis=1)
+        s = np.where(delta_col == best[:, None], tr, n_sub).argmin(axis=1)
+        d = a[at, :, s] - gw_tr[at, s][:, None]
+        t = np.where(d == best[:, None], ct, n_sub).argmin(axis=1)
+        best *= 4.0
+        go = best < -1e-12 * (1.0 + np.abs(obj))
+        if not go.all():
+            rows, slots, hs, obj = rows[go], slots[go], hs[go], obj[go]
+            tr, ct = slots[:, :n], slots[:, n:]
+            at, s, t, best = at[: rows.size], s[go], t[go], best[go]
+        i, j = tr[at, s], ct[at, t]
+        w[rows, i] = -1.0
+        w[rows, j] = 1.0
+        obj += best
+        tr[at, s], ct[at, t] = j, i
+        hs[at, t] = h[tr, i[:, None]]
+        hs[at, :, s] = h[j[:, None], ct]
     return w
 
 
@@ -221,11 +243,15 @@ def greedy_pair_switch(
     Runs `restarts` greedy descents from independent uniform balanced
     starts (each restart on its own spawned sub-stream); every step
     applies the single (+1, -1) swap that lowers the Mahalanobis
-    imbalance the most, first such swap in row-major scan order on
-    ties, for at most 100 * 2n steps.  The winner is the lowest final
-    objective, earliest restart on ties.  The descents run in lockstep
-    batches of restarts, each batch spawning its own sub-streams in
-    turn, which changes no restart's start, path or tie-breaks.
+    imbalance the most, the lowest treated and then the lowest control
+    subject on ties (the first in row-major scan order), for at most
+    100 * 2n steps.  The winner is the lowest final objective, earliest
+    restart on ties.  The descents run in lockstep batches of restarts,
+    each batch spawning its own sub-streams in turn, which changes no
+    restart's start, path or tie-breaks.  A batch's start and final
+    objectives come from one batched product, bitwise w'Gw of each row;
+    the batch's first minimum replaces the winner only if it is strictly
+    lower, so the earliest restart still wins a tie.
     """
     _check_int("restarts", restarts, 1)
     vals = x.values
@@ -240,8 +266,8 @@ def greedy_pair_switch(
         chunk = np.full((len(children), n_sub), -1.0)
         for r, child in enumerate(children):
             chunk[r, child.permutation(n_sub)[:n]] = 1.0
-        for w in _descend_lockstep(g, h, chunk):
-            obj = float(w @ g @ w)
-            if obj < best_obj:
-                best_w, best_obj = w, obj
+        objs = _objectives(g, _descend_lockstep(g, h, chunk))
+        k = int(np.argmin(objs))
+        if objs[k] < best_obj:
+            best_w, best_obj = chunk[k], objs[k]
     return Allocation(best_w.astype(np.int8))

@@ -211,8 +211,10 @@ def draw_outcomes(
         return g1
     if kind == "count":
         return rng.poisson(np.broadcast_to(mu, size)).astype(float)
-    scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
-    return scale * rng.weibull(SURVIVAL_SHAPE, size)
+    # an IEEE product commutes: the same bytes as scale * weibull, in place
+    v = rng.weibull(SURVIVAL_SHAPE, size)
+    v *= mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
+    return v
 
 
 def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:

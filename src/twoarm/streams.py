@@ -5,6 +5,15 @@ from a master seed plus a structured path (cell id, role, chunk index).
 Streams therefore do not depend on execution order, worker count, or
 which cells run in the same process, which is what makes a parallel
 grid reproducible.
+
+The path is handed to ``SeedSequence`` as one ``np.uint32`` array:
+each integer (the master seed and every int path part) is split into
+32-bit words, least significant first, exactly as numpy splits a Python
+int (0 is ``[0]``, 2**32 is ``[0, 1]``), and each string part is its
+SHA-256 digest as 8 little-endian words.  That is the same entropy
+pool as the list of Python ints, so the state and every spawned child
+are the same; the array only spares ``SeedSequence.spawn`` from
+converting each child's entropy one Python int at a time.
 """
 
 from __future__ import annotations
@@ -20,15 +29,19 @@ from .core import _check_int
 CHUNK_SIZE = 8192
 
 
-def _encode(part: int | str) -> tuple[int, ...]:
-    """Map one path component to SeedSequence-compatible words."""
+def _encode(part: int | str) -> list[int]:
+    """Map one path component to its 32-bit entropy words."""
     if isinstance(part, (int, np.integer)):
         if part < 0:
             raise ValueError(f"stream path integers must be >= 0, got {part}")
-        return (int(part),)
+        value = int(part)
+        words = [value & 0xFFFFFFFF]
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+        return words
     digest = hashlib.sha256(part.encode("utf-8")).digest()
     # 8 words of 32 bits; plenty of separation between named roles.
-    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4))
+    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
 
 
 def substream(master_seed: int, *path: int | str) -> np.random.Generator:
@@ -37,10 +50,10 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     Distinct paths yield statistically independent PCG64 streams; the
     same (seed, path) always yields the same stream.
     """
-    words: list[int] = [_check_int("master_seed", master_seed, 0)]
+    words = _encode(_check_int("master_seed", master_seed, 0))
     for part in path:
         words.extend(_encode(part))
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def chunk_sizes(total: int) -> list[int]:

@@ -6,6 +6,7 @@ from twoarm.designs import (
     _RESTART_CHUNK,
     DesignSpec,
     _descend_lockstep,
+    _objectives,
     build_blocking,
     design_covariance,
     greedy_pair_switch,
@@ -367,6 +368,27 @@ def _uniform_panel(seed, n_subjects, p):
     return CovariateMatrix(np.random.default_rng(seed).uniform(-1, 1, (n_subjects, p)))
 
 
+def _tied_or_skewed_panel(kind, seed, n_subjects, p):
+    rng = np.random.default_rng(seed)
+    if kind == "duplicated":
+        # every covariate row twice, so many swaps tie exactly in h
+        return rng.permutation(np.repeat(rng.uniform(-1, 1, (n_subjects // 2, p)), 2, axis=0))
+    if kind == "exponential":
+        return rng.exponential(size=(n_subjects, p))
+    return rng.integers(0, 2, size=(n_subjects, p)).astype(float)
+
+
+def _count_tied_starts(g, h, starts):
+    """Starts whose best first swap is an exact tie of several swaps."""
+    tied = 0
+    for w0 in starts:
+        tr, ct = np.flatnonzero(w0 == 1), np.flatnonzero(w0 == -1)
+        gw = g @ w0
+        delta = h[np.ix_(tr, ct)] + gw[ct][None, :] - gw[tr][:, None]
+        tied += int(np.count_nonzero(delta == delta.min()) > 1)
+    return tied
+
+
 class TestLockstepMatchesReference:
     """The lockstep search returns the one-restart-at-a-time search's bits."""
 
@@ -404,13 +426,7 @@ class TestLockstepMatchesReference:
         vals = np.random.default_rng(23).integers(0, 3, size=(12, 1)).astype(float)
         g, h = _gram(vals)
         starts = _random_starts(50, 12, 100)
-        tied = 0
-        for w0 in starts:
-            tr, ct = np.flatnonzero(w0 == 1), np.flatnonzero(w0 == -1)
-            gw = g @ w0
-            delta = h[np.ix_(tr, ct)] + gw[ct][None, :] - gw[tr][:, None]
-            tied += int(np.count_nonzero(delta == delta.min()) > 1)
-        assert tied > 0
+        assert _count_tied_starts(g, h, starts) > 0
         ends = _descend_lockstep(g, h, starts.copy())
         for w0, w in zip(starts, ends):
             np.testing.assert_array_equal(w, descend_reference(g, w0)[0])
@@ -419,3 +435,33 @@ class TestLockstepMatchesReference:
             greedy_pair_switch(x, 50, substream(24, "pb-tie")).signs,
             greedy_pair_switch_reference(x, 50, substream(24, "pb-tie")).signs,
         )
+
+    @pytest.mark.parametrize("n_subjects", [12, 16, 24])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["duplicated", "exponential", "integer"])
+    def test_tied_and_skewed_panels(self, kind, p, n_subjects):
+        # exact ties in h (duplicated rows, integer covariates) and skewed
+        # exponential covariates: every restart ends where it ends alone,
+        # after swaps have left the slots out of subject order
+        vals = _tied_or_skewed_panel(kind, 30 + p, n_subjects, p)
+        g, h = _gram(vals)
+        starts = _random_starts(60, n_subjects, 31 + p)
+        if kind != "exponential":
+            assert _count_tied_starts(g, h, starts) > 0
+        ends = _descend_lockstep(g, h, starts.copy())
+        for w0, w in zip(starts, ends):
+            np.testing.assert_array_equal(w, descend_reference(g, w0)[0])
+        x = CovariateMatrix(vals)
+        path = (32, "pb-tied", kind, p, n_subjects)
+        np.testing.assert_array_equal(
+            greedy_pair_switch(x, 60, substream(*path)).signs,
+            greedy_pair_switch_reference(x, 60, substream(*path)).signs,
+        )
+
+    @pytest.mark.parametrize("n_subjects", [4, 12, 96])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_batched_objectives_equal_one_row_at_a_time(self, p, n_subjects):
+        g, _ = _gram(_uniform_panel(40 + p, n_subjects, p).values)
+        rows = _random_starts(70, n_subjects, 41)
+        want = np.array([float(row @ g @ row) for row in rows])
+        assert _objectives(g, rows).tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,27 @@ def test_string_and_int_components_mix():
 def test_negative_path_component_rejected():
     with pytest.raises(ValueError):
         substream(1, -2)
+
+
+def _python_int_words(part):
+    """A path part as the Python ints SeedSequence was once given."""
+    if isinstance(part, int):
+        return [part]
+    digest = hashlib.sha256(part.encode("utf-8")).digest()
+    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
+
+
+@pytest.mark.parametrize("path", [(), ("cell", 0), (2**32, "role"), (0, 2**40 + 3, "x", 2**64)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_uint32_words_give_the_python_int_entropy_pool(seed, path):
+    # the uint32 words split as numpy splits a Python int, so the state
+    # and every spawned child equal those of the list of Python ints
+    words = [seed] + [w for part in path for w in _python_int_words(part)]
+    got = substream(seed, *path)
+    want = np.random.default_rng(np.random.SeedSequence(words))
+    assert got.bit_generator.state == want.bit_generator.state
+    for a, b in zip(got.spawn(40), want.spawn(40)):
+        np.testing.assert_array_equal(a.permutation(96), b.permutation(96))
 
 
 def test_chunk_sizes_cover_total():

@@ -23,6 +23,7 @@ production blocking must give the same blocks.
 from __future__ import annotations
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.designs import regularized_covariance, sample_allocations
 from twoarm.matching import DistanceMatrix, MatchResult
-from twoarm.response import PROPORTION_PHI, draw_outcomes, potential_means
+from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, draw_outcomes, potential_means
 from twoarm.streams import chunk_sizes, substream
 
 # Largest 2n the exact bitmask DP accepts.
@@ -286,10 +287,14 @@ def bootstrap_ci_reference(
 
 def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
     """draw_outcomes, with the continuous draw as one rng.normal(mu, 1.0)
-    call and the proportion ratio taken into a fresh buffer."""
+    call, the survival draw as scale * weibull into a fresh buffer and the
+    proportion ratio taken into a fresh buffer."""
     size = (n_draws,) + mu.shape
     if model.kind == "continuous":
         return rng.normal(mu, 1.0, size)
+    if model.kind == "survival":
+        scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
+        return scale * rng.weibull(SURVIVAL_SHAPE, size)
     if model.kind != "proportion":
         return draw_outcomes(model, mu, rng, n_draws)
     g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
