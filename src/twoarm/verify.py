@@ -216,8 +216,9 @@ def variance_decomposition_terms(
     Returns (Var_Z of the allocation-conditional mean, E_Z of the
     allocation-conditional variance); the two sum to the unconditional
     variance.  The conditional variance needs either the
-    pairwise-matching closed form, the degenerate pb case, or an
-    enumerable support; other designs are rejected.
+    pairwise-matching closed form or an enumerable support (pb's is
+    {w*, -w*}, whose two squared errors are equal, so its conditional
+    variance is 0); other designs are rejected.
     """
     _check_int("n_draws", n_draws, 2)
     if x.n_subjects != spec.n_subjects:
@@ -232,9 +233,7 @@ def variance_decomposition_terms(
     v = y_t + y_c
     sigma = design_covariance(spec).sigma_w
     cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
-    if spec.kind == "pb":
-        cond_var = np.zeros(n_draws)
-    elif spec.kind == "pm":
+    if spec.kind == "pm":
         # pm_conditional_variance expects pairs at consecutive positions
         order = np.ravel(spec.blocking.pairs())
         cond_var = np.array([pm_conditional_variance(row) for row in v[:, order]])
@@ -250,38 +249,34 @@ def _check_subject_count(n_sub: int) -> None:
         )
 
 
-def _noise_only_scaled_variance(
-    cell_id: str, spec: DesignSpec, n_reps: int, master_seed: int, rho: float
-) -> tuple[float, float]:
-    """n^2 Var of a noise-only cell's squared error, with its standard error.
+def _noise_only_rows(cases, n_reps: int, master_seed: int, rho: float) -> list[dict]:
+    """n^2 Var of the squared error for (cell id, design, row fields) cases.
 
-    Every subject has mean 0 (a constant covariate, no intercept or
-    treatment effect), so w'(mu_T + mu_C) = 0 for every balanced w, and
-    each arm carries the continuous response's unit-variance Gaussian
-    noise, so 2 per subject.  The squared error of such a cell scales
-    with the noise variance, so its variance and that variance's standard
-    error scale with the square: both are multiplied by (rho / 2)^2 to
-    give total per-subject noise variance rho.  The standard error comes
-    from the sample's fourth central moment.
+    Each case runs on a noise-only cell: a zero covariate and no
+    intercept or treatment effect give every subject mean 0, and each
+    arm adds the continuous response's unit-variance Gaussian noise.
+    For any sign vector w, w'v is then N(0, 2n rho) at total per-subject
+    noise variance rho, so the squared error is (rho / 2n) chi2_1
+    whatever the design, and n^2 Var is exactly rho^2 / 2.  The cells
+    run at rho = 2; the variance and its standard error (from the
+    sample's fourth central moment) are scaled by n^2 (rho / 2)^2.  A
+    row is the case's fields, then n_reps, scaled_variance and se.
     """
-    model = ResponseModel(
-        kind="continuous", beta0=0.0, beta=np.array([1.0]), beta_t=0.0
-    )
-    cfg = CellConfig(
-        cell_id=cell_id,
-        model=model,
-        x=CovariateMatrix(np.zeros((spec.n_subjects, 1))),
-        design=spec,
-        n_reps=n_reps,
-        master_seed=master_seed,
-    )
-    sq = simulate_squared_errors(cfg)
-    n = spec.n_subjects // 2
-    var = float(sq.var(ddof=1))
-    m4 = float(np.mean((sq - sq.mean()) ** 4))
-    se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
-    scale = n * n * (rho / 2.0) ** 2
-    return scale * var, scale * se
+    model = ResponseModel(kind="continuous", beta0=0.0, beta=np.ones(1), beta_t=0.0)
+    rows = []
+    for cell_id, spec, fields in cases:
+        x = CovariateMatrix(np.zeros((spec.n_subjects, 1)))
+        sq = simulate_squared_errors(
+            CellConfig(cell_id, model, x, spec, n_reps, master_seed)
+        )
+        n = spec.n_subjects // 2
+        var = float(sq.var(ddof=1))
+        m4 = float(np.mean((sq - sq.mean()) ** 4))
+        se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
+        scale = n * n * (rho / 2.0) ** 2
+        est = {"n_reps": int(n_reps), "scaled_variance": scale * var, "se": scale * se}
+        rows.append({**fields, **est})
+    return rows
 
 
 def variance_floor_report(
@@ -296,12 +291,12 @@ def variance_floor_report(
     Simulates block designs on a noise-only cell (so the allocation
     term vanishes) with total per-subject noise variance rho, and
     reports the scaled variance estimate with a moment-based standard
-    error next to the floor.
+    error next to the floor.  On such a cell n^2 Var is exactly
+    rho^2 / 2 for every blocking, four times the floor.
     """
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be finite and > 0, got {rho}")
-    rows = []
-    bound = PM_REFERENCE * rho**2
+    cases = []
     for n_sub in n_subjects_grid:
         _check_subject_count(n_sub)
         for n_blocks in block_counts:
@@ -310,23 +305,14 @@ def variance_floor_report(
                 raise ValueError(
                     f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
                 )
-            spec = DesignSpec.block(
-                Blocking(np.arange(n_sub) // (n_sub // n_blocks))
-            )
-            est, est_se = _noise_only_scaled_variance(
-                f"floor::{n_sub}::{n_blocks}", spec, n_reps, master_seed, rho
-            )
-            rows.append(
-                {
-                    "n_subjects": int(n_sub),
-                    "n_blocks": int(n_blocks),
-                    "n_reps": int(n_reps),
-                    "scaled_variance": est,
-                    "se": est_se,
-                    "bound": bound,
-                    "satisfied": bool(est >= bound - 3.0 * est_se),
-                }
-            )
+            spec = DesignSpec.block(Blocking(np.arange(n_sub) // (n_sub // n_blocks)))
+            fields = {"n_subjects": int(n_sub), "n_blocks": int(n_blocks)}
+            cases.append((f"floor::{n_sub}::{n_blocks}", spec, fields))
+    bound = PM_REFERENCE * rho**2
+    rows = _noise_only_rows(cases, n_reps, master_seed, rho)
+    for row in rows:
+        row["bound"] = bound
+        row["satisfied"] = bool(row["scaled_variance"] >= bound - 3.0 * row["se"])
     return rows
 
 
@@ -341,9 +327,11 @@ def convergence_study(
     Runs pm and/or pb on a noise-only cell (Gaussian noise with rho = 1)
     and reports the scaled variance with a moment-based standard error,
     next to the published reference constants and the
-    enumeration-implied pm candidate.
+    enumeration-implied pm candidate.  On such a cell n^2 Var is exactly
+    rho^2 / 2 = 0.5 for either design, so pm's and pb's rows estimate
+    one constant.
     """
-    rows = []
+    cases = []
     for kind in design_kinds:
         if kind not in ("pm", "pb"):
             raise ValueError(f"convergence study covers pm and pb, not {kind!r}")
@@ -354,19 +342,11 @@ def convergence_study(
             else:
                 w_star = np.tile(np.array([1, -1], dtype=np.int8), n_sub // 2)
                 spec = DesignSpec.pb(Allocation(w_star))
-            est, est_se = _noise_only_scaled_variance(
-                f"convergence::{kind}::{n_sub}", spec, n_reps, master_seed, 1.0
-            )
-            rows.append(
-                {
-                    "design": kind,
-                    "n_subjects": int(n_sub),
-                    "n_reps": int(n_reps),
-                    "scaled_variance": est,
-                    "se": est_se,
-                    "pm_reference": PM_REFERENCE,
-                    "pb_reference": PB_REFERENCE,
-                    "pm_enumeration_candidate": PM_ENUMERATION_CANDIDATE,
-                }
-            )
+            fields = {"design": kind, "n_subjects": int(n_sub)}
+            cases.append((f"convergence::{kind}::{n_sub}", spec, fields))
+    rows = _noise_only_rows(cases, n_reps, master_seed, 1.0)
+    for row in rows:
+        row["pm_reference"] = PM_REFERENCE
+        row["pb_reference"] = PB_REFERENCE
+        row["pm_enumeration_candidate"] = PM_ENUMERATION_CANDIDATE
     return rows

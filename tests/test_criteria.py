@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoarm.verify
 from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
 from twoarm.criteria import (
     C_95,
@@ -29,6 +30,7 @@ from twoarm.verify import (
     PM_COND_VAR_COEFF_REPORTED,
     PM_ENUMERATION_CANDIDATE,
     PM_REFERENCE,
+    convergence_study,
     enumerate_allocations,
     variance_decomposition_terms,
     variance_floor_report,
@@ -340,3 +342,19 @@ class TestVarianceFloorReport:
         a = variance_floor_report([8], [2], n_reps=2000, master_seed=5)
         b = variance_floor_report([8], [2], n_reps=2000, master_seed=5)
         assert a == b
+
+
+def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):
+    # a bad entry after good ones must raise before the good cells run
+    def simulate(cfg):
+        raise AssertionError(f"{cfg.cell_id} simulated before validation")
+
+    monkeypatch.setattr(twoarm.verify, "simulate_squared_errors", simulate)
+    with pytest.raises(ValueError, match="n_subjects_grid.*got 7"):
+        variance_floor_report([8, 7], [1], n_reps=10, master_seed=1)
+    with pytest.raises(ValueError, match="4 blocks do not give even blocks at 2n=12"):
+        variance_floor_report([8, 12], [4], n_reps=10, master_seed=1)
+    with pytest.raises(ValueError, match="not 'bcrd'"):
+        convergence_study(["pm", "bcrd"], [8], n_reps=10, master_seed=1)
+    with pytest.raises(ValueError, match="n_subjects_grid.*got 2"):
+        convergence_study(["pm"], [8, 2], n_reps=10, master_seed=1)

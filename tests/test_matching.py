@@ -35,8 +35,11 @@ def _oracle_inputs(p: int):
     Uniform and exponential covariates at 2n = 4..64; tie-heavy inputs
     (all-zero and integer-valued distances, duplicated covariate rows, a
     constant covariate), where the port must break ties as networkx does;
-    and the fig2_design benchmark's covariate panels at this p, 2n = 96,
-    seed 101.
+    the fig2_design benchmark's covariate panels at this p, 2n = 96,
+    seed 101; and three integer matrices at 2n = 20 whose relabelling
+    scans a sub-blossom's leaves for a labelled one (at the third, the
+    port pairs differently from networkx unless that scan stops at the
+    first labelled leaf).
     """
     for n_subjects in (4, 6, 10, 16, 24, 40, 64):
         for seed in range(3):
@@ -65,6 +68,9 @@ def _oracle_inputs(p: int):
         source = default_covariate_source(response, "uniform")
         rng = substream(101, "covariates", "uniform", response, p)
         yield mahalanobis_distances(draw_covariates(source, 96, p, rng))
+    for seed in (1228, 3127, 3528):
+        upper = np.triu(np.random.default_rng(seed).integers(0, 10, (20, 20)), 1)
+        yield DistanceMatrix((upper + upper.T).astype(float))
 
 
 class TestDistanceMatrix:

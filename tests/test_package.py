@@ -12,6 +12,7 @@ import pytest
 import twoarm
 import twoarm.cli
 import twoarm.montecarlo
+import twoarm.verify
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -81,6 +82,20 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
     exported = set(names.split())
     assert len(exported) == 12
     assert exported == _readme_exports()
+
+
+def test_readme_lists_exactly_the_public_verify_functions_and_classes():
+    defined = {
+        name
+        for name, value in vars(twoarm.verify).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == "twoarm.verify"
+    }
+    mentioned = set(
+        re.findall(r"twoarm\.verify\.(\w+)", README.read_text(encoding="utf-8"))
+    )
+    assert mentioned == defined
 
 
 class _Stub:

@@ -13,8 +13,9 @@ the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
 reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with the continuous draw as one
-rng.normal(mu, 1.0) call and the proportion draw's own denominator and
-0.5 buffer; the in-place production loop must reproduce it bit for bit.
+rng.normal(mu, 1.0) call, the incidence and count draws written out
+and the proportion draw's own denominator and 0.5 buffer; the in-place
+production loop must reproduce it bit for bit.
 The reference sorted blocking re-sorts each covariate-1 super-group by
 covariate 2 in its own loop step; the one stable lexsort of the
 production blocking must give the same blocks.
@@ -31,7 +32,7 @@ import numpy as np
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.designs import regularized_covariance, sample_allocations
 from twoarm.matching import DistanceMatrix, MatchResult
-from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, draw_outcomes, potential_means
+from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, potential_means
 from twoarm.streams import chunk_sizes, substream
 
 # Largest 2n the exact bitmask DP accepts.
@@ -286,17 +287,21 @@ def bootstrap_ci_reference(
 
 
 def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
-    """draw_outcomes, with the continuous draw as one rng.normal(mu, 1.0)
-    call, the survival draw as scale * weibull into a fresh buffer and the
+    """draw_outcomes written out per response type: the continuous draw
+    as one rng.normal(mu, 1.0) call, the incidence draw as a 0/1 choice
+    on uniforms, the count draw as one rng.poisson(mu, size) call, the
+    survival draw as scale * weibull into a fresh buffer and the
     proportion ratio taken into a fresh buffer."""
     size = (n_draws,) + mu.shape
     if model.kind == "continuous":
         return rng.normal(mu, 1.0, size)
+    if model.kind == "incidence":
+        return np.where(rng.random(size) < mu, 1.0, 0.0)
+    if model.kind == "count":
+        return rng.poisson(mu, size).astype(float)
     if model.kind == "survival":
         scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
         return scale * rng.weibull(SURVIVAL_SHAPE, size)
-    if model.kind != "proportion":
-        return draw_outcomes(model, mu, rng, n_draws)
     g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
     g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
     denom = g1 + g2
