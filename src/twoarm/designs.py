@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, DesignCovariance, _check_int
+from .streams import row_blocks
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
 
@@ -84,6 +85,9 @@ def sample_allocations(
 
     Block-type designs randomize each block independently, exactly half
     of each block treated; pb flips a fair coin between w* and -w*.
+    Each design block's (n_draws, n_B) uniforms, their argsort and the
+    signs are taken in the row blocks of streams.row_blocks, which
+    consume rng exactly as one (n_draws, n_B) draw does.
     """
     _check_int("n_draws", n_draws, 0)
     n_sub = spec.n_subjects
@@ -91,13 +95,16 @@ def sample_allocations(
         coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
         return coin[:, None] * spec.w_star.signs[None, :]
     out = np.empty((n_draws, n_sub), dtype=np.int8)
-    for members in spec.blocking.blocks():
-        m = members.shape[0]
-        # argsort of iid uniforms puts a uniformly random half first
-        order = np.argsort(rng.random((n_draws, m)), axis=1)
-        buf = np.full((n_draws, m), -1, dtype=np.int8)
-        np.put_along_axis(buf, order[:, : m // 2], 1, axis=1)
-        out[:, members] = buf
+    blocks = spec.blocking.blocks()
+    m = blocks.shape[1]
+    row_slices = row_blocks(n_draws, m)
+    for members in blocks:
+        for rows in row_slices:
+            # argsort of iid uniforms puts a uniformly random half first
+            order = np.argsort(rng.random((rows.stop - rows.start, m)), axis=1)
+            buf = np.full(order.shape, -1, dtype=np.int8)
+            np.put_along_axis(buf, order[:, : m // 2], 1, axis=1)
+            out[rows, members] = buf
     return out
 
 

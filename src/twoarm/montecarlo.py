@@ -5,6 +5,10 @@ replicate draws fresh potential outcomes and one allocation and records
 the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.  A
+chunk holds one full outcome buffer: the treated arm is drawn into it,
+and the control arm, the allocation uniforms and their signs are drawn
+in row blocks of at most streams.BLOCK_ELEMENTS elements, each
+consuming its stream exactly as one whole draw would.  A
 cell's report, whose fields are the result columns of results.csv,
 holds the mean and sd of the squared error and two figures of its 0.95
 quantile: the empirical quantile and the normal approximation
@@ -12,7 +16,7 @@ mean + C_95 * sd, each with a 95% percentile-bootstrap interval.  Each
 figure is one row-wise function in the _FIGURES table, which gives its
 point value on a copy of the sample as a single row and its statistic
 on every resample.  The bootstrap draws the indices of a block of whole
-resamples at once, at most _BOOTSTRAP_BLOCK // N rows of N, and
+resamples at once, at most BLOCK_ELEMENTS // N rows of N, and
 evaluates the statistic on that (rows, N) block; the stream is consumed
 exactly as one draw per resample would consume it.  The empirical
 quantile, an order statistic, is resampled on the int32 ranks of the
@@ -34,8 +38,8 @@ import numpy as np
 from .core import CovariateMatrix, _check_int
 from .criteria import C_95
 from .designs import DesignSpec, sample_allocations
-from .response import ResponseModel, draw_outcomes, potential_means
-from .streams import chunk_sizes, substream
+from .response import ResponseModel, draw_outcomes, outcome_blocks, potential_means
+from .streams import chunk_sizes, row_blocks, substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +78,6 @@ class CriterionReport:
     approx_q95_hi: float
 
 
-# Index elements per bootstrap block: a block's int64 indices take
-# about 0.5 MB, and the float64 values or int32 ranks they gather 0.5
-# or 0.25 MB (a block is never less than one resample, so N above 2**16
-# takes N elements).
-_BOOTSTRAP_BLOCK = 1 << 16
-
-
 def _order_statistic(values: np.ndarray) -> np.ndarray:
     """Row-wise empirical 0.95 quantile: the ceil(0.95 * N)-th order
     statistic (inverse-CDF definition) along the last axis of N.
@@ -106,11 +103,11 @@ def bootstrap_ci(
     returns the b statistics as an array of shape (b,); anything else
     raises ValueError.  It may overwrite the block, which is a fresh
     gather from samples, never samples itself.  Resamples are drawn in
-    blocks of at most max(1, _BOOTSTRAP_BLOCK // N) rows with one
-    rng.integers call each.  For N below 2**32 numpy draws these bounded
-    integers one 32-bit word at a time, so a (b, N) draw consumes the
-    stream exactly as b draws of N do, and the interval does not depend
-    on the block size.  rng is required so that every interval comes
+    the blocks of streams.row_blocks(n_resamples, N), at most
+    max(1, BLOCK_ELEMENTS // N) rows, with one rng.integers call each.
+    For N below 2**32 numpy draws these bounded integers one 32-bit word
+    at a time, so a (b, N) draw consumes the stream exactly as b draws of
+    N do, and the interval does not depend on the block size.  rng is required so that every interval comes
     from a seed-derived stream.
 
     A statistic whose on_ranks attribute is true commutes with every
@@ -132,10 +129,9 @@ def bootstrap_ci(
         source[order] = np.arange(n, dtype=source.dtype)
     else:
         source, sorted_samples = samples, None
-    rows = max(1, _BOOTSTRAP_BLOCK // n)
     stats = np.empty(n_resamples)
-    for start in range(0, n_resamples, rows):
-        b = min(rows, n_resamples - start)
+    for rows in row_blocks(n_resamples, n):
+        b = rows.stop - rows.start
         block = np.asarray(statistic(source[rng.integers(0, n, (b, n))]))
         if block.shape != (b,):
             raise ValueError(
@@ -144,7 +140,7 @@ def bootstrap_ci(
             )
         if sorted_samples is not None:
             block = sorted_samples[block]
-        stats[start : start + b] = block
+        stats[rows] = block
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
     # endpoints np.quantile returns, so the output bytes, depend on it.
     alpha = (1.0 - 0.95) / 2.0
@@ -178,20 +174,39 @@ _FIGURES = (
 )
 
 
+def _chunk_squared_errors(
+    cfg: CellConfig, mu_t: np.ndarray, mu_c: np.ndarray, ci: int, size: int
+) -> np.ndarray:
+    """The squared errors of chunk ci, whose buffers are freed on return,
+    before the next chunk draws.
+
+    The treated arm fills one (size, 2n) buffer, and the control arm is
+    added into it one row block at a time from outcome_blocks on the
+    same stream, so the chunk's peak is that buffer (two for the
+    proportion response, whose first gammas are drawn whole) plus one
+    row block and the int8 signs."""
+    rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
+    rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
+    # the signs first, on their own stream, so that their row blocks are
+    # drawn before the outcome buffer exists
+    w = sample_allocations(cfg.design, size, rng_w)
+    # w * (y_t + y_c), in one buffer: the same sums and products
+    v = draw_outcomes(cfg.model, mu_t, rng_y, size)
+    for rows, y_c in outcome_blocks(cfg.model, mu_c, rng_y, size):
+        v[rows] += y_c
+    v *= w
+    return np.square(v.sum(axis=1) / (2.0 * cfg.x.n_pairs))
+
+
 def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
-    """All replicate squared errors for a cell, chunk by chunk."""
+    """All replicate squared errors for a cell, chunk by chunk, each
+    chunk holding one full outcome buffer at a time (two for the
+    proportion response) and freeing it before the next."""
     mu_t, mu_c = potential_means(cfg.model, cfg.x)
-    n = cfg.x.n_pairs
     sq = np.empty(cfg.n_reps)
     pos = 0
     for ci, size in enumerate(chunk_sizes(cfg.n_reps)):
-        rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
-        rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
-        # w * (y_t + y_c), in one buffer: the same sums and products
-        v = draw_outcomes(cfg.model, mu_t, rng_y, size)
-        v += draw_outcomes(cfg.model, mu_c, rng_y, size)
-        v *= sample_allocations(cfg.design, size, rng_w)
-        sq[pos : pos + size] = np.square(v.sum(axis=1) / (2.0 * n))
+        sq[pos : pos + size] = _chunk_squared_errors(cfg, mu_t, mu_c, ci, size)
         pos += size
     return sq
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CovariateMatrix, _check_int, _frozen
+from .streams import row_blocks
 
 RESPONSE_KINDS = ("continuous", "incidence", "proportion", "count", "survival")
 
@@ -162,7 +164,12 @@ def potential_means(
     return mu_t, mu_c
 
 
-def _validate_mu(model: ResponseModel, mu: np.ndarray) -> None:
+def _checked_mu(model: ResponseModel, mu, n_draws: int) -> np.ndarray:
+    """mu as a float vector, once it and n_draws are valid for a draw."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1:
+        raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
+    _check_int("n_draws", n_draws, 0)
     if not np.isfinite(mu).all():
         raise ValueError("mu must be finite")
     kind = model.kind
@@ -179,6 +186,70 @@ def _validate_mu(model: ResponseModel, mu: np.ndarray) -> None:
             raise ValueError(
                 f"count means above {POISSON_MEAN_LIMIT:g} are rejected"
             )
+    return mu
+
+
+def outcome_blocks(
+    model: ResponseModel,
+    mu: np.ndarray,
+    rng: np.random.Generator,
+    n_draws: int,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu,
+    as (rows, block) pairs over streams.row_blocks(n_draws, len(mu)).
+
+    Checks its arguments at the call; the blocks are drawn as they are
+    iterated, each at most BLOCK_ELEMENTS elements.  Every draw takes
+    its variates element by element in row order, so the blocks consume
+    rng exactly as one (n_draws, len(mu)) draw does and hold its bytes.
+    The proportion draw needs every first gamma before any second one,
+    so it draws those whole when iteration starts.
+    """
+    mu = _checked_mu(model, mu, n_draws)
+    return _draw_blocks(model.kind, mu, rng, n_draws)
+
+
+def _draw_blocks(
+    kind: str,
+    mu: np.ndarray,
+    rng: np.random.Generator,
+    n_draws: int,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The blocks of outcome_blocks, each drawn into out[rows] when out
+    is given; otherwise a proportion block is a view of its first gammas
+    and any other block a fresh array."""
+    width = mu.shape[0]
+    if kind == "proportion":
+        g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, (n_draws, width)))
+        shape2 = PROPORTION_PHI * (1.0 - mu)
+    elif kind == "survival":
+        scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
+    for rows in row_blocks(n_draws, width):
+        size = (rows.stop - rows.start, width)
+        if out is not None:
+            v = out[rows]
+        elif kind == "proportion":
+            v = g1[rows]  # divided in place
+        else:
+            v = np.empty(size)
+        if kind == "continuous":
+            # numpy's normal(mu, 1.0) is mu + 1.0 * z: the same draws and bytes
+            rng.standard_normal(out=v)
+            v += mu
+        elif kind == "incidence":
+            np.less(rng.random(size), mu, out=v)
+        elif kind == "proportion":
+            g2 = rng.standard_gamma(np.broadcast_to(shape2, size))
+            g2 += g1[rows]  # the denominator; g1 / g2 is the draw, 0.5 where g2 is 0
+            np.divide(g1[rows], g2, out=v, where=g2 > 0)
+            v[g2 == 0] = 0.5
+        elif kind == "count":
+            np.copyto(v, rng.poisson(np.broadcast_to(mu, size)))
+        else:
+            # an IEEE product commutes: the same bytes as scale * weibull
+            np.multiply(rng.weibull(SURVIVAL_SHAPE, size), scale, out=v)
+        yield rows, v
 
 
 def draw_outcomes(
@@ -187,34 +258,13 @@ def draw_outcomes(
     rng: np.random.Generator,
     n_draws: int,
 ) -> np.ndarray:
-    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1:
-        raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
-    _check_int("n_draws", n_draws, 0)
-    _validate_mu(model, mu)
-    size = (n_draws,) + mu.shape
-    kind = model.kind
-    if kind == "continuous":
-        # numpy's normal(mu, 1.0) is mu + 1.0 * z: the same draws and bytes
-        v = rng.standard_normal(size)
-        v += mu
-        return v
-    if kind == "incidence":
-        return (rng.random(size) < mu).astype(float)
-    if kind == "proportion":
-        g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
-        g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
-        g2 += g1  # the denominator, in place; g1 / g2 is the draw, 0.5 where g2 is 0
-        np.divide(g1, g2, out=g1, where=g2 > 0)
-        g1[g2 == 0] = 0.5
-        return g1
-    if kind == "count":
-        return rng.poisson(np.broadcast_to(mu, size)).astype(float)
-    # an IEEE product commutes: the same bytes as scale * weibull, in place
-    v = rng.weibull(SURVIVAL_SHAPE, size)
-    v *= mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
-    return v
+    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu:
+    the blocks of outcome_blocks, each drawn in place into one array."""
+    mu = _checked_mu(model, mu, n_draws)
+    out = np.empty((n_draws,) + mu.shape)
+    for _ in _draw_blocks(model.kind, mu, rng, n_draws, out):
+        pass
+    return out
 
 
 def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:

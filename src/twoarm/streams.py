@@ -14,6 +14,9 @@ SHA-256 digest as 8 little-endian words.  That is the same entropy
 pool as the list of Python ints, so the state and every spawned child
 are the same; the array only spares ``SeedSequence.spawn`` from
 converting each child's entropy one Python int at a time.
+
+Large draws are taken in the row blocks of ``row_blocks``, which
+consume a stream exactly as one whole draw does.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from .core import _check_int
 # Replicates are always drawn in chunks of this size so that serial and
 # parallel runs consume identical stream segments.
 CHUNK_SIZE = 8192
+
+# Elements per row block of a large draw (outcomes, allocation uniforms,
+# bootstrap indices): a float64 block takes 0.5 MB.  A block is never
+# less than one row, so rows wider than this take one row per block.
+BLOCK_ELEMENTS = 1 << 16
 
 
 def _encode(part: int | str) -> list[int]:
@@ -61,3 +69,14 @@ def chunk_sizes(total: int) -> list[int]:
     _check_int("total", total, 0)
     full, rest = divmod(total, CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
+
+
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Cut n_rows rows of `width` elements into consecutive row slices of
+    at most max(1, BLOCK_ELEMENTS // width) rows (the last one ragged).
+
+    Every sampler that draws in these blocks consumes its stream exactly
+    as one (n_rows, width) draw does, so no byte depends on the block
+    size."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]

@@ -17,11 +17,13 @@ from twoarm.streams import substream
 from twoarm.verify import enumerate_allocations, mahalanobis_imbalance
 
 from util_oracles import (
+    ROW_BLOCK_DRAWS,
     balanced_allocations,
     block_allocations,
     build_blocking_reference,
     descend_reference,
     greedy_pair_switch_reference,
+    sample_allocations_reference,
 )
 
 # chi-square critical values at alpha = 0.001
@@ -105,6 +107,28 @@ class TestSampling:
         draws = sample_allocations(DesignSpec.bcrd(6), 1, substream(5, "one"))
         assert draws.shape == (1, 6)
         assert Allocation(draws[0]).n_subjects == 6
+
+    @pytest.mark.parametrize("n_draws", ROW_BLOCK_DRAWS)
+    @pytest.mark.parametrize("design", ["bcrd", 2, 8, 48, "pb"])
+    def test_row_blocks_equal_the_whole_block_draw(self, design, n_draws):
+        # At 2n = 96 a bcrd row block is 682 rows; B = 48 blocks of two
+        # fit a whole chunk in one row block.  Sorted blockings scatter
+        # each block's members over the subjects.
+        x = CovariateMatrix(substream(21, "rows-x").random((96, 2)))
+        if design == "bcrd":
+            spec = DesignSpec.bcrd(96)
+        elif design == "pb":
+            spec = DesignSpec.pb(greedy_pair_switch(x, 2, substream(21, "rows-pb")))
+        else:
+            spec = DesignSpec.block(build_blocking(x, design))
+        rng = substream(22, n_draws, "rows")
+        ref_rng = substream(22, n_draws, "rows")
+        got = sample_allocations(spec, n_draws, rng)
+        want = sample_allocations_reference(spec, n_draws, ref_rng)
+        assert got.shape == want.shape == (n_draws, 96)
+        assert got.dtype == want.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDesignCovariance:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,13 +25,15 @@ from twoarm.response import (
     default_model,
     draw_covariates,
     draw_outcomes,
+    outcome_blocks,
     potential_means,
     residual_variances,
 )
-from twoarm.streams import substream
+from twoarm.streams import CHUNK_SIZE, substream
 from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracle
 
 from util_oracles import (
+    ROW_BLOCK_DRAWS,
     balanced_allocations,
     bootstrap_ci_reference,
     draw_outcomes_reference,
@@ -266,20 +269,59 @@ class TestSimulateSquaredErrors:
             got = simulate_squared_errors(cfg)
             assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
 
-    @pytest.mark.parametrize("n_draws", [8192, 100])
-    def test_continuous_draw_equals_one_normal_call(self, n_draws):
-        # standard_normal + mu against rng.normal(mu, 1.0): the same bytes
-        # and the same end state, on a full chunk and a ragged one
-        source = default_covariate_source("continuous")
-        x = draw_covariates(source, 96, 2, substream(7, "x"))
-        model = default_model("continuous", 2)
-        mu_t, _ = potential_means(model, x)
-        rng = substream(31, n_draws, "normal")
-        ref_rng = substream(31, n_draws, "normal")
-        got = draw_outcomes(model, mu_t, rng, n_draws)
+    @pytest.mark.parametrize("n_draws", ROW_BLOCK_DRAWS)
+    @pytest.mark.parametrize("kind", RESPONSE_KINDS)
+    def test_outcome_blocks_equal_one_draw(self, kind, n_draws):
+        # The treated arm through draw_outcomes and the control arm added
+        # block by block, as the chunk loop does, against the whole draws
+        # of the oracle on the same stream (the continuous one is
+        # rng.normal(mu, 1.0)): the same bytes, the same end state.  A row
+        # block is 682 rows at 2n = 96.
+        x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
+        model = default_model(kind, 2)
+        mu_t, mu_c = potential_means(model, x)
+        rng = substream(33, n_draws, kind)
+        ref_rng = substream(33, n_draws, kind)
+        v = draw_outcomes(model, mu_t, rng, n_draws)
         want = draw_outcomes_reference(model, mu_t, ref_rng, n_draws)
-        assert got.tobytes() == want.tobytes()
+        assert v.shape == want.shape == (n_draws, 96)
+        assert v.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for rows, y_c in outcome_blocks(model, mu_c, rng, n_draws):
+            v[rows] += y_c
+        want = want + draw_outcomes_reference(model, mu_c, ref_rng, n_draws)
+        assert v.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "kind, limit",
+        [("continuous", 1.5), ("incidence", 1.5), ("proportion", 2.5),
+         ("count", 1.5), ("survival", 1.5)],
+    )
+    def test_a_chunk_peaks_at_one_outcome_buffer(self, kind, limit):
+        # tracemalloc sees numpy's array allocations.  One full chunk at
+        # 2n = 96 holds one (8192, 96) float64 buffer, two for the
+        # proportion draw's first gammas, plus row blocks and int8 signs;
+        # a whole control-arm draw would add a buffer, and a bcrd block's
+        # whole uniforms and argsort two.
+        x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
+        buffer = CHUNK_SIZE * 96 * 8
+        for design in (DesignSpec.bcrd(96), DesignSpec.block(build_blocking(x, 48))):
+            cfg = CellConfig(
+                cell_id=f"peak::{kind}::{design.kind}",
+                model=default_model(kind, 2),
+                x=x,
+                design=design,
+                n_reps=CHUNK_SIZE,
+                master_seed=41,
+            )
+            tracemalloc.start()
+            try:
+                simulate_squared_errors(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * buffer, (design.kind, peak / buffer)
 
     def test_mean_matches_the_analytic_criterion(self):
         cfg = _pm_cell(n_reps=40_000)

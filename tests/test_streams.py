@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from twoarm.streams import CHUNK_SIZE, chunk_sizes, substream
+from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunk_sizes, row_blocks, substream
 
 
 def test_same_path_same_stream():
@@ -61,3 +61,15 @@ def test_chunk_sizes_cover_total():
     assert chunk_sizes(0) == []
     with pytest.raises(ValueError):
         chunk_sizes(-1)
+
+
+@pytest.mark.parametrize(
+    "n_rows, width",
+    [(0, 96), (1, 96), (682, 96), (8192, 96), (5, 0), (3, BLOCK_ELEMENTS + 1)],
+)
+def test_row_blocks_cover_the_rows_in_order(n_rows, width):
+    blocks = row_blocks(n_rows, width)
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    assert [s.start for s in blocks] == list(range(0, n_rows, step))
+    assert all(s.stop - s.start == step for s in blocks[:-1])
+    assert (blocks[-1].stop if blocks else 0) == n_rows

@@ -13,9 +13,11 @@ the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
 reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with the continuous draw as one
-rng.normal(mu, 1.0) call, the incidence and count draws written out
-and the proportion draw's own denominator and 0.5 buffer; the in-place
-production loop must reproduce it bit for bit.
+rng.normal(mu, 1.0) call, the incidence and count draws written out,
+the proportion draw's own denominator and 0.5 buffer, and each design
+block's allocations drawn whole; the production loop, which draws the
+control arm and the allocations in row blocks, must reproduce it bit
+for bit.
 The reference sorted blocking re-sorts each covariate-1 super-group by
 covariate 2 in its own loop step; the one stable lexsort of the
 production blocking must give the same blocks.
@@ -30,13 +32,19 @@ import networkx as nx
 import numpy as np
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.designs import regularized_covariance, sample_allocations
+from twoarm.designs import regularized_covariance
 from twoarm.matching import DistanceMatrix, MatchResult
 from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, potential_means
-from twoarm.streams import chunk_sizes, substream
+from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunk_sizes, substream
 
 # Largest 2n the exact bitmask DP accepts.
 EXACT_CAPACITY = 12
+
+# Draw counts that the row-block samplers must match the whole draws at,
+# for rows of 2n = 96: none, one row, one row below, at and above the
+# first row-block boundary, and a full chunk.
+_EDGE = BLOCK_ELEMENTS // 96
+ROW_BLOCK_DRAWS = (0, 1, _EDGE - 1, _EDGE, _EDGE + 1, CHUNK_SIZE)
 
 
 class CapacityError(ValueError):
@@ -308,6 +316,22 @@ def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
     return np.divide(g1, denom, out=np.full(size, 0.5), where=denom > 0)
 
 
+def sample_allocations_reference(spec, n_draws: int, rng) -> np.ndarray:
+    """sample_allocations with each design block's (n_draws, n_B)
+    uniforms, argsort and signs taken whole, one block after another."""
+    if spec.kind == "pb":
+        coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
+        return coin[:, None] * spec.w_star.signs[None, :]
+    out = np.empty((n_draws, spec.n_subjects), dtype=np.int8)
+    for members in spec.blocking.blocks():
+        m = members.shape[0]
+        order = np.argsort(rng.random((n_draws, m)), axis=1)
+        buf = np.full((n_draws, m), -1, dtype=np.int8)
+        np.put_along_axis(buf, order[:, : m // 2], 1, axis=1)
+        out[:, members] = buf
+    return out
+
+
 def simulate_squared_errors_reference(cfg) -> np.ndarray:
     """Every replicate squared error of a cell, each chunk's contrast
     w * (y_t + y_c) built from separate arrays on the production streams."""
@@ -319,7 +343,7 @@ def simulate_squared_errors_reference(cfg) -> np.ndarray:
         rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
         y_t = draw_outcomes_reference(cfg.model, mu_t, rng_y, size)
         y_c = draw_outcomes_reference(cfg.model, mu_c, rng_y, size)
-        w = sample_allocations(cfg.design, size, rng_w)
+        w = sample_allocations_reference(cfg.design, size, rng_w)
         out.append(np.square((w * (y_t + y_c)).sum(axis=1) / (2.0 * n)))
     return np.concatenate(out)
 
