@@ -183,28 +183,3 @@ class Blocking:
         if not self.is_pairing:
             raise ValueError("pairs() requires block size 2")
         return sorted(map(tuple, self.blocks().tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class DesignCovariance:
-    """Allocation covariance matrix E[w w'], unit diagonal."""
-
-    sigma_w: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.sigma_w)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("sigma_w must be square")
-        if not np.allclose(arr, arr.T, rtol=0, atol=1e-12):
-            raise ValueError("sigma_w must be symmetric")
-        if not np.allclose(np.diag(arr), 1.0, rtol=0, atol=1e-12):
-            raise ValueError("sigma_w diagonal must be exactly 1")
-        object.__setattr__(self, "sigma_w", arr)
-
-    @property
-    def n_subjects(self) -> int:
-        return self.sigma_w.shape[0]
-
-    def quadratic_form(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.sigma_w @ v)

@@ -1,12 +1,14 @@
-"""Analytic criteria for comparing designs.
+"""Closed forms that check the design pipeline.
 
-The design criterion is the 0.95 quantile of the estimator's squared
-error; no other level is supported.  This module provides the exact
-mean of the squared error, the pairwise-matching conditional variance
-in closed form and C_95, the constant of the normal approximation
-mean + C_95 * sd to the quantile, which twoarm.montecarlo evaluates.
-The published reference constants for the large-n variance scaling live
-in twoarm.verify with the convergence reports.
+The simulations never call these; twoarm.verify, the tests and the
+benchmark's output gate compare the Monte Carlo against them, and
+nothing on the grid path imports this module.  It provides the exact
+mean of the squared error over a design's allocation covariance E[ww']
+(twoarm.designs.design_covariance) and the pairwise-matching
+conditional variance in closed form.  The constant C_95 of the normal
+approximation to the 0.95 quantile lives in twoarm.montecarlo, which
+evaluates it; the published reference constants for the large-n
+variance scaling live in twoarm.verify with the convergence reports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignCovariance, _frozen
+from .core import _frozen
 
 # Coefficient c in Var_W[(tau_hat - tau)^2 | v] = c * sum_{i<j} d_i^2 d_j^2 / n^4
 # for pairwise matching.  Fixed by exhaustive enumeration of the n = 2
@@ -23,25 +25,32 @@ from .core import DesignCovariance, _frozen
 # externally reported value 1/16 for reference output.
 PM_COND_VAR_COEFF = 0.25
 
-# The 0.95 normal quantile, rounded as the paper rounds it, used by the
-# normal approximation to the criterion.
-C_95 = 1.645
-
 
 @dataclass(frozen=True, eq=False)
 class CriterionInputs:
-    """Everything the analytic criterion needs about one design cell."""
+    """Everything the analytic criterion needs about one design cell.
+
+    sigma_w is the allocation covariance E[ww'], square and symmetric
+    with a unit diagonal.
+    """
 
     mu: np.ndarray
     rho: np.ndarray
-    sigma_w: DesignCovariance
+    sigma_w: np.ndarray
 
     def __post_init__(self):
+        sigma_w = _frozen(self.sigma_w)
+        if sigma_w.ndim != 2 or sigma_w.shape[0] != sigma_w.shape[1]:
+            raise ValueError("sigma_w must be square")
+        if not np.allclose(sigma_w, sigma_w.T, rtol=0, atol=1e-12):
+            raise ValueError("sigma_w must be symmetric")
+        if not np.allclose(np.diag(sigma_w), 1.0, rtol=0, atol=1e-12):
+            raise ValueError("sigma_w diagonal must be exactly 1")
         mu = _frozen(self.mu)
         rho = _frozen(self.rho)
         if mu.ndim != 1 or rho.shape != mu.shape:
             raise ValueError("mu and rho must be 1-D vectors of one length")
-        if mu.shape[0] != self.sigma_w.n_subjects:
+        if mu.shape[0] != sigma_w.shape[0]:
             raise ValueError("mu length must match sigma_w")
         if mu.shape[0] % 2:
             raise ValueError("subject count must be even")
@@ -52,6 +61,7 @@ class CriterionInputs:
             raise ValueError("rho entries must be >= 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma_w", sigma_w)
 
     @property
     def n_pairs(self) -> int:
@@ -64,9 +74,8 @@ def mean_mse(inputs: CriterionInputs) -> float:
     mu here is the per-subject sum mu_T + mu_C.
     """
     n = inputs.n_pairs
-    return (inputs.sigma_w.quadratic_form(inputs.mu) + float(inputs.rho.sum())) / (
-        4.0 * n * n
-    )
+    mu = inputs.mu
+    return (float(mu @ inputs.sigma_w @ mu) + float(inputs.rho.sum())) / (4.0 * n * n)
 
 
 def pm_conditional_variance(v) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, DesignCovariance, _check_int
+from .core import Allocation, Blocking, CovariateMatrix, _check_int
 from .streams import row_blocks
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
@@ -108,23 +108,26 @@ def sample_allocations(
     return out
 
 
-def design_covariance(spec: DesignSpec) -> DesignCovariance:
-    """Exact allocation covariance E[w w'].
+def design_covariance(spec: DesignSpec) -> np.ndarray:
+    """Exact allocation covariance E[w w'], a read-only (2n, 2n) array.
 
     Within a block of size n_B the off-diagonal entries are
     -1/(n_B - 1) (balanced exchangeable signs must have rows summing to
     zero over the block); across blocks they are 0.  For pb the matrix
-    is the rank-one outer product w* w*'.
+    is the rank-one outer product w* w*'.  Only the checks use it; the
+    grid never does.
     """
     if spec.kind == "pb":
         w = spec.w_star.signs.astype(float)
-        return DesignCovariance(np.outer(w, w))
-    n_sub = spec.n_subjects
-    members = spec.blocking.blocks()
-    sigma = np.zeros((n_sub, n_sub))
-    sigma[members[:, :, None], members[:, None, :]] = -1.0 / (members.shape[1] - 1)
-    np.fill_diagonal(sigma, 1.0)
-    return DesignCovariance(sigma)
+        sigma = np.outer(w, w)
+    else:
+        n_sub = spec.n_subjects
+        members = spec.blocking.blocks()
+        sigma = np.zeros((n_sub, n_sub))
+        sigma[members[:, :, None], members[:, None, :]] = -1.0 / (members.shape[1] - 1)
+        np.fill_diagonal(sigma, 1.0)
+    sigma.setflags(write=False)
+    return sigma
 
 
 def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:

@@ -12,10 +12,11 @@ consuming its stream exactly as one whole draw would.  A
 cell's report, whose fields are the result columns of results.csv,
 holds the mean and sd of the squared error and two figures of its 0.95
 quantile: the empirical quantile and the normal approximation
-mean + C_95 * sd, each with a 95% percentile-bootstrap interval.  Each
-figure is one row-wise function in the _FIGURES table, which gives its
-point value on a copy of the sample as a single row and its statistic
-on every resample.  The bootstrap draws the indices of a block of whole
+mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here),
+each with a 95% percentile-bootstrap interval.  Each figure is one
+row-wise function in the _FIGURES table, which gives its point value
+on a copy of the sample as a single row and its statistic on every
+resample.  The bootstrap draws the indices of a block of whole
 resamples at once, at most BLOCK_ELEMENTS // N rows of N, and
 evaluates the statistic on that (rows, N) block; the stream is consumed
 exactly as one draw per resample would consume it.  The empirical
@@ -25,7 +26,8 @@ value, ties included; the normal approximation computes each
 resample's mean once.
 
 The variance-floor and convergence reports in twoarm.verify run
-noise-only cells through the same chunk loop.
+noise-only cells through the same chunk loop, and the closed forms of
+twoarm.criteria check its results; the grid path imports neither.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovariateMatrix, _check_int
-from .criteria import C_95
 from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, outcome_blocks, potential_means
 from .streams import chunk_sizes, row_blocks, substream
+
+# The 0.95 normal quantile, rounded as the paper rounds it, used by the
+# normal approximation mean + C_95 * sd to the criterion.
+C_95 = 1.645
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,6 +198,8 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
 def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
     """Average squared within-pair gap of a mean vector: (1/n) sum (mu_a - mu_b)^2."""
     mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or not np.isfinite(mu).all():
+        raise ValueError(f"mu must be a finite 1-D vector, got shape {mu.shape}")
     if mu.shape[0] != pairing.n_subjects:
         raise ValueError("mu length must match the pairing")
     gaps = [mu[a] - mu[b] for a, b in pairing.pairs()]
@@ -231,7 +233,7 @@ def variance_decomposition_terms(
     y_t = draw_outcomes(model, mu_t, rng, n_draws)
     y_c = draw_outcomes(model, mu_c, rng, n_draws)
     v = y_t + y_c
-    sigma = design_covariance(spec).sigma_w
+    sigma = design_covariance(spec)
     cond_mean = np.einsum("ri,ij,rj->r", v, sigma, v) / (4.0 * n * n)
     if spec.kind == "pm":
         # pm_conditional_variance expects pairs at consecutive positions

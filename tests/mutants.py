@@ -1,0 +1,239 @@
+"""Mutation checks: each entry is a small edit that the tests must catch.
+
+Run from anywhere:
+
+    python tests/mutants.py
+
+Each entry of MUTANTS names a file under src/, an exact text in it, the
+text that replaces it, and the test node ids that must fail once it
+does.  For one entry at a time, the script copies src/ into a temporary
+directory, applies the edit there and runs only the listed nodes with
+pytest in a child process whose PYTHONPATH puts the copy first; the
+child stops at once unless twoarm is imported from the copy.  Each
+entry is reported as
+
+    killed    every listed node has a failing test,
+    survived  some listed node passes on the mutant (a finding about
+              the tests: the entry stays in the table),
+    stale     the old text is not in the file exactly once, or pytest
+              could not run the nodes (a renamed test, or an edit that
+              no longer makes importable code); the entry must be
+              updated with the code or the tests it names.
+
+A refactor of a module updates that module's stale entries.  The exit
+status is 0 only if every entry is killed.  pytest does not collect
+this file (it is not named test_*.py).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    nodes: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "C_95 at the unrounded 1.96",
+        "twoarm/montecarlo.py",
+        "C_95 = 1.645\n",
+        "C_95 = 1.96\n",
+        (
+            "tests/test_criteria.py::TestTailConstant::test_standard_levels_use_rounded_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+            "tests/test_montecarlo.py::TestRunCell::test_summary_fields_are_consistent",
+        ),
+    ),
+    Mutant(
+        "mean_mse divides by 4n(n+1)",
+        "twoarm/criteria.py",
+        "/ (4.0 * n * n)",
+        "/ (4.0 * n * (n + 1))",
+        (
+            "tests/test_criteria.py::TestMeanMse::test_quadratic_form_by_hand",
+            "tests/test_criteria.py::TestMeanMse::test_single_nonzero_mean_under_bcrd",
+            "tests/test_criteria.py::TestMeanMse::test_matches_enumeration_over_the_support",
+        ),
+    ),
+    Mutant(
+        "CriterionInputs drops the symmetric check",
+        "twoarm/criteria.py",
+        "        if not np.allclose(sigma_w, sigma_w.T, rtol=0, atol=1e-12):\n"
+        '            raise ValueError("sigma_w must be symmetric")\n',
+        "",
+        (
+            "tests/test_criteria.py::TestCriterionInputs"
+            "::test_sigma_w_must_be_a_square_symmetric_unit_diagonal_match",
+        ),
+    ),
+    Mutant(
+        "CriterionInputs drops the unit-diagonal check",
+        "twoarm/criteria.py",
+        "        if not np.allclose(np.diag(sigma_w), 1.0, rtol=0, atol=1e-12):\n"
+        '            raise ValueError("sigma_w diagonal must be exactly 1")\n',
+        "",
+        (
+            "tests/test_criteria.py::TestCriterionInputs"
+            "::test_sigma_w_must_be_a_square_symmetric_unit_diagonal_match",
+        ),
+    ),
+    Mutant(
+        "design_covariance's off-diagonal at -1/n_B",
+        "twoarm/designs.py",
+        "= -1.0 / (members.shape[1] - 1)",
+        "= -1.0 / members.shape[1]",
+        (
+            "tests/test_designs.py::TestDesignCovariance::test_matches_exact_enumeration",
+            "tests/test_designs.py::TestDesignCovariance::test_block_rows_sum_to_zero_within_blocks",
+            "tests/test_criteria.py::TestMeanMse::test_pairwise_matching_uses_within_pair_gaps",
+        ),
+    ),
+    Mutant(
+        "design_covariance returns a writeable array",
+        "twoarm/designs.py",
+        "    sigma.setflags(write=False)\n",
+        "",
+        ("tests/test_designs.py::TestDesignCovariance::test_is_read_only",),
+    ),
+    Mutant(
+        "PM_COND_VAR_COEFF at the reported 1/16",
+        "twoarm/criteria.py",
+        "PM_COND_VAR_COEFF = 0.25\n",
+        "PM_COND_VAR_COEFF = 0.0625\n",
+        (
+            "tests/test_criteria.py::TestPmConditionalVariance::test_coefficient_constants",
+            "tests/test_criteria.py::TestPmConditionalVariance::test_two_pair_worked_example",
+            "tests/test_criteria.py::TestPmConditionalVariance::test_matches_sign_pattern_enumeration",
+        ),
+    ),
+    Mutant(
+        "montecarlo imports twoarm.criteria again",
+        "twoarm/montecarlo.py",
+        "from .streams import chunk_sizes, row_blocks, substream\n",
+        "from .criteria import mean_mse  # noqa: F401\n"
+        "from .streams import chunk_sizes, row_blocks, substream\n",
+        (
+            "tests/test_package.py"
+            "::test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme",
+        ),
+    ),
+    Mutant(
+        "the top level exports mean_mse again",
+        "twoarm/__init__.py",
+        "from .core import CovariateMatrix\n",
+        "from .core import CovariateMatrix\nfrom .criteria import mean_mse  # noqa: F401\n",
+        (
+            "tests/test_package.py"
+            "::test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme",
+        ),
+    ),
+    Mutant(
+        "pair_gap_diagnostic accepts a non-finite mu",
+        "twoarm/verify.py",
+        "if mu.ndim != 1 or not np.isfinite(mu).all():",
+        "if mu.ndim != 1:",
+        (
+            "tests/test_matching.py::TestPairGapDiagnostic"
+            "::test_rejects_mu_that_is_not_a_finite_vector",
+        ),
+    ),
+)
+
+# Runs in the child: argv is (copy of src, node ids...).  Prints the
+# pytest exit code (or the error that stopped twoarm from importing) and
+# the failing node ids as JSON on its last line.
+_CHILD = r"""
+import json, sys
+from pathlib import Path
+import pytest
+try:
+    import twoarm
+except Exception as exc:
+    print(json.dumps({"exit": repr(exc), "failed": []}))
+    sys.exit()
+copy = Path(sys.argv[1]).resolve()
+if copy not in Path(twoarm.__file__).resolve().parents:
+    sys.exit(f"twoarm was imported from {twoarm.__file__}, not from {copy}")
+
+class Failures:
+    def __init__(self):
+        self.nodes = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.nodes.append(report.nodeid)
+
+failures = Failures()
+code = pytest.main(
+    ["-q", "--no-header", "-p", "no:cacheprovider", *sys.argv[2:]],
+    plugins=[failures],
+)
+print(json.dumps({"exit": int(code), "failed": failures.nodes}))
+"""
+
+
+def _selects(node: str, item: str) -> bool:
+    """Whether a test item id falls under a listed node id."""
+    return item == node or item.startswith((node + "::", node + "["))
+
+
+def run_mutant(mutant: Mutant) -> tuple[str, str]:
+    """Apply one mutant to a copy of src/ and run its nodes; (status, detail)."""
+    text = (ROOT / "src" / mutant.path).read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return "stale", f"old text found {text.count(mutant.old)} times"
+    with tempfile.TemporaryDirectory(prefix="twoarm-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / mutant.path).write_text(
+            text.replace(mutant.old, mutant.new), encoding="utf-8"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(src), *mutant.nodes],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{mutant.name}: child failed\n{done.stdout}{done.stderr}")
+    result = json.loads(lines[-1])
+    if result["exit"] not in (0, 1):
+        return "stale", f"pytest did not run the nodes: {result['exit']}"
+    passed = [n for n in mutant.nodes if not any(_selects(n, f) for f in result["failed"])]
+    if passed:
+        return "survived", "passes: " + ", ".join(passed)
+    return "killed", f"{len(result['failed'])} failing tests"
+
+
+def main() -> int:
+    statuses = []
+    for mutant in MUTANTS:
+        status, detail = run_mutant(mutant)
+        statuses.append(status)
+        print(f"{status:8}  {mutant.path}: {mutant.name} ({detail})", flush=True)
+    killed = statuses.count("killed")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -150,7 +150,7 @@ def test_criterion_3_design_covariance_against_sampling():
             second_moment += w.T @ w
             done += size
         emp = second_moment / n_total
-        err = float(np.max(np.abs(emp - design_covariance(spec).sigma_w)))
+        err = float(np.max(np.abs(emp - design_covariance(spec))))
         worst = max(worst, err)
     ok = worst <= 0.005
     _report(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
+from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
 from twoarm.montecarlo import CellConfig, bootstrap_ci
 from twoarm.response import default_covariate_source, default_model, draw_covariates, draw_outcomes
@@ -218,24 +218,6 @@ def test_counts_reject_booleans_by_name(where):
     for bad in (True, np.True_):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got (np\\.)?True"):
             call(bad)
-
-
-class TestDesignCovariance:
-    def test_rejects_asymmetric(self):
-        m = np.eye(4)
-        m[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            DesignCovariance(m)
-        with pytest.raises(ValueError, match="^sigma_w must be square$"):
-            DesignCovariance(np.ones((2, 3)))
-
-    def test_rejects_non_unit_diagonal(self):
-        with pytest.raises(ValueError):
-            DesignCovariance(0.5 * np.eye(4))
-
-    def test_quadratic_form(self):
-        cov = DesignCovariance(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert cov.quadratic_form([2.0, -1.0]) == pytest.approx(9.0)
 
 
 class TestEstimatorAlgebra:

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoarm.verify
-from twoarm.core import Allocation, Blocking, CovariateMatrix, DesignCovariance
+from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
-    C_95,
     PM_COND_VAR_COEFF,
     CriterionInputs,
     mean_mse,
     pm_conditional_variance,
 )
 from twoarm.designs import DesignSpec, design_covariance
-from twoarm.montecarlo import CellConfig, _approx_q95_rows, run_cell
+from twoarm.montecarlo import C_95, CellConfig, _approx_q95_rows, run_cell
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -65,21 +64,44 @@ class TestCriterionInputs:
         with pytest.raises(ValueError):
             CriterionInputs(np.zeros(4), [1.0, 1.0, -0.5, 1.0], sigma)
         with pytest.raises(ValueError, match="^subject count must be even$"):
-            CriterionInputs(np.zeros(3), np.ones(3), DesignCovariance(np.eye(3)))
+            CriterionInputs(np.zeros(3), np.ones(3), np.eye(3))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="mu must be finite"):
                 CriterionInputs([0.0, bad, 0.0, 0.0], np.ones(4), sigma)
             with pytest.raises(ValueError, match="rho must be finite"):
                 CriterionInputs(np.zeros(4), [1.0, 1.0, bad, 1.0], sigma)
 
+    def test_sigma_w_must_be_a_square_symmetric_unit_diagonal_match(self):
+        asymmetric = np.eye(4)
+        asymmetric[0, 1] = 0.5
+        cases = [
+            (np.ones((2, 3)), "^sigma_w must be square$"),
+            (np.ones(4), "^sigma_w must be square$"),
+            (asymmetric, "^sigma_w must be symmetric$"),
+            (0.5 * np.eye(4), "^sigma_w diagonal must be exactly 1$"),
+            (design_covariance(DesignSpec.bcrd(6)), "^mu length must match sigma_w$"),
+        ]
+        for sigma, message in cases:
+            with pytest.raises(ValueError, match=message):
+                CriterionInputs(np.zeros(4), np.ones(4), sigma)
+
     def test_arrays_are_read_only(self):
-        sigma = design_covariance(DesignSpec.bcrd(4))
+        sigma = np.array(design_covariance(DesignSpec.bcrd(4)))
         inputs = CriterionInputs(np.zeros(4), np.ones(4), sigma)
-        with pytest.raises(ValueError):
-            inputs.mu[0] = 1.0
+        sigma[0, 1] = 0.0
+        assert inputs.sigma_w[0, 1] == pytest.approx(-1.0 / 3.0)
+        for arr in (inputs.mu, inputs.rho, inputs.sigma_w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestMeanMse:
+    def test_quadratic_form_by_hand(self):
+        # mu' Sigma mu = (2 - (-1))^2 = 9 at 2n = 2, so the mean is 9 / 4
+        sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        inputs = CriterionInputs([2.0, -1.0], np.zeros(2), sigma)
+        assert mean_mse(inputs) == pytest.approx(2.25, rel=1e-12)
+
     def test_single_nonzero_mean_under_bcrd(self):
         # mu' Sigma mu = 1 at 2n = 4, so the mean is 1 / 16
         sigma = design_covariance(DesignSpec.bcrd(4))

@@ -145,17 +145,31 @@ class TestDesignCovariance:
         allocs = enumerate_allocations(spec).astype(float)
         exact = (allocs[:, :, None] * allocs[:, None, :]).mean(axis=0)
         np.testing.assert_allclose(
-            design_covariance(spec).sigma_w, exact, rtol=0, atol=1e-12
+            design_covariance(spec), exact, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DesignSpec.block(Blocking([0, 0, 1, 1, 0, 0, 1, 1])),
+            DesignSpec.pb(Allocation([1, -1, -1, 1])),
+        ],
+        ids=["block", "pb"],
+    )
+    def test_is_read_only(self, spec):
+        sigma = design_covariance(spec)
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 1] = 0.0
 
     def test_pb_rank_one(self):
         w = Allocation([1, 1, -1, -1])
-        sigma = design_covariance(DesignSpec.pb(w)).sigma_w
+        sigma = design_covariance(DesignSpec.pb(w))
         np.testing.assert_array_equal(sigma, np.outer(w.signs, w.signs))
 
     def test_block_rows_sum_to_zero_within_blocks(self):
         blocking = Blocking([0, 1, 0, 1, 2, 2, 0, 1, 2, 0, 1, 2])
-        sigma = design_covariance(DesignSpec.block(blocking)).sigma_w
+        sigma = design_covariance(DesignSpec.block(blocking))
         for members in blocking.blocks():
             np.testing.assert_allclose(
                 sigma[np.ix_(members, members)].sum(axis=1), 0.0, atol=1e-12
@@ -171,7 +185,7 @@ class TestDesignCovariance:
                 members = np.flatnonzero(ids == k)
                 want[np.ix_(members, members)] = -1.0 / (members.size - 1)
             np.fill_diagonal(want, 1.0)
-            got = design_covariance(DesignSpec.block(Blocking(ids))).sigma_w
+            got = design_covariance(DesignSpec.block(Blocking(ids)))
             np.testing.assert_array_equal(got, want)
 
 

@@ -339,6 +339,12 @@ class TestPairGapDiagnostic:
         pairing = Blocking.from_pairs([(0, 1), (2, 3)])
         assert pair_gap_diagnostic(pairing, [3.0, 3.0, 7.0, 7.0]) == 0.0
 
+    def test_rejects_mu_that_is_not_a_finite_vector(self):
+        pairing = Blocking.from_pairs([(0, 1), (2, 3)])
+        for bad in (np.zeros((4, 3)), 1.0, [0.0, np.nan, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="^mu must be a finite 1-D vector"):
+                pair_gap_diagnostic(pairing, bad)
+
     def test_length_mismatch_rejected(self):
         pairing = Blocking.from_pairs([(0, 1), (2, 3)])
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.criteria import C_95, CriterionInputs, mean_mse
+from twoarm.criteria import CriterionInputs, mean_mse
 from twoarm.designs import DesignSpec, build_blocking, design_covariance
 from twoarm.montecarlo import (
+    C_95,
     CellConfig,
     CriterionReport,
     _FIGURES,

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import os
@@ -17,20 +18,21 @@ import twoarm.verify
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 GRID_CHILD = ROOT / "gridbench" / "grid_child.py"
+GATE = ROOT / "gridbench" / "gate.py"
 
 # Runs in a fresh interpreter: whether importing the command line loaded
-# twoarm.verify, whether that module exists at all (find_spec does not
-# load it), whether networkx is loaded after a pm design at p = 2 has
-# built its blossom matching (the matcher is the package's own), and the
-# public names of the top level.
+# twoarm.verify or twoarm.criteria, whether each exists at all
+# (find_spec does not load it), whether networkx is loaded after a pm
+# design at p = 2 has built its blossom matching (the matcher is the
+# package's own), and the public names of the top level.
 _PROBE = """
 import importlib.util, sys, types
 import numpy as np
 import twoarm.cli
 import twoarm
 from twoarm.core import CovariateMatrix
-print("twoarm.verify" in sys.modules)
-print(importlib.util.find_spec("twoarm.verify") is not None)
+for name in ("twoarm.verify", "twoarm.criteria"):
+    print(name in sys.modules, importlib.util.find_spec(name) is not None)
 grid = twoarm.cli.build_grid(
     {"seed": "0", "reps": "2", "n_subjects": "8", "designs": "pm", "p": "2"}
 )
@@ -48,7 +50,7 @@ print(" ".join(sorted(
 def _readme_exports() -> set[str]:
     """The names in the README paragraph that lists the top-level exports."""
     paragraphs = README.read_text(encoding="utf-8").split("\n\n")
-    (listing,) = [p for p in paragraphs if "exports these 12 names" in p]
+    (listing,) = [p for p in paragraphs if "exports these 8 names" in p]
     return set(re.findall(r"`([A-Za-z_]\w*)`", listing))
 
 
@@ -76,11 +78,11 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
         text=True,
         check=True,
     )
-    loaded, exists, networkx_loaded, names = done.stdout.splitlines()
-    assert (loaded, exists) == ("False", "True")
+    verify, criteria, networkx_loaded, names = done.stdout.splitlines()
+    assert verify == criteria == "False True"
     assert networkx_loaded == "False"
     exported = set(names.split())
-    assert len(exported) == 12
+    assert len(exported) == 8
     assert exported == _readme_exports()
 
 
@@ -131,3 +133,24 @@ def test_every_traced_name_resolves_and_takes_its_counted_arguments(
         # a counted argument that the signature lacks raises KeyError here
         args = {name: _Stub() for name in inspect.signature(target).parameters}
         work(args, np.zeros(1))
+
+
+def _gate_imports():
+    """(module, name) of each name the benchmark's gate imports from twoarm."""
+    tree = ast.parse(GATE.read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "twoarm"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize(
+    "module_name, attr",
+    [pytest.param(m, a, id=f"{m}.{a}") for m, a in _gate_imports()],
+)
+def test_every_name_the_gate_imports_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert hasattr(module, attr), f"{module_name} has no {attr}"
