@@ -52,6 +52,8 @@ class CriterionInputs:
             raise ValueError("mu and rho must be 1-D vectors of one length")
         if mu.shape[0] != sigma_w.shape[0]:
             raise ValueError("mu length must match sigma_w")
+        if mu.shape[0] == 0:
+            raise ValueError("subject count must be > 0, got 0")
         if mu.shape[0] % 2:
             raise ValueError("subject count must be even")
         for name, arr in (("mu", mu), ("rho", rho)):

@@ -5,8 +5,9 @@ replicate draws fresh potential outcomes and one allocation and records
 the squared error of the difference-in-means estimate.  Replicates are
 drawn in fixed-size chunks on seed-derived substreams, so results are
 bit-identical no matter how cells are scheduled across workers.  A
-chunk holds one full outcome buffer: the treated arm is drawn into it,
-and the control arm, the allocation uniforms and their signs are drawn
+chunk holds one full outcome buffer: the treated arm is drawn into it
+by response.draw_outcomes, and the control arm (one draw_outcomes
+call per row block), the allocation uniforms and their signs are drawn
 in row blocks of at most streams.BLOCK_ELEMENTS elements, each
 consuming its stream exactly as one whole draw would.  A
 cell's report, whose fields are the result columns of results.csv,
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import CovariateMatrix, _check_int
 from .designs import DesignSpec, sample_allocations
-from .response import ResponseModel, draw_outcomes, outcome_blocks, potential_means
+from .response import ResponseModel, draw_outcomes, potential_means
 from .streams import chunk_sizes, row_blocks, substream
 
 # The 0.95 normal quantile, rounded as the paper rounds it, used by the
@@ -186,10 +187,9 @@ def _chunk_squared_errors(
     before the next chunk draws.
 
     The treated arm fills one (size, 2n) buffer, and the control arm is
-    added into it one row block at a time from outcome_blocks on the
-    same stream, so the chunk's peak is that buffer (two for the
-    proportion response, whose first gammas are drawn whole) plus one
-    row block and the int8 signs."""
+    added into it one row block at a time, each block one draw_outcomes
+    call on the same stream, so the chunk's peak is that buffer plus a
+    row block or two and the int8 signs."""
     rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
     rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
     # the signs first, on their own stream, so that their row blocks are
@@ -197,16 +197,16 @@ def _chunk_squared_errors(
     w = sample_allocations(cfg.design, size, rng_w)
     # w * (y_t + y_c), in one buffer: the same sums and products
     v = draw_outcomes(cfg.model, mu_t, rng_y, size)
-    for rows, y_c in outcome_blocks(cfg.model, mu_c, rng_y, size):
-        v[rows] += y_c
+    for rows in row_blocks(size, mu_c.shape[0]):
+        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)
     v *= w
     return np.square(v.sum(axis=1) / (2.0 * cfg.x.n_pairs))
 
 
 def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
     """All replicate squared errors for a cell, chunk by chunk, each
-    chunk holding one full outcome buffer at a time (two for the
-    proportion response) and freeing it before the next."""
+    chunk holding one full outcome buffer at a time and freeing it
+    before the next."""
     mu_t, mu_c = potential_means(cfg.model, cfg.x)
     sq = np.empty(cfg.n_reps)
     pos = 0

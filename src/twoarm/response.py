@@ -12,14 +12,15 @@ count       exp             Poisson(mu)                 mu
 survival    exp             Weibull(shape k, mean mu)   mu^2 (G2/G1^2 - 1)
 
 with phi = PROPORTION_PHI, k = SURVIVAL_SHAPE, G1 = Gamma(1 + 1/k) and
-G2 = Gamma(1 + 2/k).
+G2 = Gamma(1 + 2/k).  Each distribution is one numpy sampler (the
+proportion response draws rng.beta), and draw_outcomes is the only
+outcome sampler: the simulation chunks draw both arms through it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,81 +190,44 @@ def _checked_mu(model: ResponseModel, mu, n_draws: int) -> np.ndarray:
     return mu
 
 
-def outcome_blocks(
-    model: ResponseModel,
-    mu: np.ndarray,
-    rng: np.random.Generator,
-    n_draws: int,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu,
-    as (rows, block) pairs over streams.row_blocks(n_draws, len(mu)).
-
-    Checks its arguments at the call; the blocks are drawn as they are
-    iterated, each at most BLOCK_ELEMENTS elements.  Every draw takes
-    its variates element by element in row order, so the blocks consume
-    rng exactly as one (n_draws, len(mu)) draw does and hold its bytes.
-    The proportion draw needs every first gamma before any second one,
-    so it draws those whole when iteration starts.
-    """
-    mu = _checked_mu(model, mu, n_draws)
-    return _draw_blocks(model.kind, mu, rng, n_draws)
-
-
-def _draw_blocks(
-    kind: str,
-    mu: np.ndarray,
-    rng: np.random.Generator,
-    n_draws: int,
-    out: np.ndarray | None = None,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The blocks of outcome_blocks, each drawn into out[rows] when out
-    is given; otherwise a proportion block is a view of its first gammas
-    and any other block a fresh array."""
-    width = mu.shape[0]
-    if kind == "proportion":
-        g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, (n_draws, width)))
-        shape2 = PROPORTION_PHI * (1.0 - mu)
-    elif kind == "survival":
-        scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
-    for rows in row_blocks(n_draws, width):
-        size = (rows.stop - rows.start, width)
-        if out is not None:
-            v = out[rows]
-        elif kind == "proportion":
-            v = g1[rows]  # divided in place
-        else:
-            v = np.empty(size)
-        if kind == "continuous":
-            # numpy's normal(mu, 1.0) is mu + 1.0 * z: the same draws and bytes
-            rng.standard_normal(out=v)
-            v += mu
-        elif kind == "incidence":
-            np.less(rng.random(size), mu, out=v)
-        elif kind == "proportion":
-            g2 = rng.standard_gamma(np.broadcast_to(shape2, size))
-            g2 += g1[rows]  # the denominator; g1 / g2 is the draw, 0.5 where g2 is 0
-            np.divide(g1[rows], g2, out=v, where=g2 > 0)
-            v[g2 == 0] = 0.5
-        elif kind == "count":
-            np.copyto(v, rng.poisson(np.broadcast_to(mu, size)))
-        else:
-            # an IEEE product commutes: the same bytes as scale * weibull
-            np.multiply(rng.weibull(SURVIVAL_SHAPE, size), scale, out=v)
-        yield rows, v
-
-
 def draw_outcomes(
     model: ResponseModel,
     mu: np.ndarray,
     rng: np.random.Generator,
     n_draws: int,
 ) -> np.ndarray:
-    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu:
-    the blocks of outcome_blocks, each drawn in place into one array."""
+    """Sample (n_draws, len(mu)) outcomes, independent rows with mean mu.
+
+    Fills one array in the row blocks of streams.row_blocks(n_draws,
+    len(mu)), each at most BLOCK_ELEMENTS elements.  Every draw, numpy's
+    Beta for the proportion response included, takes its variates
+    element by element in row order, so the blocks consume rng exactly
+    as one (n_draws, len(mu)) draw does and hold its bytes, and draws of
+    n1 and then n2 rows on one stream give the bytes of one draw of
+    n1 + n2 rows.
+    """
     mu = _checked_mu(model, mu, n_draws)
+    kind = model.kind
+    if kind == "proportion":
+        shape1, shape2 = PROPORTION_PHI * mu, PROPORTION_PHI * (1.0 - mu)
+    elif kind == "survival":
+        scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
     out = np.empty((n_draws,) + mu.shape)
-    for _ in _draw_blocks(model.kind, mu, rng, n_draws, out):
-        pass
+    for rows in row_blocks(n_draws, mu.shape[0]):
+        v = out[rows]
+        if kind == "continuous":
+            # numpy's normal(mu, 1.0) is mu + 1.0 * z: the same draws and bytes
+            rng.standard_normal(out=v)
+            v += mu
+        elif kind == "incidence":
+            np.less(rng.random(v.shape), mu, out=v)
+        elif kind == "proportion":
+            np.copyto(v, rng.beta(shape1, shape2, v.shape))
+        elif kind == "count":
+            np.copyto(v, rng.poisson(np.broadcast_to(mu, v.shape)))
+        else:
+            # an IEEE product commutes: the same bytes as scale * weibull
+            np.multiply(rng.weibull(SURVIVAL_SHAPE, v.shape), scale, out=v)
     return out
 
 

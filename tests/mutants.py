@@ -144,6 +144,77 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the proportion draw's Beta shapes swapped",
+        "twoarm/response.py",
+        "shape1, shape2 = PROPORTION_PHI * mu,",
+        "shape2, shape1 = PROPORTION_PHI * mu,",
+        (
+            "tests/test_response.py::TestDrawOutcomes"
+            "::test_moments_match_closed_form[proportion-mu2]",
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_consecutive_draws_equal_one_whole_draw[proportion-1]",
+        ),
+    ),
+    Mutant(
+        "incidence drawn as u > 1 - mu: the same law, other bytes",
+        "twoarm/response.py",
+        "np.less(rng.random(v.shape), mu, out=v)",
+        "np.greater(rng.random(v.shape), 1 - mu, out=v)",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_consecutive_draws_equal_one_whole_draw[incidence-682]",
+            "tests/test_cli.py::TestPinnedOutputBytes"
+            "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "count drawn transposed: the same law, other bytes",
+        "twoarm/response.py",
+        "np.copyto(v, rng.poisson(np.broadcast_to(mu, v.shape)))",
+        "np.copyto(v, rng.poisson(np.broadcast_to(mu[:, None], v.shape[::-1])).T)",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_consecutive_draws_equal_one_whole_draw[count-682]",
+            "tests/test_cli.py::TestPinnedOutputBytes"
+            "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "the chunk adds the control arm from one whole draw",
+        "twoarm/montecarlo.py",
+        "    for rows in row_blocks(size, mu_c.shape[0]):\n"
+        "        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)\n",
+        "    v += draw_outcomes(cfg.model, mu_c, rng_y, size)\n",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_a_chunk_peaks_at_one_outcome_buffer[proportion-1.5]",
+        ),
+    ),
+    Mutant(
+        "the chunk draws the control arm before the treated arm",
+        "twoarm/montecarlo.py",
+        "    v = draw_outcomes(cfg.model, mu_t, rng_y, size)\n"
+        "    for rows in row_blocks(size, mu_c.shape[0]):\n"
+        "        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)\n",
+        "    v = draw_outcomes(cfg.model, mu_c, rng_y, size)\n"
+        "    for rows in row_blocks(size, mu_t.shape[0]):\n"
+        "        v[rows] += draw_outcomes(cfg.model, mu_t, rng_y, rows.stop - rows.start)\n",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_full_and_ragged_chunks_match_the_separate_array_contrast[proportion]",
+            "tests/test_cli.py::TestPinnedOutputBytes"
+            "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "CriterionInputs accepts zero subjects",
+        "twoarm/criteria.py",
+        "        if mu.shape[0] == 0:\n"
+        '            raise ValueError("subject count must be > 0, got 0")\n',
+        "",
+        ("tests/test_criteria.py::TestCriterionInputs::test_validation",),
+    ),
+    Mutant(
         "pair_gap_diagnostic accepts a non-finite mu",
         "twoarm/verify.py",
         "if mu.ndim != 1 or not np.isfinite(mu).all():",

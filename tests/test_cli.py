@@ -519,85 +519,132 @@ class TestMain:
         assert table[0]["error"] == "RuntimeError: cell exploded"
 
 
-def _results_digest(path: Path) -> str:
-    """SHA-256 of results.csv without runtime_ms, as gridbench's gate
-    digests it: kept fields joined by US (0x1f), one LF per row."""
-    h = hashlib.sha256()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        drop = header.index("runtime_ms")
-        for row in [header, *reader]:
-            kept = row[:drop] + row[drop + 1 :]
-            h.update(("\x1f".join(kept) + "\n").encode("utf-8"))
-    return h.hexdigest()
+def _response_digests(out: Path) -> dict[str, tuple[str, str]]:
+    """Per response of a p=1 grid's output: the SHA-256 of its
+    results.csv rows, header first, without runtime_ms (kept fields
+    joined by US, 0x1f, one LF per row, as gridbench's gate digests a
+    file), and the SHA-256 of its panel file's bytes."""
+    with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    drop, col = header.index("runtime_ms"), header.index("response")
 
+    def line(row):
+        return ("\x1f".join(row[:drop] + row[drop + 1 :]) + "\n").encode("utf-8")
 
-def _panels_digest(panel_dir: Path) -> str:
-    """SHA-256 over each sorted panel file's name, a NUL and its bytes."""
-    h = hashlib.sha256()
-    for path in sorted(panel_dir.glob("*.csv")):
-        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
-    return h.hexdigest()
+    digests = {}
+    for kind in dict.fromkeys(row[col] for row in rows):
+        h = hashlib.sha256(line(header))
+        for row in rows:
+            if row[col] == kind:
+                h.update(line(row))
+        panel = (out / "panels" / f"{kind}_p1.csv").read_bytes()
+        digests[kind] = (h.hexdigest(), hashlib.sha256(panel).hexdigest())
+    return digests
 
 
 class TestPinnedOutputBytes:
-    """Output bytes of three micro grids, pinned by digest.
+    """Output bytes of three micro grids, pinned by digest per response.
 
     2n=16, every response, p=1, designs bcrd and pm or the blocking
     sweep B in {1, 2, 4, 8}, so no value in the output passes through a
-    BLAS-summed product.  Recorded with numpy 2.4.6; a numpy whose random
-    streams or reductions differ changes these digests without any
-    change to twoarm.
+    BLAS-summed product.  Each response has its own pair of digests (its
+    results.csv rows and its panel file), so a change to one response's
+    stream moves only that response's pins.  Recorded with numpy 2.4.6;
+    a numpy whose random streams or reductions differ changes these
+    digests without any change to twoarm.
     """
 
     PINNED = {
-        "uniform": (
-            "9d2ebebfbb3f79d7e398ee76a04145dc52f5f28ad1a1a1274d8e344d225ab1fa",
-            "f7f28b9cdebb2912de5cc16ae354c2f6b2bbeb93ad18bb30d3d5b8909c13f73a",
-        ),
-        "exponential": (
-            "23f3f9b4585a5845ba5dd550df0d705d686c428cee2505c0f0d41172f01c3ad2",
-            "507c2546bcabf0cf92561bd4e9e060cd32055a1e153ca136ea5da25d35a23ab0",
-        ),
+        "exponential": {
+            "continuous": (
+                "5e53caae82f4c3d7591bc143a9d08b0b47761deeb041708d23368270264b432c",
+                "5570928f777708d359d8b15c8be0a259ddce1c85e84026823f80aafe5a4eeb27",
+            ),
+            "incidence": (
+                "f27d1c92a6e800cf463a5f24b1e16dfbf92ce33c0babe96249108939aedef76c",
+                "2a2ecf24c095ff5a97c164327a40011aba778ac1a2ef5a0f02648fc22d1c165a",
+            ),
+            "proportion": (
+                "a6a788e246f84198fe873042bab9ba4c0e7b076f3ce648e4ecf33de7d351eeed",
+                "fc79793a7ae0e711cbc70cb1b70142522faa1e991d22333ccab35381428bb16d",
+            ),
+            "count": (
+                "fb4959deb031113e7b4bcf962a5579560744ea35e3c707b57917b7a23c38ffd0",
+                "673c38b66f690dd3d6574e2d2766aeb3e60320e450b787bf802ec3168cb77365",
+            ),
+            "survival": (
+                "c012dc303defeb4eea826dbb4153017d0497c57afdde3a3f1d7bb12bfe4db538",
+                "58f4a94ec0cdd1f94c8ebe732ffb95102ed37b0f0cab6df6e79808d234425067",
+            ),
+        },
+        "uniform": {
+            "continuous": (
+                "19d9a2712987a01c81cd4c84bafc710de83586c53976bdb23c354b25727a6a27",
+                "a5177bb18037e30f5d666ee2d87d23891570acf4fa8627bfd119031784076e3b",
+            ),
+            "incidence": (
+                "1061a96252a60121e28967aeb828bf540db45becace4ac4cd320cd13961d36cb",
+                "c92135e6fc3c0f114634fc0b3d8e0dfaf5c2616221292bb7033ded5f73e8ae0f",
+            ),
+            "proportion": (
+                "363dc9ddc0a73fb9f2e19ce00ca61fdfd86998c0df9c4900fd8947d1b8b8dfe3",
+                "53bd76308d213ad5a22a5b8bc674cf50772394b477772a706556ad7d0269bd35",
+            ),
+            "count": (
+                "5e753ada2b4f18f0875a0835e28fa24712763f231c7c31ac9ef9a2b4398466c2",
+                "13e58242e830d82094dea054193dfecabfaa710c4c8ad7e13531b34e6cc2863d",
+            ),
+            "survival": (
+                "efaa2f6512f5da0d94e40a7c1d665d80ac35a59b84d99de61dae175ad9d9712e",
+                "5f1a9fa4b193334f07c3ee91bddd780e2351dd799093bc4e2c21a2c2a564fa63",
+            ),
+        },
     }
 
-    @pytest.mark.parametrize("family", sorted(PINNED))
-    def test_micro_grid_bytes_match_the_pinned_digests(self, family, tmp_path):
-        out = tmp_path / family
+    def _run(self, tmp_path, axis, family):
+        out = tmp_path / "out"
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
-            f"seed=2024\nreps=300\nn_subjects=16\np=1\ndesigns=bcrd,pm\n"
+            f"seed=2024\nreps=300\nn_subjects=16\np=1\n{axis}\n"
             f"covariates={family}\nbootstrap_reps=60\nout={out}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 0
-        assert len(list((out / "panels").glob("*.csv"))) == len(RESPONSE_KINDS)
-        digests = (
-            _results_digest(out / "results.csv"),
-            _panels_digest(out / "panels"),
-        )
+        names = sorted(path.name for path in (out / "panels").glob("*.csv"))
+        assert names == sorted(f"{kind}_p1.csv" for kind in RESPONSE_KINDS)
+        return _response_digests(out)
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_micro_grid_bytes_match_the_pinned_digests(self, family, tmp_path):
+        digests = self._run(tmp_path, "designs=bcrd,pm", family)
         assert digests == self.PINNED[family]
 
     # The same micro grid, run as a p=1 blocking sweep.
-    PINNED_SWEEP = (
-        "ff23249568404a51abb12df4e26639b25ea9c4f3857a01425918b907c63eda18",
-        "0666d423e0d7022da792232a41a0d0a6bbfa90f353869486939cf806aa5221d5",
-    )
+    PINNED_SWEEP = {
+        "continuous": (
+            "e426991ea2c4e448e10cedb3029918bd7c0b8b6ad4744f779d118982da4c9bc6",
+            "300cc649b6ebccbede3d8e800ed815f80b3e01eed57a159fb7453b1662db115b",
+        ),
+        "incidence": (
+            "070c30900fa87265ae248e082f2f9232e7549cc5bf0a50dea6a6875a1ce36feb",
+            "6f54c89f4deab40ec4577581d8b2414a637058fc999b39494ec5706b662f4748",
+        ),
+        "proportion": (
+            "fb45c4db9f79200f9889f2896f232c865f7cafd101cbdf6c614d258c51b97f68",
+            "11d4b77bc22dca57b9ad541f103a777c5daab5019f411ab5ff0c30942163de7b",
+        ),
+        "count": (
+            "e46be592a480642fd0a6e70833bf973b4d707911d6e985678b3fbc9669997da7",
+            "ea36b02f8a3fe2a8011d31913773211e15299600b5190287f4039a4ee977c671",
+        ),
+        "survival": (
+            "f15561c290553a78055954dbe9b5ad0269c77e225801cdeba48af379fd1b1ee5",
+            "9317bbc4245f7a9a81a24ae256dd432bfc7646729815d0823e3d7e575d4c71da",
+        ),
+    }
 
     def test_blocking_sweep_bytes_match_the_pinned_digests(self, tmp_path):
-        out = tmp_path / "sweep"
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(
-            f"seed=2024\nreps=300\nn_subjects=16\np=1\nblocks=1,2,4,8\n"
-            f"covariates=uniform\nbootstrap_reps=60\nout={out}\n",
-            encoding="utf-8",
-        )
-        assert main([str(cfg)]) == 0
-        digests = (
-            _results_digest(out / "results.csv"),
-            _panels_digest(out / "panels"),
-        )
+        digests = self._run(tmp_path, "blocks=1,2,4,8", "uniform")
         assert digests == self.PINNED_SWEEP
 
 

@@ -65,6 +65,8 @@ class TestCriterionInputs:
             CriterionInputs(np.zeros(4), [1.0, 1.0, -0.5, 1.0], sigma)
         with pytest.raises(ValueError, match="^subject count must be even$"):
             CriterionInputs(np.zeros(3), np.ones(3), np.eye(3))
+        with pytest.raises(ValueError, match="^subject count must be > 0, got 0$"):
+            CriterionInputs([], [], np.zeros((0, 0)))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="mu must be finite"):
                 CriterionInputs([0.0, bad, 0.0, 0.0], np.ones(4), sigma)

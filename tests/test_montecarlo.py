@@ -26,7 +26,6 @@ from twoarm.response import (
     default_model,
     draw_covariates,
     draw_outcomes,
-    outcome_blocks,
     potential_means,
     residual_variances,
 )
@@ -272,39 +271,39 @@ class TestSimulateSquaredErrors:
 
     @pytest.mark.parametrize("n_draws", ROW_BLOCK_DRAWS)
     @pytest.mark.parametrize("kind", RESPONSE_KINDS)
-    def test_outcome_blocks_equal_one_draw(self, kind, n_draws):
-        # The treated arm through draw_outcomes and the control arm added
-        # block by block, as the chunk loop does, against the whole draws
-        # of the oracle on the same stream (the continuous one is
-        # rng.normal(mu, 1.0)): the same bytes, the same end state.  A row
-        # block is 682 rows at 2n = 96.
+    def test_consecutive_draws_equal_one_whole_draw(self, kind, n_draws):
+        # The chunk loop draws the control arm one row block at a time,
+        # so draw_outcomes of n1 rows and then n2 rows on one stream
+        # must give the bytes and the end state of the oracle's one
+        # whole draw of n1 + n2 rows (the continuous one is
+        # rng.normal(mu, 1.0), the proportion one rng.beta), for every
+        # split.  A row block is 682 rows at 2n = 96.
         x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
         model = default_model(kind, 2)
-        mu_t, mu_c = potential_means(model, x)
-        rng = substream(33, n_draws, kind)
-        ref_rng = substream(33, n_draws, kind)
-        v = draw_outcomes(model, mu_t, rng, n_draws)
-        want = draw_outcomes_reference(model, mu_t, ref_rng, n_draws)
-        assert v.shape == want.shape == (n_draws, 96)
-        assert v.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        for rows, y_c in outcome_blocks(model, mu_c, rng, n_draws):
-            v[rows] += y_c
-        want = want + draw_outcomes_reference(model, mu_c, ref_rng, n_draws)
-        assert v.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        mu = potential_means(model, x)[0]
+        want_rng = substream(33, n_draws, kind)
+        want = draw_outcomes_reference(model, mu, want_rng, n_draws)
+        assert want.shape == (n_draws, 96)
+        for n1 in ROW_BLOCK_DRAWS:
+            if n1 > n_draws:
+                continue
+            rng = substream(33, n_draws, kind)
+            got = np.concatenate(
+                [draw_outcomes(model, mu, rng, n1), draw_outcomes(model, mu, rng, n_draws - n1)]
+            )
+            assert got.tobytes() == want.tobytes(), n1
+            assert rng.bit_generator.state == want_rng.bit_generator.state, n1
 
     @pytest.mark.parametrize(
         "kind, limit",
-        [("continuous", 1.5), ("incidence", 1.5), ("proportion", 2.5),
+        [("continuous", 1.5), ("incidence", 1.5), ("proportion", 1.5),
          ("count", 1.5), ("survival", 1.5)],
     )
     def test_a_chunk_peaks_at_one_outcome_buffer(self, kind, limit):
         # tracemalloc sees numpy's array allocations.  One full chunk at
-        # 2n = 96 holds one (8192, 96) float64 buffer, two for the
-        # proportion draw's first gammas, plus row blocks and int8 signs;
-        # a whole control-arm draw would add a buffer, and a bcrd block's
-        # whole uniforms and argsort two.
+        # 2n = 96 holds one (8192, 96) float64 buffer for every response,
+        # plus row blocks and int8 signs; a whole control-arm draw would
+        # add a buffer, and a bcrd block's whole uniforms and argsort two.
         x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
         buffer = CHUNK_SIZE * 96 * 8
         for design in (DesignSpec.bcrd(96), DesignSpec.block(build_blocking(x, 48))):

@@ -12,12 +12,12 @@ that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
 reference chunk loop forms every outcome chunk's contrast from
-separate arrays, w * (y_t + y_c), with the continuous draw as one
-rng.normal(mu, 1.0) call, the incidence and count draws written out,
-the proportion draw's own denominator and 0.5 buffer, and each design
-block's allocations drawn whole; the production loop, which draws the
-control arm and the allocations in row blocks, must reproduce it bit
-for bit.
+separate arrays, w * (y_t + y_c), with each arm one whole numpy draw
+(the continuous draw one rng.normal(mu, 1.0) call, the proportion
+draw one rng.beta call, the incidence and count draws written out)
+and each design block's allocations drawn whole; the production loop,
+which draws the control arm and the allocations in row blocks, must
+reproduce it bit for bit.
 The reference sorted blocking re-sorts each covariate-1 super-group by
 covariate 2 in its own loop step; the one stable lexsort of the
 production blocking must give the same blocks.
@@ -295,11 +295,11 @@ def bootstrap_ci_reference(
 
 
 def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
-    """draw_outcomes written out per response type: the continuous draw
-    as one rng.normal(mu, 1.0) call, the incidence draw as a 0/1 choice
-    on uniforms, the count draw as one rng.poisson(mu, size) call, the
-    survival draw as scale * weibull into a fresh buffer and the
-    proportion ratio taken into a fresh buffer."""
+    """draw_outcomes written out per response type, each one whole
+    draw: the continuous draw as one rng.normal(mu, 1.0) call, the
+    incidence draw as a 0/1 choice on uniforms, the count draw as one
+    rng.poisson(mu, size) call, the survival draw as scale * weibull
+    and the proportion draw as one rng.beta call."""
     size = (n_draws,) + mu.shape
     if model.kind == "continuous":
         return rng.normal(mu, 1.0, size)
@@ -310,10 +310,7 @@ def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
     if model.kind == "survival":
         scale = mu / math.gamma(1.0 + 1.0 / SURVIVAL_SHAPE)
         return scale * rng.weibull(SURVIVAL_SHAPE, size)
-    g1 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * mu, size))
-    g2 = rng.standard_gamma(np.broadcast_to(PROPORTION_PHI * (1.0 - mu), size))
-    denom = g1 + g2
-    return np.divide(g1, denom, out=np.full(size, 0.5), where=denom > 0)
+    return rng.beta(PROPORTION_PHI * mu, PROPORTION_PHI * (1.0 - mu), size)
 
 
 def sample_allocations_reference(spec, n_draws: int, rng) -> np.ndarray:
