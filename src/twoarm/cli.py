@@ -3,14 +3,18 @@
 A grid is a product of response types, covariate counts, and a design
 axis: either a list of block counts (the blocking sweep) or a list of
 design families (bcrd / pm / pb).  Covariates are drawn once per
-(response, p) panel and shared by every design in that panel.  A panel
-is the unit of work: one worker draws its covariates and runs its cells
-in row order, so a grid uses at most one worker per panel.  Every
+(response, p) panel and shared by every design in that panel, and so
+is each chunk of outcome draws.  A panel is the unit of work: one
+worker draws its covariates, builds its designs, simulates its cells
+together (montecarlo.simulate_squared_errors) and summarises them in
+row order, so a grid uses at most one worker per panel.  Every
 stochastic step runs on a substream keyed by the master seed and its
 panel or cell, so a grid is reproducible cell by cell regardless of
-worker count or of how panels are scheduled.  Block designs are sorted
-blockings (designs.build_blocking): bcrd is B = 1 and pm at p = 1 is
-B = n, the minimum-cost pairing; pm at p >= 2 is blossom.
+worker count or of how panels are scheduled.  A row's runtime_ms is its
+design and summary time plus an equal share of its panel's simulation.
+Block designs are sorted blockings (designs.build_blocking): bcrd is
+B = 1 and pm at p = 1 is B = n, the minimum-cost pairing; pm at p >= 2
+is blossom.
 
 Config files are plain ``key=value`` lines with ``#`` comments.  Flags
 override config values; the available presets are
@@ -34,6 +38,7 @@ from pathlib import Path
 from .core import Blocking, CovariateMatrix
 from .designs import DesignSpec, build_blocking, greedy_pair_switch
 from .matching import mahalanobis_distances, match_heuristic
+from . import montecarlo
 from .montecarlo import CellConfig, CriterionReport, run_cell
 from .response import RESPONSE_KINDS, default_covariate_source, default_model, draw_covariates
 from .streams import substream
@@ -242,15 +247,26 @@ def _build_design(
     return DesignSpec(label, blocking)
 
 
+def _error(exc: Exception) -> str:
+    """A failed cell's error column."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_panel(task: tuple) -> list[dict]:
     """Run one (response, p) panel's cells in row order on one covariate
-    draw; a cell's exception lands in its own row's error column."""
+    draw and one outcome draw per chunk.
+
+    Each cell's design is built first, and a design failure fails only
+    its own row.  The cells built are then simulated together by
+    montecarlo.simulate_squared_errors, whose exception fails each of
+    their rows, and summarized one by one.  A row's runtime_ms is its
+    design and summary time plus an equal share of the simulation."""
     grid, response, p = task
     source = default_covariate_source(response, grid.covariate_family)
     rng = substream(grid.seed, "covariates", grid.covariate_family, response, p)
     x = draw_covariates(source, grid.n_subjects, p, rng)
     model = default_model(response, p)
-    rows = []
+    rows, seconds, built = [], [], []
     for design, b in _axis(grid):
         row = {col: "" for col in CSV_COLUMNS}
         row.update(
@@ -269,11 +285,33 @@ def _run_panel(task: tuple) -> list[dict]:
                 master_seed=grid.seed,
                 bootstrap_reps=grid.bootstrap_reps,
             )
-            row.update(asdict(run_cell(cfg)))
+            built.append((len(rows), cfg))
         except Exception as exc:  # noqa: BLE001 - cell failures become rows
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        row["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+            row["error"] = _error(exc)
+        seconds.append(time.perf_counter() - start)
         rows.append(row)
+    if built:
+        # the cell id without its design and B parts
+        panel_id = f"{response}|p{p}|n{grid.n_subjects}"
+        start = time.perf_counter()
+        try:
+            samples = montecarlo.simulate_squared_errors([cfg for _, cfg in built], panel_id)
+        except Exception as exc:  # noqa: BLE001 - every simulated cell fails
+            samples = []
+            for i, _ in built:
+                rows[i]["error"] = _error(exc)
+        share = (time.perf_counter() - start) / len(built)
+        for i, _ in built:
+            seconds[i] += share
+        for (i, cfg), sq in zip(built, samples):
+            start = time.perf_counter()
+            try:
+                rows[i].update(asdict(run_cell(cfg, sq)))
+            except Exception as exc:  # noqa: BLE001 - cell failures become rows
+                rows[i]["error"] = _error(exc)
+            seconds[i] += time.perf_counter() - start
+    for row, s in zip(rows, seconds):
+        row["runtime_ms"] = round(s * 1000.0, 3)
     return rows
 
 

@@ -5,7 +5,8 @@ benchmark's output gate compare the Monte Carlo against them, and
 nothing on the grid path imports this module.  It provides the exact
 mean of the squared error over a design's allocation covariance E[ww']
 (twoarm.designs.design_covariance) and the pairwise-matching
-conditional variance in closed form.  The constant C_95 of the normal
+conditional variance in closed form, and the exact quantiles of pb's
+squared error for a Gaussian response.  The constant C_95 of the normal
 approximation to the 0.95 quantile lives in twoarm.montecarlo, which
 evaluates it; the published reference constants for the large-n
 variance scaling live in twoarm.verify with the convergence reports.
@@ -13,11 +14,13 @@ variance scaling live in twoarm.verify with the convergence reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .core import _frozen
+from .core import Allocation, _frozen
 
 # Coefficient c in Var_W[(tau_hat - tau)^2 | v] = c * sum_{i<j} d_i^2 d_j^2 / n^4
 # for pairwise matching.  Fixed by exhaustive enumeration of the n = 2
@@ -101,3 +104,38 @@ def pm_conditional_variance(v) -> float:
     s4 = float(np.square(d_sq).sum())
     return PM_COND_VAR_COEFF * (s2 * s2 - s4) / (2.0 * n**4)
 
+
+def pb_quantile(w_star: Allocation, mu, rho, level: float = 0.95) -> float:
+    """Exact level-quantile of pb's squared error for a Gaussian v.
+
+    pb draws w* or -w*, and either gives the squared error
+    (w*'v / 2n)^2.  When v = y_T + y_C is Gaussian with means mu
+    (mu_T + mu_C) and variances rho, as for the continuous response,
+    w*'v ~ N(m, s^2) with m = w*'mu and s^2 = sum(rho).  The quantile is
+    (s x / 2n)^2, where x solves P(|Z + |m| / s| <= x) = level for a
+    standard normal Z, found by bisection to the last float.
+    """
+    signs = w_star.signs.astype(float)
+    mu = np.asarray(mu, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if mu.shape != signs.shape or rho.shape != signs.shape:
+        raise ValueError(
+            f"mu and rho must be vectors of w*'s {signs.size} entries, "
+            f"got shapes {mu.shape} and {rho.shape}"
+        )
+    if not (np.isfinite(mu).all() and np.isfinite(rho).all()):
+        raise ValueError("mu and rho must be finite")
+    if (rho < 0).any() or not rho.sum() > 0:
+        raise ValueError("rho entries must be >= 0 with a positive sum")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    s = math.sqrt(float(rho.sum()))
+    shift = abs(float(signs @ mu)) / s
+    cdf = NormalDist().cdf
+    lo, hi = 0.0, shift + 10.0  # P(|Z + shift| <= hi) >= 1 - 1e-23
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if cdf(mid - shift) - cdf(-mid - shift) < level:
+            lo = mid
+        else:
+            hi = mid
+    return (s * hi / signs.size) ** 2

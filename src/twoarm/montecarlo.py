@@ -1,19 +1,24 @@
-"""Monte Carlo evaluation of a design cell.
+"""Monte Carlo evaluation of the design cells of one panel.
 
-A cell fixes covariates, a response model, and a design; each
-replicate draws fresh potential outcomes and one allocation and records
-the squared error of the difference-in-means estimate.  Replicates are
-drawn in fixed-size chunks on seed-derived substreams, so results are
-bit-identical no matter how cells are scheduled across workers.  A
-chunk holds one full outcome buffer: the treated arm is drawn into it
-by response.draw_outcomes, and the control arm (one draw_outcomes
-call per row block), the allocation uniforms and their signs are drawn
-in row blocks of at most streams.BLOCK_ELEMENTS elements, each
-consuming its stream exactly as one whole draw would.  A
-cell's report, whose fields are the result columns of results.csv,
-holds the mean and sd of the squared error and two figures of its 0.95
-quantile: the empirical quantile and the normal approximation
-mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here),
+A panel fixes covariates and a response model; each of its cells adds
+a design.  Each replicate draws fresh potential outcomes and, for each
+cell, one allocation, and records the squared error of that cell's
+difference-in-means estimate.  The outcomes are drawn once per panel
+and shared by every cell (common random numbers, so design comparisons
+are paired); each cell's allocations come from its own stream.
+Replicates are drawn in fixed-size chunks on seed-derived substreams
+keyed by the panel id (outcomes) and the cell id (allocations), so
+results are bit-identical no matter how panels are scheduled across
+workers, and a cell's squared errors do not depend on which other cells
+share its panel.  A chunk holds one full outcome buffer v = y_T + y_C:
+the treated arm is drawn into it by response.draw_outcomes, and the
+control arm (one draw_outcomes call per row block), each cell's
+allocation uniforms and signs, and each cell's contrast are taken in
+row blocks of at most streams.BLOCK_ELEMENTS elements; every draw
+consumes its stream exactly as one whole draw would.  A cell's
+report, whose fields are the result columns of results.csv, holds the
+mean and sd of the squared error and two figures of its 0.95 quantile:
+the empirical quantile and the normal approximation mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here),
 each with a 95% percentile-bootstrap interval.  Each figure is one
 row-wise function in the _FIGURES table, which gives its point value
 on a copy of the sample as a single row and its statistic on every
@@ -26,8 +31,10 @@ sample and mapped back through the sorted sample, which gives the same
 value, ties included; the normal approximation computes each
 resample's mean once.
 
-The variance-floor and convergence reports in twoarm.verify run
-noise-only cells through the same chunk loop, and the closed forms of
+run_cell summarises one cell's squared errors; given none, it simulates
+the cell alone as a one-cell panel keyed by its cell id.  The
+variance-floor and convergence reports in twoarm.verify run noise-only
+cells that way through the same chunk loop, and the closed forms of
 twoarm.criteria check its results; the grid path imports neither.
 """
 
@@ -180,50 +187,111 @@ _FIGURES = (
 )
 
 
+# The fields every cell of a panel shares: the outcome draw depends on
+# them alone, and so does the chunk loop.
+_PANEL_FIELDS = ("model", "x", "n_reps", "master_seed")
+
+
+def _panel_cell(cells: list, panel_id: str) -> CellConfig:
+    """The first cell of a panel, once every cell shares its _PANEL_FIELDS.
+
+    model and x must be the same objects; n_reps and master_seed equal."""
+    if not cells:
+        raise ValueError(f"panel {panel_id!r} has no cells")
+    first = cells[0]
+    for cfg in cells[1:]:
+        for name in _PANEL_FIELDS:
+            mine, theirs = getattr(cfg, name), getattr(first, name)
+            # model and x hold arrays: sharing them means one object
+            if not (mine is theirs if name in ("model", "x") else mine == theirs):
+                raise ValueError(
+                    f"cells of panel {panel_id!r} must share {name}: "
+                    f"{cfg.cell_id!r} differs from {first.cell_id!r}"
+                )
+    return first
+
+
 def _chunk_squared_errors(
-    cfg: CellConfig, mu_t: np.ndarray, mu_c: np.ndarray, ci: int, size: int
-) -> np.ndarray:
-    """The squared errors of chunk ci, whose buffers are freed on return,
-    before the next chunk draws.
+    cells: list, panel_id: str, mu_t: np.ndarray, mu_c: np.ndarray, ci: int,
+    reps: slice, sq: list,
+) -> None:
+    """Write chunk ci, replicates reps, of each cell's squared errors into
+    its array of sq; the chunk's buffers are freed on return, before the
+    next chunk draws.
 
-    The treated arm fills one (size, 2n) buffer, and the control arm is
-    added into it one row block at a time, each block one draw_outcomes
-    call on the same stream, so the chunk's peak is that buffer plus a
-    row block or two and the int8 signs."""
-    rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
-    rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
-    # the signs first, on their own stream, so that their row blocks are
-    # drawn before the outcome buffer exists
-    w = sample_allocations(cfg.design, size, rng_w)
-    # w * (y_t + y_c), in one buffer: the same sums and products
-    v = draw_outcomes(cfg.model, mu_t, rng_y, size)
+    v = y_t + y_c fills one (size, 2n) buffer on the panel's outcome
+    stream: the treated arm in one draw, then the control arm added one
+    row block at a time, each block one draw_outcomes call.  Each cell
+    then draws its signs on its own stream and sums w * v row block by
+    row block through one product buffer, so v is never written after
+    the draw and every cell sees the same outcomes."""
+    first, size = cells[0], reps.stop - reps.start
+    rng_y = substream(first.master_seed, panel_id, "outcomes", ci)
+    v = draw_outcomes(first.model, mu_t, rng_y, size)
     for rows in row_blocks(size, mu_c.shape[0]):
-        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)
-    v *= w
-    return np.square(v.sum(axis=1) / (2.0 * cfg.x.n_pairs))
+        v[rows] += draw_outcomes(first.model, mu_c, rng_y, rows.stop - rows.start)
+    blocks = row_blocks(size, v.shape[1])
+    product = np.empty((blocks[0].stop, v.shape[1]))
+    contrast = np.empty(size)
+    for cfg, out in zip(cells, sq):
+        rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
+        w = sample_allocations(cfg.design, size, rng_w)
+        for rows in blocks:
+            part = product[: rows.stop - rows.start]
+            np.multiply(v[rows], w[rows], out=part).sum(axis=1, out=contrast[rows])
+        del w  # before the next cell's sampler runs
+        out[reps] = np.square(contrast / (2.0 * first.x.n_pairs))
 
 
-def simulate_squared_errors(cfg: CellConfig) -> np.ndarray:
-    """All replicate squared errors for a cell, chunk by chunk, each
-    chunk holding one full outcome buffer at a time and freeing it
-    before the next."""
-    mu_t, mu_c = potential_means(cfg.model, cfg.x)
-    sq = np.empty(cfg.n_reps)
-    pos = 0
-    for ci, size in enumerate(chunk_sizes(cfg.n_reps)):
-        sq[pos : pos + size] = _chunk_squared_errors(cfg, mu_t, mu_c, ci, size)
-        pos += size
-    return sq
+def simulate_squared_errors(cells, panel_id: str | None = None):
+    """Every replicate squared error of each cell of one panel.
 
+    cells share model, x, n_reps and master_seed (ValueError names the
+    field that differs).  Each chunk draws the outcomes v = y_t + y_c
+    once, on substream(master_seed, panel_id, "outcomes", chunk), and
+    every cell applies its own allocations to them, drawn on
+    substream(master_seed, cell_id, "alloc", chunk).  So a cell's array
+    depends only on its own config and panel_id, not on the other cells
+    of the panel, and the cells' designs are compared on common draws.
+    A chunk holds one full outcome buffer at a time and frees it before
+    the next.  Returns one array of n_reps per cell, in order.
 
-def run_cell(cfg: CellConfig) -> CriterionReport:
-    """Simulate a cell and summarize its squared-error distribution.
-
-    Each quantile figure gets a percentile bootstrap interval on its own
-    seed-derived stream, so reports are reproducible from
-    (cell_id, master_seed) alone.
+    A lone CellConfig in place of the list returns its array alone, and
+    its panel_id defaults to its cell id: simulate_squared_errors(cfg)
+    is simulate_squared_errors([cfg], cfg.cell_id)[0].
     """
-    sq = simulate_squared_errors(cfg)
+    lone = isinstance(cells, CellConfig)
+    cells = [cells] if lone else list(cells)
+    if panel_id is None:
+        if not lone:
+            raise ValueError("a list of cells needs a panel_id")
+        panel_id = cells[0].cell_id
+    first = _panel_cell(cells, panel_id)
+    mu_t, mu_c = potential_means(first.model, first.x)
+    sq = [np.empty(first.n_reps) for _ in cells]
+    pos = 0
+    for ci, size in enumerate(chunk_sizes(first.n_reps)):
+        reps = slice(pos, pos + size)
+        _chunk_squared_errors(cells, panel_id, mu_t, mu_c, ci, reps, sq)
+        pos += size
+    return sq[0] if lone else sq
+
+
+def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
+    """Summarize a cell's squared-error distribution.
+
+    sq is the cell's n_reps squared errors, as simulate_squared_errors
+    gives them for its panel; without it the cell is simulated alone, as
+    its own one-cell panel.  Each quantile figure gets a percentile
+    bootstrap interval on its own seed-derived stream, keyed by the
+    cell id, so a report is reproducible from (cell_id, master_seed)
+    and the panel id of its outcomes.
+    """
+    if sq is None:
+        sq = simulate_squared_errors(cfg)
+    sq = np.asarray(sq, dtype=float)
+    if sq.shape != (cfg.n_reps,):
+        raise ValueError(f"sq must have shape ({cfg.n_reps},), got {sq.shape}")
     summary = {"mean_sq_err": float(sq.mean())}
     if not np.isfinite(summary["mean_sq_err"]):
         raise ValueError("mean_sq_err must be finite")

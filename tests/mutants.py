@@ -183,8 +183,8 @@ MUTANTS = (
         "the chunk adds the control arm from one whole draw",
         "twoarm/montecarlo.py",
         "    for rows in row_blocks(size, mu_c.shape[0]):\n"
-        "        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)\n",
-        "    v += draw_outcomes(cfg.model, mu_c, rng_y, size)\n",
+        "        v[rows] += draw_outcomes(first.model, mu_c, rng_y, rows.stop - rows.start)\n",
+        "    v += draw_outcomes(first.model, mu_c, rng_y, size)\n",
         (
             "tests/test_montecarlo.py::TestSimulateSquaredErrors"
             "::test_a_chunk_peaks_at_one_outcome_buffer[proportion-1.5]",
@@ -193,17 +193,51 @@ MUTANTS = (
     Mutant(
         "the chunk draws the control arm before the treated arm",
         "twoarm/montecarlo.py",
-        "    v = draw_outcomes(cfg.model, mu_t, rng_y, size)\n"
+        "    v = draw_outcomes(first.model, mu_t, rng_y, size)\n"
         "    for rows in row_blocks(size, mu_c.shape[0]):\n"
-        "        v[rows] += draw_outcomes(cfg.model, mu_c, rng_y, rows.stop - rows.start)\n",
-        "    v = draw_outcomes(cfg.model, mu_c, rng_y, size)\n"
+        "        v[rows] += draw_outcomes(first.model, mu_c, rng_y, rows.stop - rows.start)\n",
+        "    v = draw_outcomes(first.model, mu_c, rng_y, size)\n"
         "    for rows in row_blocks(size, mu_t.shape[0]):\n"
-        "        v[rows] += draw_outcomes(cfg.model, mu_t, rng_y, rows.stop - rows.start)\n",
+        "        v[rows] += draw_outcomes(first.model, mu_t, rng_y, rows.stop - rows.start)\n",
         (
             "tests/test_montecarlo.py::TestSimulateSquaredErrors"
             "::test_full_and_ragged_chunks_match_the_separate_array_contrast[proportion]",
             "tests/test_cli.py::TestPinnedOutputBytes"
             "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "the outcome stream keyed by the first cell's id inside a panel",
+        "twoarm/montecarlo.py",
+        'rng_y = substream(first.master_seed, panel_id, "outcomes", ci)',
+        'rng_y = substream(first.master_seed, first.cell_id, "outcomes", ci)',
+        (
+            "tests/test_montecarlo.py::TestPanel::test_each_cell_equals_its_one_cell_panel",
+            "tests/test_montecarlo.py::TestPanel::test_a_lone_cell_is_its_own_panel",
+            "tests/test_cli.py::TestPinnedOutputBytes"
+            "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "the contrast written into the shared outcome buffer",
+        "twoarm/montecarlo.py",
+        "np.multiply(v[rows], w[rows], out=part)",
+        "np.multiply(v[rows], w[rows], out=v[rows])",
+        (
+            "tests/test_montecarlo.py::TestPanel::test_each_cell_equals_its_one_cell_panel",
+            "tests/test_cli.py::TestPinnedOutputBytes"
+            "::test_blocking_sweep_bytes_match_the_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "the previous chunk's outcome buffer kept alive across the next draw",
+        "twoarm/montecarlo.py",
+        "    v = draw_outcomes(first.model, mu_t, rng_y, size)\n",
+        "    v = draw_outcomes(first.model, mu_t, rng_y, size)\n"
+        "    _chunk_squared_errors.held = v\n",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_a_chunk_peaks_at_one_outcome_buffer[continuous-1.5]",
         ),
     ),
     Mutant(
@@ -213,6 +247,13 @@ MUTANTS = (
         '            raise ValueError("subject count must be > 0, got 0")\n',
         "",
         ("tests/test_criteria.py::TestCriterionInputs::test_validation",),
+    ),
+    Mutant(
+        "pb's exact quantile drops the mean of w*'v",
+        "twoarm/criteria.py",
+        "shift = abs(float(signs @ mu)) / s",
+        "shift = 0.0",
+        ("tests/test_criteria.py::TestPbQuantile::test_a_large_shift_leaves_one_normal_tail",),
     ),
     Mutant(
         "pair_gap_diagnostic accepts a non-finite mu",

@@ -1,11 +1,14 @@
 import csv
 import dataclasses
 import hashlib
+import math
+import time
 from pathlib import Path
 
 import pytest
 
 import twoarm.cli as cli
+import twoarm.montecarlo
 from twoarm.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -18,7 +21,12 @@ from twoarm.cli import (
     write_rows,
 )
 from twoarm.montecarlo import CriterionReport
-from twoarm.response import RESPONSE_KINDS, default_covariate_source, draw_covariates
+from twoarm.response import (
+    RESPONSE_KINDS,
+    default_covariate_source,
+    draw_covariates,
+    draw_outcomes,
+)
 from twoarm.streams import substream
 
 
@@ -297,13 +305,43 @@ class TestRunGrid:
         ]
 
     def test_cell_failures_become_error_rows(self, monkeypatch):
-        def boom(cfg):
+        def boom(cfg, sq=None):
             raise RuntimeError("cell exploded")
 
         monkeypatch.setattr("twoarm.cli.run_cell", boom)
         rows = run_grid(build_grid(_micro_config()))
         assert all(row["error"] == "RuntimeError: cell exploded" for row in rows)
         assert all(row["mean_sq_err"] == "" for row in rows)
+
+    def test_a_failing_outcome_draw_fails_only_its_own_panel(self, monkeypatch):
+        grid = build_grid(_micro_config(responses="continuous,incidence", p="1,2"))
+        clean = run_grid(grid)
+
+        def draw(model, mu, rng, n_draws):
+            if model.kind == "incidence" and model.n_covariates == 2:
+                raise RuntimeError("draw exploded")
+            return draw_outcomes(model, mu, rng, n_draws)
+
+        monkeypatch.setattr(twoarm.montecarlo, "draw_outcomes", draw)
+        rows = run_grid(grid)
+        failed = [(r["response"], r["p"]) for r in rows if r["error"]]
+        assert failed == [("incidence", 2)] * 2
+        for got, want in zip(_strip_runtime(rows), _strip_runtime(clean)):
+            if (got["response"], got["p"]) == ("incidence", 2):
+                assert got["error"] == "RuntimeError: draw exploded"
+                assert got["mean_sq_err"] == ""
+            else:
+                assert got == want
+
+    def test_runtimes_share_out_the_panel_wall_time(self):
+        grid = build_grid(_micro_config(blocks="1,2,4"))
+        start = time.perf_counter()
+        rows = cli._run_panel((grid, "continuous", 1))
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        runtimes = [row["runtime_ms"] for row in rows]
+        assert len(runtimes) == 3
+        assert all(math.isfinite(ms) and ms >= 0 for ms in runtimes)
+        assert sum(runtimes) <= wall_ms
 
     def test_a_failing_design_fails_only_its_own_rows(self, monkeypatch):
         cfg = _micro_config(pb_restarts=20, reps=200, p="1,2")
@@ -502,7 +540,7 @@ class TestMain:
         assert str(blocker) in capsys.readouterr().err
 
     def test_failing_cells_exit_one(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg):
+        def boom(cfg, sq=None):
             raise RuntimeError("cell exploded")
 
         monkeypatch.setattr("twoarm.cli.run_cell", boom)
@@ -557,46 +595,46 @@ class TestPinnedOutputBytes:
     PINNED = {
         "exponential": {
             "continuous": (
-                "5e53caae82f4c3d7591bc143a9d08b0b47761deeb041708d23368270264b432c",
-                "5570928f777708d359d8b15c8be0a259ddce1c85e84026823f80aafe5a4eeb27",
+                "059824a09a401f2f4f539862fe4e5a38eb21ccb24ff3907d0514938f743e7a4c",
+                "0b246ab55e06c86233ee38767192cf48741fef025398524bc6d19ccc4e678e52",
             ),
             "incidence": (
-                "f27d1c92a6e800cf463a5f24b1e16dfbf92ce33c0babe96249108939aedef76c",
-                "2a2ecf24c095ff5a97c164327a40011aba778ac1a2ef5a0f02648fc22d1c165a",
+                "bc5bb1c68e1d595a03e6eee7c22fc7b9aac4714a784708830621d5e5ace16814",
+                "148630a6733414959587f54f50998b704b029bd4923668fc050a46fa80f8333d",
             ),
             "proportion": (
-                "a6a788e246f84198fe873042bab9ba4c0e7b076f3ce648e4ecf33de7d351eeed",
-                "fc79793a7ae0e711cbc70cb1b70142522faa1e991d22333ccab35381428bb16d",
+                "eb6b40c1f5b53dda9bc57c26e08768a6d5179c888ff3738a5eff8027227cb14e",
+                "0cf6388f9f676c0314fe916dd568f02e904ccbb087d29ef562302ff7ca8601ea",
             ),
             "count": (
-                "fb4959deb031113e7b4bcf962a5579560744ea35e3c707b57917b7a23c38ffd0",
-                "673c38b66f690dd3d6574e2d2766aeb3e60320e450b787bf802ec3168cb77365",
+                "de68d0a2c428906eb59dec36750cd17179aad94c9e72d79e1f08c07d0300613c",
+                "a5b0b839807eeeb06e2afd523f103211c10273d8f8a82a80f010eb171849a676",
             ),
             "survival": (
-                "c012dc303defeb4eea826dbb4153017d0497c57afdde3a3f1d7bb12bfe4db538",
-                "58f4a94ec0cdd1f94c8ebe732ffb95102ed37b0f0cab6df6e79808d234425067",
+                "3f8d02331366c7b76e1963ef71ae89707c6475cff1a4ad650abdc82fd11ff224",
+                "f55a0264fa9f0a5aaf3167038b9ca25c1d2e972a222a9e3f380f2334599f5ce0",
             ),
         },
         "uniform": {
             "continuous": (
-                "19d9a2712987a01c81cd4c84bafc710de83586c53976bdb23c354b25727a6a27",
-                "a5177bb18037e30f5d666ee2d87d23891570acf4fa8627bfd119031784076e3b",
+                "2d028abe12cbbf73e33ca7a489100963be3498f1a23f6277155f9f721c0f89b2",
+                "a89caf68376a9b5c4ef6eba0c402d910b5010d596a147a4b9a3255d60d8a2e33",
             ),
             "incidence": (
-                "1061a96252a60121e28967aeb828bf540db45becace4ac4cd320cd13961d36cb",
-                "c92135e6fc3c0f114634fc0b3d8e0dfaf5c2616221292bb7033ded5f73e8ae0f",
+                "384ede28bce9eca3c38db568217038330a118e3cb415258de69926910d90a702",
+                "501e93e235d698594d15046a898753f4218b5109652fcfdb4a02a60c38af176b",
             ),
             "proportion": (
-                "363dc9ddc0a73fb9f2e19ce00ca61fdfd86998c0df9c4900fd8947d1b8b8dfe3",
-                "53bd76308d213ad5a22a5b8bc674cf50772394b477772a706556ad7d0269bd35",
+                "35743a5a4ecbc3fc825c7823f05fcc20123143084c865da830ba75c93ec214d6",
+                "161321695548dd42e3bb61dacf0f5aea25550a068c590ccf91cdd5c101aaa333",
             ),
             "count": (
-                "5e753ada2b4f18f0875a0835e28fa24712763f231c7c31ac9ef9a2b4398466c2",
-                "13e58242e830d82094dea054193dfecabfaa710c4c8ad7e13531b34e6cc2863d",
+                "94359ca16babead3dad8c8753a1e7b6751c953f7b840bc15752e0213746f7edc",
+                "87839a882d0d2e42b819072941409f9a94485a92917f73f17e3ddaf18e36c859",
             ),
             "survival": (
-                "efaa2f6512f5da0d94e40a7c1d665d80ac35a59b84d99de61dae175ad9d9712e",
-                "5f1a9fa4b193334f07c3ee91bddd780e2351dd799093bc4e2c21a2c2a564fa63",
+                "27b98b70bccd2afe9869dd757a0d5ea477c8997a2809e31b0a1737f4cf9bdcb5",
+                "f799fe3dd818e4a0facaee2d00ad98ac98d97cb24d6f87aff526b26f265ef5e4",
             ),
         },
     }
@@ -622,24 +660,24 @@ class TestPinnedOutputBytes:
     # The same micro grid, run as a p=1 blocking sweep.
     PINNED_SWEEP = {
         "continuous": (
-            "e426991ea2c4e448e10cedb3029918bd7c0b8b6ad4744f779d118982da4c9bc6",
-            "300cc649b6ebccbede3d8e800ed815f80b3e01eed57a159fb7453b1662db115b",
+            "4ad9ba5c8d9a2a0720485599daee3fe53a952bf47591bedc6699de1e92ae2052",
+            "3ed31fb12016b3c606478e5e6b62af53a532a81c053359ef1fa971c0d604291c",
         ),
         "incidence": (
-            "070c30900fa87265ae248e082f2f9232e7549cc5bf0a50dea6a6875a1ce36feb",
-            "6f54c89f4deab40ec4577581d8b2414a637058fc999b39494ec5706b662f4748",
+            "9b639c7f2c775aaeb4f9bf86679023b110a8edc5432d3ce1a2f09183b3dc1bd7",
+            "772d271586eafc572ab8a9e6ea23aca9bccffc0d406ee682b143ddad8a8850cb",
         ),
         "proportion": (
-            "fb45c4db9f79200f9889f2896f232c865f7cafd101cbdf6c614d258c51b97f68",
-            "11d4b77bc22dca57b9ad541f103a777c5daab5019f411ab5ff0c30942163de7b",
+            "45039bf4dd78b17db83cddb808678b0b95998f9ae89958e816c4b35a2dd46330",
+            "8a49b69bb43e8a47ff56666670ca698d8fa9e397e80a3d241c91034b151993b7",
         ),
         "count": (
-            "e46be592a480642fd0a6e70833bf973b4d707911d6e985678b3fbc9669997da7",
-            "ea36b02f8a3fe2a8011d31913773211e15299600b5190287f4039a4ee977c671",
+            "596ad0ccc53a2c7f8b7cf48b6c62e394296c77a7556d2004c33b5dc58f92ff1f",
+            "63cd708acc75bdf7d9dadb13b568bfd981c9919fa02e625aff82b7cf6d69a118",
         ),
         "survival": (
-            "f15561c290553a78055954dbe9b5ad0269c77e225801cdeba48af379fd1b1ee5",
-            "9317bbc4245f7a9a81a24ae256dd432bfc7646729815d0823e3d7e575d4c71da",
+            "c9fb522dfdbcbc8025aa943f98334bb963b1b504899f540a371e8b21e1eae8ab",
+            "d947404332fea42ce482c5a9c16bc2da9c46a7afb626d5a249f65129dfea8c1a",
         ),
     }
 

@@ -1,17 +1,20 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoarm.cli as cli
 import twoarm.verify
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
     PM_COND_VAR_COEFF,
     CriterionInputs,
     mean_mse,
+    pb_quantile,
     pm_conditional_variance,
 )
 from twoarm.designs import DesignSpec, design_covariance
@@ -22,6 +25,7 @@ from twoarm.response import (
     draw_covariates,
     draw_outcomes,
     potential_means,
+    residual_variances,
 )
 from twoarm.streams import substream
 from twoarm.verify import (
@@ -233,6 +237,72 @@ class TestApproxQuantile:
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match="mean_sq_err must be finite"):
                 run_cell(cfg)
+
+
+class TestPbQuantile:
+    W = Allocation(np.tile([1, -1], 48))
+
+    def test_zero_shift_is_the_noise_floor(self):
+        # the README's floor: sum(rho) / 4n^2 * chi2_1(0.95) at 2n = 96
+        floor = 192.0 * NormalDist().inv_cdf(0.975) ** 2 / 96.0**2
+        got = pb_quantile(self.W, np.zeros(96), np.full(96, 2.0))
+        assert got == pytest.approx(floor, rel=1e-14)
+        assert round(got, 6) == 0.080030
+
+    def test_a_large_shift_leaves_one_normal_tail(self):
+        mu = np.zeros(96)
+        mu[5] = -800.0  # w*'mu = 800, 57.7 sd from zero
+        s = math.sqrt(192.0)
+        for level in (0.5, 0.95, 0.99):
+            want = ((800.0 + s * NormalDist().inv_cdf(level)) / 96.0) ** 2
+            assert pb_quantile(self.W, mu, np.full(96, 2.0), level) == pytest.approx(
+                want, rel=1e-13
+            )
+
+    def test_depends_on_the_mirror_pair_only(self):
+        mu = substream(4, "pbq").normal(0.0, 1.0, 96)
+        rho = np.full(96, 2.0)
+        mirror = Allocation(-self.W.signs)
+        assert pb_quantile(self.W, mu, rho) == pb_quantile(mirror, mu, rho)
+
+    def test_rejects_bad_inputs(self):
+        rho = np.full(96, 2.0)
+        with pytest.raises(ValueError, match="96 entries"):
+            pb_quantile(self.W, np.zeros(95), rho)
+        with pytest.raises(ValueError, match="finite"):
+            pb_quantile(self.W, np.full(96, np.nan), rho)
+        with pytest.raises(ValueError, match="positive sum"):
+            pb_quantile(self.W, np.zeros(96), np.zeros(96))
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match="level"):
+                pb_quantile(self.W, np.zeros(96), rho, level)
+
+    def test_grid_cells_lie_in_an_order_statistic_band(self):
+        # emp_q95 is the k-th of N order statistics, k = ceil(0.95 N), so
+        # it lies below the exact level-quantile exactly when at least k
+        # replicates do, a Binomial(N, level) count.  The band puts the
+        # level 4 binomial sd either side of 0.95.
+        grid = cli.build_grid(
+            {
+                "seed": "808", "reps": "20000", "n_subjects": "96",
+                "responses": "continuous", "p": "1,2,5", "designs": "pb",
+                "pb_restarts": "20", "bootstrap_reps": "10",
+            }
+        )
+        rows = cli.run_grid(grid)
+        half = 4.0 * math.sqrt(0.95 * 0.05 / grid.n_reps)
+        for row in rows:
+            p = row["p"]
+            rng = substream(grid.seed, "covariates", grid.covariate_family, "continuous", p)
+            source = default_covariate_source("continuous", grid.covariate_family)
+            x = draw_covariates(source, grid.n_subjects, p, rng)
+            cell_id = f"continuous|p{p}|pb|B0|n{grid.n_subjects}"
+            w_star = cli._build_design("pb", 0, x, grid, cell_id).w_star
+            model = default_model("continuous", p)
+            mu_t, mu_c = potential_means(model, x)
+            rho = residual_variances(model, mu_t, mu_c)
+            lo, hi = (pb_quantile(w_star, mu_t + mu_c, rho, 0.95 + d) for d in (-half, half))
+            assert lo <= row["emp_q95"] <= hi, (p, lo, row["emp_q95"], hi)
 
 
 class TestAsymptoticReference:

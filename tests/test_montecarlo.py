@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import twoarm.montecarlo
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import CriterionInputs, mean_mse
-from twoarm.designs import DesignSpec, build_blocking, design_covariance
+from twoarm.designs import DesignSpec, build_blocking, design_covariance, greedy_pair_switch
 from twoarm.montecarlo import (
     C_95,
     CellConfig,
@@ -305,23 +306,45 @@ class TestSimulateSquaredErrors:
         # plus row blocks and int8 signs; a whole control-arm draw would
         # add a buffer, and a bcrd block's whole uniforms and argsort two.
         x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
+        model = default_model(kind, 2)
         buffer = CHUNK_SIZE * 96 * 8
+
+        def peak_of(cells, panel_id):
+            tracemalloc.start()
+            try:
+                simulate_squared_errors(cells, panel_id)
+                return tracemalloc.get_traced_memory()[1] / buffer
+            finally:
+                tracemalloc.stop()
+
         for design in (DesignSpec.bcrd(96), DesignSpec.block(build_blocking(x, 48))):
             cfg = CellConfig(
                 cell_id=f"peak::{kind}::{design.kind}",
-                model=default_model(kind, 2),
+                model=model,
                 x=x,
                 design=design,
                 n_reps=CHUNK_SIZE,
                 master_seed=41,
             )
-            tracemalloc.start()
-            try:
-                simulate_squared_errors(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= limit * buffer, (design.kind, peak / buffer)
+            peak = peak_of([cfg], cfg.cell_id)
+            assert peak <= limit, (design.kind, peak)
+        # A 10-cell panel over two full chunks: one shared outcome
+        # buffer, a bcrd sampler's row blocks beside it, and ten
+        # result arrays.  Keeping the first chunk's buffer alive across
+        # the second draw would pass two buffers.
+        cells = [
+            CellConfig(
+                cell_id=f"peak::{kind}::B{b}",
+                model=model,
+                x=x,
+                design=DesignSpec.block(build_blocking(x, b)),
+                n_reps=2 * CHUNK_SIZE,
+                master_seed=41,
+            )
+            for b in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48)
+        ]
+        peak = peak_of(cells, f"peak::{kind}")
+        assert peak <= 1.8, ("10-cell panel", peak)
 
     def test_mean_matches_the_analytic_criterion(self):
         cfg = _pm_cell(n_reps=40_000)
@@ -334,6 +357,88 @@ class TestSimulateSquaredErrors:
         assert abs(sq.mean() - target) <= 3.5 * se
 
 
+def _panel(kind, n_reps, designs, seed=29, panel_id="panel"):
+    """Cells of one 2n = 96, p = 2 panel, one per design, sharing one
+    model and one covariate draw."""
+    x = draw_covariates(default_covariate_source(kind), 96, 2, substream(7, "x", kind))
+    model = default_model(kind, 2)
+    return [
+        CellConfig(f"{panel_id}::{label}", model, x, make(x), n_reps, seed)
+        for label, make in designs
+    ]
+
+
+_FOUR_DESIGNS = (
+    ("bcrd", lambda x: DesignSpec.bcrd(96)),
+    ("B8", lambda x: DesignSpec.block(build_blocking(x, 8))),
+    ("pm", lambda x: DesignSpec.pm(Blocking.from_pairs(build_blocking(x, 48).pairs()))),
+    ("pb", lambda x: DesignSpec.pb(greedy_pair_switch(x, 8, substream(3, "pb")))),
+)
+
+
+class TestPanel:
+    @pytest.mark.parametrize("kind", RESPONSE_KINDS)
+    def test_each_cell_equals_its_one_cell_panel(self, kind):
+        # Over a full and a ragged chunk, a cell's squared errors depend
+        # on its own config and the panel id, not on the other cells.
+        cells = _panel(kind, 8192 + 100, _FOUR_DESIGNS)
+        together = simulate_squared_errors(cells, "pid")
+        assert len(together) == len(cells)
+        for cell, got in zip(cells, together):
+            alone = simulate_squared_errors([cell], "pid")[0]
+            assert got.tobytes() == alone.tobytes(), cell.cell_id
+
+    def test_a_lone_cell_is_its_own_panel(self):
+        cfg = _pm_cell(n_reps=500)
+        want = simulate_squared_errors([cfg], cfg.cell_id)[0]
+        assert simulate_squared_errors(cfg).tobytes() == want.tobytes()
+        other = simulate_squared_errors([cfg], "another panel")[0]
+        assert not np.array_equal(other, want)
+
+    def test_a_panel_draws_its_outcomes_once(self, monkeypatch):
+        calls = []
+
+        def counting(model, mu, rng, n_draws):
+            calls.append(n_draws)
+            return draw_outcomes(model, mu, rng, n_draws)
+
+        monkeypatch.setattr(twoarm.montecarlo, "draw_outcomes", counting)
+        blocks = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48)
+        designs = [
+            (f"B{b}", lambda x, b=b: DesignSpec.block(build_blocking(x, b))) for b in blocks
+        ]
+        cells = _panel("continuous", 8192 + 100, designs)
+        simulate_squared_errors(cells, "ten")
+        ten = list(calls)
+        calls.clear()
+        simulate_squared_errors(cells[:1], "one")
+        assert ten == calls
+        assert sum(calls) == 2 * (8192 + 100)
+
+    def test_cells_that_disagree_are_rejected(self):
+        cells = _panel("continuous", 300, _FOUR_DESIGNS[:2])
+        first = cells[0]
+        x2 = CovariateMatrix(first.x.values.copy())
+        variants = {
+            "model": dict(model=default_model("continuous", 2)),
+            "x": dict(x=x2),
+            "n_reps": dict(n_reps=301),
+            "master_seed": dict(master_seed=30),
+        }
+        for name, change in variants.items():
+            fields = dict(
+                cell_id="odd", model=first.model, x=first.x, design=first.design,
+                n_reps=first.n_reps, master_seed=first.master_seed,
+            )
+            odd = CellConfig(**{**fields, **change})
+            with pytest.raises(ValueError, match=f"must share {name}: 'odd'"):
+                simulate_squared_errors([*cells, odd], "pid")
+        with pytest.raises(ValueError, match="no cells"):
+            simulate_squared_errors([], "pid")
+        with pytest.raises(ValueError, match="list of cells needs a panel_id"):
+            simulate_squared_errors(cells)
+
+
 class TestRunCell:
     def test_report_is_reproducible(self):
         cfg = _pm_cell(n_reps=2000)
@@ -341,6 +446,16 @@ class TestRunCell:
         b = run_cell(cfg)
         assert isinstance(a, CriterionReport)
         assert a == b
+
+    def test_summarises_a_given_sample(self):
+        cfg = _pm_cell(n_reps=2000)
+        sq = simulate_squared_errors([cfg], "some panel")[0]
+        kept = sq.copy()
+        assert run_cell(cfg, sq) != run_cell(cfg)
+        assert run_cell(cfg, sq) == run_cell(cfg, kept)
+        assert sq.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError, match=r"sq must have shape \(2000,\), got \(1999,\)"):
+            run_cell(cfg, sq[1:])
 
     @pytest.mark.parametrize("beta, finite", [(150.0, True), (184.0, False)])
     def test_overflowing_sd_raises(self, beta, finite):
