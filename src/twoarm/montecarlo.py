@@ -17,19 +17,17 @@ allocation uniforms and signs, and each cell's contrast are taken in
 row blocks of at most streams.BLOCK_ELEMENTS elements; every draw
 consumes its stream exactly as one whole draw would.  A cell's
 report, whose fields are the result columns of results.csv, holds the
-mean and sd of the squared error and two figures of its 0.95 quantile:
-the empirical quantile and the normal approximation mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here),
-each with a 95% percentile-bootstrap interval.  Each figure is one
-row-wise function in the _FIGURES table, which gives its point value
-on a copy of the sample as a single row and its statistic on every
-resample.  The bootstrap draws the indices of a block of whole
-resamples at once, at most BLOCK_ELEMENTS // N rows of N, and
-evaluates the statistic on that (rows, N) block; the stream is consumed
-exactly as one draw per resample would consume it.  The empirical
-quantile, an order statistic, is resampled on the int32 ranks of the
-sample and mapped back through the sorted sample, which gives the same
-value, ties included; the normal approximation computes each
-resample's mean once.
+mean and sd of the squared error and two figures of its 0.95 quantile,
+each with a 95% percentile-bootstrap interval.  The empirical quantile
+is an order statistic of the sorted sample, and so are its interval's
+endpoints: the percentile-bootstrap law of an order statistic is exact,
+from binomial tails, so that interval draws no random numbers and is
+the limit of infinitely many resamples.  The normal approximation
+mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here)
+has no such law; bootstrap_ci resamples it, drawing the indices of a
+block of whole resamples at once, at most BLOCK_ELEMENTS // N rows of
+N, and computing each resample's mean once.  The stream is consumed
+exactly as one draw per resample would consume it.
 
 run_cell summarises one cell's squared errors; given none, it simulates
 the cell alone as a one-cell panel keyed by its cell id.  The
@@ -91,16 +89,10 @@ class CriterionReport:
     approx_q95_hi: float
 
 
-def _order_statistic(values: np.ndarray) -> np.ndarray:
-    """Row-wise empirical 0.95 quantile: the ceil(0.95 * N)-th order
-    statistic (inverse-CDF definition) along the last axis of N.
-    Partitions values in place; bootstrap_ci evaluates it on ranks."""
-    k = math.ceil(0.95 * values.shape[-1])
-    values.partition(k - 1, axis=-1)
-    return values[..., k - 1]
-
-
-_order_statistic.on_ranks = True
+# The tail probability on each side of a 95% interval.  (1 - 0.95) / 2
+# is 0.025000000000000022, not 0.025, and the approx interval's
+# endpoints from np.quantile, so the output bytes, depend on it.
+_ALPHA = (1.0 - 0.95) / 2.0
 
 
 def bootstrap_ci(
@@ -120,45 +112,63 @@ def bootstrap_ci(
     max(1, BLOCK_ELEMENTS // N) rows, with one rng.integers call each.
     For N below 2**32 numpy draws these bounded integers one 32-bit word
     at a time, so a (b, N) draw consumes the stream exactly as b draws of
-    N do, and the interval does not depend on the block size.  rng is required so that every interval comes
-    from a seed-derived stream.
-
-    A statistic whose on_ranks attribute is true commutes with every
-    non-decreasing map, as an order statistic does.  It is evaluated on
-    a block of int32 ranks from one stable argsort of samples, which
-    are cheaper to gather and partition than float64 values, and each
-    resulting rank maps back through the sorted sample: the same value,
-    ties included.
+    N do, and the interval does not depend on the block size.  rng is
+    required so that every interval comes from a seed-derived stream.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
     _check_int("n_resamples", n_resamples, 1)
     n = samples.size
-    if getattr(statistic, "on_ranks", False):
-        order = np.argsort(samples, kind="stable")
-        sorted_samples = samples[order]
-        source = np.empty(n, dtype=np.int32 if n <= 1 << 31 else np.int64)
-        source[order] = np.arange(n, dtype=source.dtype)
-    else:
-        source, sorted_samples = samples, None
     stats = np.empty(n_resamples)
     for rows in row_blocks(n_resamples, n):
         b = rows.stop - rows.start
-        block = np.asarray(statistic(source[rng.integers(0, n, (b, n))]))
+        block = np.asarray(statistic(samples[rng.integers(0, n, (b, n))]))
         if block.shape != (b,):
             raise ValueError(
                 f"statistic must map a ({b}, {n}) block of resamples to "
                 f"shape ({b},), got shape {block.shape}"
             )
-        if sorted_samples is not None:
-            block = sorted_samples[block]
         stats[rows] = block
-    # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025, and the
-    # endpoints np.quantile returns, so the output bytes, depend on it.
-    alpha = (1.0 - 0.95) / 2.0
-    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(stats, [_ALPHA, 1.0 - _ALPHA])
     return float(lo), float(hi)
+
+
+def _exact_ranks(n: int) -> tuple[int, int, int]:
+    """(k, j_lo, j_hi): the 1-based ranks, among N = n sorted replicates,
+    of the empirical 0.95 quantile and of its exact 95% percentile-bootstrap
+    interval.
+
+    k = ceil(0.95 * N), the inverse-CDF quantile.  A resample holds rank
+    j or below Bin(N, j / N) times, so its k-th order statistic is at most
+    the j-th replicate with probability P(Bin(N, j / N) >= k), ties broken
+    by position (Maritz & Jarrett 1978; Hutson 1999).  j_lo and j_hi are
+    the smallest j at which that tail reaches _ALPHA and 1 - _ALPHA: the
+    interval that infinitely many resamples would give.  The tail is
+    summed from its log terms, and each rank is found by bisection on j.
+    """
+    k = math.ceil(0.95 * n)
+    i = np.arange(k, n + 1)
+    log_comb = math.lgamma(n + 1) - np.array(
+        [math.lgamma(a + 1) + math.lgamma(n - a + 1) for a in range(k, n + 1)]
+    )
+
+    def tail(j: int) -> float:
+        p = j / n
+        return float(np.exp(log_comb + i * math.log(p) + (n - i) * math.log1p(-p)).sum())
+
+    ranks = []
+    for level in (_ALPHA, 1.0 - _ALPHA):
+        # the tail is 0 at j = 0 and 1 at j = N; it rises with j
+        below, at = 0, n
+        while at - below > 1:
+            mid = (below + at) // 2
+            if tail(mid) >= level:
+                at = mid
+            else:
+                below = mid
+        ranks.append(at)
+    return k, ranks[0], ranks[1]
 
 
 def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
@@ -177,14 +187,6 @@ def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
     var = np.add.reduce(v, axis=1)
     var /= n - 1
     return mean[:, 0] + C_95 * np.sqrt(var, out=var)
-
-
-# (result column, row-wise statistic, bootstrap substream role) of each
-# quantile figure; its interval fills the column's _lo and _hi fields.
-_FIGURES = (
-    ("emp_q95", _order_statistic, "bootstrap-empirical"),
-    ("approx_q95", _approx_q95_rows, "bootstrap-approx"),
-)
 
 
 # The fields every cell of a panel shares: the outcome draw depends on
@@ -282,10 +284,12 @@ def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
 
     sq is the cell's n_reps squared errors, as simulate_squared_errors
     gives them for its panel; without it the cell is simulated alone, as
-    its own one-cell panel.  Each quantile figure gets a percentile
-    bootstrap interval on its own seed-derived stream, keyed by the
-    cell id, so a report is reproducible from (cell_id, master_seed)
-    and the panel id of its outcomes.
+    its own one-cell panel.  emp_q95 and its interval's endpoints are
+    order statistics of sq at the ranks of _exact_ranks(n_reps).  The
+    approx_q95 interval resamples sq bootstrap_reps times on its own
+    seed-derived stream, keyed by the cell id, so a report is
+    reproducible from (cell_id, master_seed) and the panel id of its
+    outcomes.
     """
     if sq is None:
         sq = simulate_squared_errors(cfg)
@@ -298,13 +302,16 @@ def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
     summary["sd_sq_err"] = float(sq.std(ddof=1))
     if not np.isfinite(summary["sd_sq_err"]):
         raise ValueError("sd_sq_err must be finite")
-    for column, statistic, role in _FIGURES:
-        # a copy: the statistic works in place, and sq is resampled next
-        summary[column] = float(statistic(sq[None, :].copy())[0])
-        summary[f"{column}_lo"], summary[f"{column}_hi"] = bootstrap_ci(
-            sq,
-            statistic,
-            n_resamples=cfg.bootstrap_reps,
-            rng=substream(cfg.master_seed, cfg.cell_id, role),
-        )
+    k, j_lo, j_hi = _exact_ranks(sq.size)
+    s = np.sort(sq)
+    summary["emp_q95"] = float(s[k - 1])
+    summary["emp_q95_lo"], summary["emp_q95_hi"] = float(s[j_lo - 1]), float(s[j_hi - 1])
+    # a copy: the statistic works in place, and sq is resampled next
+    summary["approx_q95"] = float(_approx_q95_rows(sq[None, :].copy())[0])
+    summary["approx_q95_lo"], summary["approx_q95_hi"] = bootstrap_ci(
+        sq,
+        _approx_q95_rows,
+        n_resamples=cfg.bootstrap_reps,
+        rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
+    )
     return CriterionReport(**summary)

@@ -241,6 +241,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the exact interval's k off by one",
+        "twoarm/montecarlo.py",
+        "    k = math.ceil(0.95 * n)\n",
+        "    k = math.ceil(0.95 * n) - 1\n",
+        (
+            "tests/test_montecarlo.py::TestExactInterval::test_ranks_equal_the_plain_python_oracle",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_montecarlo.py::TestRunCell::test_summary_fields_are_consistent",
+        ),
+    ),
+    Mutant(
+        "the exact interval's tails at 0.05, not 0.025",
+        "twoarm/montecarlo.py",
+        "for level in (_ALPHA, 1.0 - _ALPHA):",
+        "for level in (2 * _ALPHA, 1.0 - 2 * _ALPHA):",
+        (
+            "tests/test_montecarlo.py::TestExactInterval::test_equals_the_law_over_every_resample",
+            "tests/test_montecarlo.py::TestExactInterval::test_ranks_equal_the_plain_python_oracle",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+        ),
+    ),
+    Mutant(
+        "the exact interval's binomial tail taken at (j - 1) / N",
+        "twoarm/montecarlo.py",
+        "        p = j / n\n",
+        "        p = (j - 1) / n\n",
+        (
+            "tests/test_montecarlo.py::TestExactInterval::test_equals_the_law_over_every_resample",
+            "tests/test_montecarlo.py::TestExactInterval::test_ranks_equal_the_plain_python_oracle[12500]",
+        ),
+    ),
+    Mutant(
+        "the exact interval's endpoints read from the unsorted sample",
+        "twoarm/montecarlo.py",
+        "float(s[j_lo - 1]), float(s[j_hi - 1])",
+        "float(sq[j_lo - 1]), float(sq[j_hi - 1])",
+        (
+            "tests/test_montecarlo.py::TestExactInterval::test_equals_the_law_over_every_resample",
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+        ),
+    ),
+    Mutant(
         "CriterionInputs accepts zero subjects",
         "twoarm/criteria.py",
         "        if mu.shape[0] == 0:\n"

@@ -595,46 +595,46 @@ class TestPinnedOutputBytes:
     PINNED = {
         "exponential": {
             "continuous": (
-                "059824a09a401f2f4f539862fe4e5a38eb21ccb24ff3907d0514938f743e7a4c",
-                "0b246ab55e06c86233ee38767192cf48741fef025398524bc6d19ccc4e678e52",
+                "daccf725078323249593c97aaf05359252466bf349f0ffd31785c8fd369fa66f",
+                "d0abfb3e7fff92f3e9e7069c83a3e414627819f8c96cfd87b9d27b7483fd4a53",
             ),
             "incidence": (
                 "bc5bb1c68e1d595a03e6eee7c22fc7b9aac4714a784708830621d5e5ace16814",
                 "148630a6733414959587f54f50998b704b029bd4923668fc050a46fa80f8333d",
             ),
             "proportion": (
-                "eb6b40c1f5b53dda9bc57c26e08768a6d5179c888ff3738a5eff8027227cb14e",
-                "0cf6388f9f676c0314fe916dd568f02e904ccbb087d29ef562302ff7ca8601ea",
+                "94e7069e1d2587e2cebd74cdf8210d6ab7d25d45926897f2e7b6ad389d8d5561",
+                "012e8db959dece7252168b3a535192ca048c359d438cb05acb4567abc110a8e9",
             ),
             "count": (
-                "de68d0a2c428906eb59dec36750cd17179aad94c9e72d79e1f08c07d0300613c",
-                "a5b0b839807eeeb06e2afd523f103211c10273d8f8a82a80f010eb171849a676",
+                "afd111d17644a155248a20740dfa4bcddf4457bf0a0e8cd49c442766c21aed64",
+                "a16b65341a037d33ef2ff13ce0f5a120f5176d94e7e6b4140b6ec4f203b4fe1f",
             ),
             "survival": (
-                "3f8d02331366c7b76e1963ef71ae89707c6475cff1a4ad650abdc82fd11ff224",
-                "f55a0264fa9f0a5aaf3167038b9ca25c1d2e972a222a9e3f380f2334599f5ce0",
+                "4f3d729f6fd7a02971d7dc7396f835a7d535fd6d722835bdbadd4364a8e4134d",
+                "cdc028b77838bac832c926c4a99f91b755a1a52c87bc88c1fa8ce714eed101f8",
             ),
         },
         "uniform": {
             "continuous": (
-                "2d028abe12cbbf73e33ca7a489100963be3498f1a23f6277155f9f721c0f89b2",
-                "a89caf68376a9b5c4ef6eba0c402d910b5010d596a147a4b9a3255d60d8a2e33",
+                "0eb1e59e862bb1f2adcb3a625858f5631ec930120867475a2876824d04ac10ec",
+                "7e5f0304f6a70909ede518712c1099520404bb843fc1e395ccef0a733018f3b1",
             ),
             "incidence": (
                 "384ede28bce9eca3c38db568217038330a118e3cb415258de69926910d90a702",
                 "501e93e235d698594d15046a898753f4218b5109652fcfdb4a02a60c38af176b",
             ),
             "proportion": (
-                "35743a5a4ecbc3fc825c7823f05fcc20123143084c865da830ba75c93ec214d6",
-                "161321695548dd42e3bb61dacf0f5aea25550a068c590ccf91cdd5c101aaa333",
+                "fc69b1a0b497e47bb30198e80d1765f31929ee255a3aacd9ebc55bf8281482b6",
+                "0a7c4eeb5408792fd488e5d15e330cfd661ac5b6af292050b587880d02c016db",
             ),
             "count": (
                 "94359ca16babead3dad8c8753a1e7b6751c953f7b840bc15752e0213746f7edc",
                 "87839a882d0d2e42b819072941409f9a94485a92917f73f17e3ddaf18e36c859",
             ),
             "survival": (
-                "27b98b70bccd2afe9869dd757a0d5ea477c8997a2809e31b0a1737f4cf9bdcb5",
-                "f799fe3dd818e4a0facaee2d00ad98ac98d97cb24d6f87aff526b26f265ef5e4",
+                "19ac76e3b7149a24ff1ef06f3d485aa8201601da33287fec66e9b427839e9474",
+                "b655c7ac1be90b3576e2b0a5ada317029e95d6907b704a8cd494a7a1be1c5280",
             ),
         },
     }
@@ -660,24 +660,24 @@ class TestPinnedOutputBytes:
     # The same micro grid, run as a p=1 blocking sweep.
     PINNED_SWEEP = {
         "continuous": (
-            "4ad9ba5c8d9a2a0720485599daee3fe53a952bf47591bedc6699de1e92ae2052",
-            "3ed31fb12016b3c606478e5e6b62af53a532a81c053359ef1fa971c0d604291c",
+            "bbedc2585573df483caa18d0ce86c9597d0880ee04aab4179b7b1b606bf742f3",
+            "3defa4a4617987efd9e69d18fd5b164b14a20e9ad5832177207db225138f92fa",
         ),
         "incidence": (
-            "9b639c7f2c775aaeb4f9bf86679023b110a8edc5432d3ce1a2f09183b3dc1bd7",
-            "772d271586eafc572ab8a9e6ea23aca9bccffc0d406ee682b143ddad8a8850cb",
+            "4c78e1dc56a5e09df33796a277a076466b57c4324895ee95aa0910381449948d",
+            "ceed5542b2b12b96291a229e665dd3161e7e9a7aec86da1eb0b32fd7336b0b4b",
         ),
         "proportion": (
-            "45039bf4dd78b17db83cddb808678b0b95998f9ae89958e816c4b35a2dd46330",
-            "8a49b69bb43e8a47ff56666670ca698d8fa9e397e80a3d241c91034b151993b7",
+            "859a31cf9ff754945ba190a7b051fb9c1b776b692fa0be17020967b4facb18f8",
+            "4738d1027a059f22e87b3a27f2d28dcc5b32bce8254435cd506aa9fc5ba8623a",
         ),
         "count": (
-            "596ad0ccc53a2c7f8b7cf48b6c62e394296c77a7556d2004c33b5dc58f92ff1f",
-            "63cd708acc75bdf7d9dadb13b568bfd981c9919fa02e625aff82b7cf6d69a118",
+            "d6567779a4b75f9e361f6b74ef7202f998e33e26afc80ef3caea68a801f5f71a",
+            "a4acc746019a6a5f5d83c2fa2b882ef0f42dd226eb8ccce4ab7f945bd3b9b70d",
         ),
         "survival": (
-            "c9fb522dfdbcbc8025aa943f98334bb963b1b504899f540a371e8b21e1eae8ab",
-            "d947404332fea42ce482c5a9c16bc2da9c46a7afb626d5a249f65129dfea8c1a",
+            "41a8a0e5eace06651d78955c96b1b2cbd9605fb30885fddf216fdd18a3767fc6",
+            "01f99a7bc2c0dd2542fb0acebd8bbcf560d127eb6bcd81c71030f8ade42570b3",
         ),
     }
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from twoarm.montecarlo import (
     C_95,
     CellConfig,
     CriterionReport,
-    _FIGURES,
     _approx_q95_rows,
-    _order_statistic,
+    _exact_ranks,
     bootstrap_ci,
     run_cell,
     simulate_squared_errors,
@@ -36,8 +36,10 @@ from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracl
 from util_oracles import (
     ROW_BLOCK_DRAWS,
     balanced_allocations,
+    binomial_tail_reference,
     bootstrap_ci_reference,
     draw_outcomes_reference,
+    exact_bootstrap_rank_reference,
     simulate_squared_errors_reference,
     squared_errors_over,
 )
@@ -47,8 +49,20 @@ def _row_mean(v):
     return v.mean(axis=1)
 
 
+def _order_statistic_rows(v):
+    """Row-wise ceil(0.95 * N)-th order statistic of a (b, N) block, in
+    place: a statistic that bootstrap_ci resamples as it does any other."""
+    k = math.ceil(0.95 * v.shape[1])
+    v.partition(k - 1, axis=1)
+    return v[:, k - 1]
+
+
+# (1 - 0.95) / 2, as montecarlo computes it
+_ALPHA = (1.0 - 0.95) / 2.0
+
+
 # Each quantile figure on a 1-D sample, as its textbook formula: the
-# oracles that the row-wise statistics of _FIGURES must equal bit for bit.
+# oracles that run_cell's point values must equal bit for bit.
 _REFERENCE_STATISTICS = {
     "emp_q95": lambda s: np.sort(s)[math.ceil(0.95 * s.size) - 1],
     "approx_q95": lambda s: float(s.mean()) + C_95 * float(s.std(ddof=1)),
@@ -70,9 +84,10 @@ def _pm_cell(n_reps=20_000, seed=404):
 
 
 def _empirical_quantile(samples):
-    """run_cell's emp_q95 of a 1-D sample: _order_statistic on one row
-    (a copy, since the statistic partitions its block in place)."""
-    return _order_statistic(np.array(samples, dtype=float)[None, :])[0]
+    """run_cell's emp_q95 of a 1-D sample: the sorted sample at the rank
+    k that _exact_ranks gives."""
+    samples = np.asarray(samples, dtype=float)
+    return np.sort(samples)[_exact_ranks(samples.size)[0] - 1]
 
 
 class TestEmpiricalQuantile:
@@ -146,7 +161,7 @@ class TestBootstrapCi:
     @pytest.mark.parametrize(
         "rows, reference",
         [
-            (_order_statistic, _REFERENCE_STATISTICS["emp_q95"]),
+            (_order_statistic_rows, _REFERENCE_STATISTICS["emp_q95"]),
             (_approx_q95_rows, _REFERENCE_STATISTICS["approx_q95"]),
         ],
         ids=["empirical", "approx"],
@@ -170,16 +185,16 @@ class TestBootstrapCi:
     @pytest.mark.parametrize("n_resamples", [1, 65, 131])
     @pytest.mark.parametrize("n", [1, 3, 1000, 8193, 12500, 65537])
     def test_rank_interval_equals_one_resample_at_a_time_on_ties(self, n, n_resamples):
-        # A lattice sample ties most replicates with many others.  The
-        # empirical interval resamples ranks, which break every tie by
-        # position, and must still give the float order statistic's bytes.
+        # A lattice sample ties most replicates with many others; a
+        # row-wise order statistic must still give the bytes of one
+        # resample at a time.
         chi2 = np.square(substream(n, "tie-data").normal(0.0, 1.0, n))
         samples = np.floor(3 * chi2) / 9
         if n >= 1000:
             assert np.unique(samples).size < n // 10
         rng = substream(n, n_resamples, "tie-boot")
         ref_rng = substream(n, n_resamples, "tie-boot")
-        got = bootstrap_ci(samples, _order_statistic, n_resamples=n_resamples, rng=rng)
+        got = bootstrap_ci(samples, _order_statistic_rows, n_resamples=n_resamples, rng=rng)
         want = bootstrap_ci_reference(
             samples, _REFERENCE_STATISTICS["emp_q95"], n_resamples, rng=ref_rng
         )
@@ -208,6 +223,93 @@ class TestBootstrapCi:
         assert np.array_equal(block, seq)
         assert rng_block.bit_generator.state == rng_seq.bit_generator.state
         assert rng_block.random() == rng_seq.random()
+
+
+def _report_of(samples, bootstrap_reps=50):
+    """run_cell's report on a given sample of squared errors."""
+    samples = np.asarray(samples, dtype=float)
+    cfg = CellConfig(
+        cell_id="exact::sample",
+        model=default_model("continuous", 1),
+        x=CovariateMatrix([[0.0], [0.5], [1.0], [2.0]]),
+        design=DesignSpec.bcrd(4),
+        n_reps=samples.size,
+        master_seed=5,
+        bootstrap_reps=bootstrap_reps,
+    )
+    return run_cell(cfg, samples)
+
+
+class TestExactInterval:
+    """emp_q95's interval is the exact percentile-bootstrap law of the
+    ceil(0.95 N)-th order statistic, with no resampling."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_law_over_every_resample(self, n, tied):
+        samples = np.array([1.7, 0.3, 2.9, 0.8, 1.1, 2.2])[:n]
+        if tied:
+            # a tie at the top, where the quantile's ranks sit
+            samples[-1] = samples[:-1].max() if n > 2 else samples[0]
+        # All n**n resamples are equally likely: the bootstrap law as the
+        # number of resamples goes to infinity.  Each endpoint is the
+        # smallest value whose share of the law reaches its level.
+        resamples = samples[np.indices((n,) * n).reshape(n, -1).T]
+        stats = np.sort(np.sort(resamples, axis=1)[:, math.ceil(0.95 * n) - 1])
+        want = tuple(
+            float(stats[math.ceil(level * stats.size) - 1])
+            for level in (_ALPHA, 1.0 - _ALPHA)
+        )
+        report = _report_of(samples)
+        assert (report.emp_q95_lo, report.emp_q95_hi) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 300, 1000, 2500, 12500])
+    def test_ranks_equal_the_plain_python_oracle(self, n):
+        k, j_lo, j_hi = _exact_ranks(n)
+        assert k == math.ceil(0.95 * n)
+        assert j_lo == exact_bootstrap_rank_reference(n, _ALPHA)
+        assert j_hi == exact_bootstrap_rank_reference(n, 1.0 - _ALPHA)
+        # each rank is the first at which the tail reaches its level
+        for j, level in ((j_lo, _ALPHA), (j_hi, 1.0 - _ALPHA)):
+            assert binomial_tail_reference(n, j / n, k) >= level
+            assert binomial_tail_reference(n, (j - 1) / n, k) < level
+
+    @pytest.mark.parametrize("kind", ["chi2", "lattice"])
+    def test_many_resamples_land_inside_the_exact_law(self, kind):
+        # 20,000 resamples, one at a time: each endpoint of their
+        # percentile interval lies between the exact law's quantiles at
+        # its level plus and minus four standard errors of a share.
+        n, reps = 2500, 20_000
+        chi2 = np.square(substream(n, "exact-data").normal(0.0, 1.0, n))
+        samples = chi2 if kind == "chi2" else np.floor(3 * chi2) / 9
+        got = bootstrap_ci_reference(
+            samples, _REFERENCE_STATISTICS["emp_q95"], reps,
+            rng=substream(n, kind, "exact-boot"),
+        )
+        s = np.sort(samples)
+        delta = 4.0 * math.sqrt(_ALPHA * (1.0 - _ALPHA) / reps)
+        report = _report_of(samples)
+        exact = (report.emp_q95_lo, report.emp_q95_hi)
+        for end, at, level in zip(got, exact, (_ALPHA, 1.0 - _ALPHA)):
+            low = s[exact_bootstrap_rank_reference(n, level - delta) - 1]
+            high = s[exact_bootstrap_rank_reference(n, level + delta) - 1]
+            assert low <= end <= high
+            assert low <= at <= high
+
+    def test_interval_holds_the_point_at_every_small_n(self):
+        for n in range(2, 61):
+            samples = np.square(substream(n, "small-n").normal(0.0, 1.0, n))
+            report = _report_of(samples, bootstrap_reps=10)
+            assert report.emp_q95_lo <= report.emp_q95 <= report.emp_q95_hi, n
+
+    def test_bootstrap_reps_moves_only_the_approx_interval(self):
+        cfg = _pm_cell(n_reps=2000)
+        sq = simulate_squared_errors(cfg)
+        one = asdict(run_cell(replace(cfg, bootstrap_reps=1), sq))
+        many = asdict(run_cell(replace(cfg, bootstrap_reps=1000), sq))
+        assert {name for name in one if one[name] != many[name]} == {
+            "approx_q95_lo", "approx_q95_hi",
+        }
 
 
 class TestCellConfig:
@@ -485,15 +587,19 @@ class TestRunCell:
         cfg = _pm_cell(n_reps=3000)
         sq = simulate_squared_errors(cfg)
         want = {"mean_sq_err": float(sq.mean()), "sd_sq_err": float(sq.std(ddof=1))}
-        for column, _, role in _FIGURES:
-            reference = _REFERENCE_STATISTICS[column]
-            want[column] = float(reference(sq.copy()))
-            want[f"{column}_lo"], want[f"{column}_hi"] = bootstrap_ci_reference(
-                sq.copy(),
-                reference,
-                cfg.bootstrap_reps,
-                rng=substream(cfg.master_seed, cfg.cell_id, role),
-            )
+        for column in ("emp_q95", "approx_q95"):
+            want[column] = float(_REFERENCE_STATISTICS[column](sq.copy()))
+        s = np.sort(sq)
+        want["emp_q95_lo"], want["emp_q95_hi"] = (
+            float(s[exact_bootstrap_rank_reference(sq.size, level) - 1])
+            for level in (_ALPHA, 1.0 - _ALPHA)
+        )
+        want["approx_q95_lo"], want["approx_q95_hi"] = bootstrap_ci_reference(
+            sq.copy(),
+            _REFERENCE_STATISTICS["approx_q95"],
+            cfg.bootstrap_reps,
+            rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
+        )
         assert run_cell(cfg) == CriterionReport(**want)
 
     def test_summary_fields_are_consistent(self):
@@ -519,7 +625,7 @@ class TestRunCell:
                     0.7887003100472314,
                     1.0199607065181677,
                     2.7691815352837024,
-                    (2.3438621731562703, 2.920147485256657),
+                    (2.343956504755472, 3.3414073497799155),
                     2.4665356722696172,
                     (2.243122030996993, 2.8712417192688453),
                 ),
@@ -531,7 +637,7 @@ class TestRunCell:
                     0.623159408098188,
                     0.4624211328599276,
                     1.4554141853901286,
-                    (1.33473085006773, 1.645655107365447),
+                    (1.3319439505704138, 1.645655107365447),
                     1.383842171652769,
                     (1.2682095117003094, 1.4810674201306435),
                 ),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -59,6 +60,27 @@ def _readme_keys() -> list[str]:
     after = README.read_text(encoding="utf-8").split("Available keys:", 1)[1]
     table = after.split("\n\n")[1]
     return re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+
+
+def _readme_grid_row_snippet() -> str:
+    """The README's Python block that reproduces one grid row."""
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    (block,) = [b.split("```", 1)[0] for b in blocks if "row of cli.run_grid(grid)" in b]
+    return block
+
+
+def test_readme_snippet_reproduces_its_grid_row():
+    scope: dict = {}
+    exec(_readme_grid_row_snippet(), scope)
+    grid, report = scope["grid"], scope["report"]
+    # a grid at the default would hide a snippet that drops bootstrap_reps
+    default = twoarm.montecarlo.CellConfig.__dataclass_fields__["bootstrap_reps"].default
+    assert grid.bootstrap_reps != default
+    (row,) = [
+        r for r in twoarm.cli.run_grid(grid) if (r["design"], r["B"]) == ("block", 2)
+    ]
+    got = dataclasses.asdict(report)
+    assert got == {name: row[name] for name in got}
 
 
 def test_readme_keys_table_lists_exactly_the_config_keys():

@@ -11,6 +11,8 @@ The reference pb search is the one-restart-at-a-time loop
 that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
 block-wise production bootstrap must reproduce bit for bit.  The
+binomial tail, summed term by term, gives the ranks of the exact
+bootstrap interval of the empirical quantile.  The
 reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with each arm one whole numpy draw
 (the continuous draw one rng.normal(mu, 1.0) call, the proportion
@@ -292,6 +294,36 @@ def bootstrap_ci_reference(
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def binomial_tail_reference(n: int, p: float, k: int) -> float:
+    """P(Bin(n, p) >= k) for k >= 1, the pmf summed term by term in
+    plain Python."""
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    return math.fsum(
+        math.exp(
+            math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+            + i * math.log(p) + (n - i) * math.log(1.0 - p)
+        )
+        for i in range(k, n + 1)
+    )
+
+
+def exact_bootstrap_rank_reference(n: int, level: float) -> int:
+    """The smallest rank j at which the bootstrap law of the
+    ceil(0.95 n)-th order statistic of n values reaches level:
+    P(Bin(n, j / n) >= k) >= level, found by walking j one step at a
+    time from k."""
+    k = math.ceil(0.95 * n)
+    j = k
+    while binomial_tail_reference(n, j / n, k) < level:
+        j += 1
+    while j > 1 and binomial_tail_reference(n, (j - 1) / n, k) >= level:
+        j -= 1
+    return j
 
 
 def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
