@@ -32,6 +32,7 @@ import concurrent.futures
 import csv
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -50,6 +51,8 @@ CSV_COLUMNS = (
     *_RESULT_COLUMNS, "runtime_ms", "error",
 )
 
+# bootstrap_reps is deprecated: it is still accepted and checked, and
+# sets nothing.
 _KNOWN_KEYS = (
     "preset", "seed", "reps", "n_subjects", "p", "responses", "designs",
     "blocks", "covariates", "bootstrap_reps", "pb_restarts", "workers", "out",
@@ -96,7 +99,6 @@ class ExperimentGrid:
     blocks: tuple[int, ...] | None
     designs: tuple[str, ...] | None
     covariate_family: str
-    bootstrap_reps: int
     pb_restarts: int
     workers: int
     out_dir: str
@@ -207,6 +209,16 @@ def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) 
     family = raw.get("covariates", "uniform")
     if family not in ("uniform", "exponential"):
         raise ConfigError(f"covariates must be uniform or exponential, got {family!r}")
+    if "bootstrap_reps" in raw:
+        # still checked, so a config that was invalid stays invalid
+        _parse_int(raw, "bootstrap_reps", None, 1)
+        warnings.warn(
+            "config key 'bootstrap_reps' is deprecated and sets nothing: the "
+            "approx_q95 interval is now a delta-method interval that draws "
+            "no resamples",
+            FutureWarning,
+            stacklevel=2,
+        )
     return ExperimentGrid(
         seed=seed,
         n_reps=n_reps,
@@ -216,7 +228,6 @@ def build_grid(config: dict[str, str], overrides: dict[str, str] | None = None) 
         blocks=blocks,
         designs=designs,
         covariate_family=family,
-        bootstrap_reps=_parse_int(raw, "bootstrap_reps", 1000, 1),
         pb_restarts=_parse_int(raw, "pb_restarts", 1000, 1),
         workers=_parse_int(raw, "workers", 1, 1),
         out_dir=raw.get("out", "results"),
@@ -283,7 +294,6 @@ def _run_panel(task: tuple) -> list[dict]:
                 design=_build_design(design, b, x, grid, cell_id),
                 n_reps=grid.n_reps,
                 master_seed=grid.seed,
-                bootstrap_reps=grid.bootstrap_reps,
             )
             built.append((len(rows), cfg))
         except Exception as exc:  # noqa: BLE001 - cell failures become rows

@@ -18,16 +18,17 @@ row blocks of at most streams.BLOCK_ELEMENTS elements; every draw
 consumes its stream exactly as one whole draw would.  A cell's
 report, whose fields are the result columns of results.csv, holds the
 mean and sd of the squared error and two figures of its 0.95 quantile,
-each with a 95% percentile-bootstrap interval.  The empirical quantile
-is an order statistic of the sorted sample, and so are its interval's
-endpoints: the percentile-bootstrap law of an order statistic is exact,
-from binomial tails, so that interval draws no random numbers and is
-the limit of infinitely many resamples.  The normal approximation
+each with a 95% interval, and neither interval draws a random number.
+The empirical quantile is an order statistic of the sorted sample, and
+so are its interval's endpoints: the percentile-bootstrap law of an
+order statistic is exact, from binomial tails, so that interval is the
+limit of infinitely many resamples.  The normal approximation
 mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here)
-has no such law; bootstrap_ci resamples it, drawing the indices of a
-block of whole resamples at once, at most BLOCK_ELEMENTS // N rows of
-N, and computing each resample's mean once.  The stream is consumed
-exactly as one draw per resample would consume it.
+has a delta-method interval, its value plus and minus z standard
+errors, the standard error taken from the sample's influence values
+(the infinitesimal jackknife): the normal-theory limit of the
+bootstrap as the number of resamples grows.  So a cell's report
+depends on its sample alone.
 
 run_cell summarises one cell's squared errors; given none, it simulates
 the cell alone as a one-cell panel keyed by its cell id.  The
@@ -63,11 +64,9 @@ class CellConfig:
     design: DesignSpec
     n_reps: int
     master_seed: int
-    bootstrap_reps: int = 1000
 
     def __post_init__(self):
         _check_int("n_reps", self.n_reps, 2)
-        _check_int("bootstrap_reps", self.bootstrap_reps, 1)
         _check_int("master_seed", self.master_seed, 0)
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
@@ -90,11 +89,18 @@ class CriterionReport:
 
 
 # The tail probability on each side of a 95% interval.  (1 - 0.95) / 2
-# is 0.025000000000000022, not 0.025, and the approx interval's
-# endpoints from np.quantile, so the output bytes, depend on it.
+# is 0.025000000000000022, not 0.025; the exact ranks depend on it.
 _ALPHA = (1.0 - 0.95) / 2.0
+# The standard normal quantile at 1 - _ALPHA,
+# statistics.NormalDist().inv_cdf(1 - _ALPHA), written out so that the
+# grid path imports no statistics module.
+_Z = 1.9599639845400536
 
 
+# No report uses bootstrap_ci any more.  It stays only because the
+# benchmark's trace resolves montecarlo.bootstrap_ci (and its
+# n_resamples) by name; the benchmark change that drops that span
+# removes it.
 def bootstrap_ci(
     samples: np.ndarray,
     statistic,
@@ -171,22 +177,20 @@ def _exact_ranks(n: int) -> tuple[int, int, int]:
     return k, ranks[0], ranks[1]
 
 
-def _approx_q95_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise normal approximation mean + C_95 * sd of a (b, N) block.
+def _approx_q95_se(sq: np.ndarray, mean: float, sd: float) -> float:
+    """Delta-method standard error of mean + C_95 * sd.
 
-    Works in place on v.  Each row's mean is computed once, then used in
-    numpy's own variance sequence (sum, divide, subtract, square, sum,
-    divide by N - 1), so the result is bitwise
-    v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1).
+    The sd(ddof=1) / sqrt(N) of the influence values
+    psi_i = d_i + C_95 * (d_i^2 - sd^2) / (2 sd), d_i = sq_i - mean:
+    the infinitesimal jackknife (Efron 1981), the limit of the bootstrap
+    standard error as the number of resamples grows.  A constant sample
+    has sd 0 and standard error 0.
     """
-    n = v.shape[1]
-    mean = np.add.reduce(v, axis=1, keepdims=True)
-    mean /= n
-    v -= mean
-    np.multiply(v, v, out=v)
-    var = np.add.reduce(v, axis=1)
-    var /= n - 1
-    return mean[:, 0] + C_95 * np.sqrt(var, out=var)
+    if sd == 0.0:
+        return 0.0
+    d = sq - mean
+    psi = d + C_95 * (d * d - sd * sd) / (2.0 * sd)
+    return float(psi.std(ddof=1)) / math.sqrt(sq.size)
 
 
 # The fields every cell of a panel shares: the outcome draw depends on
@@ -285,33 +289,35 @@ def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
     sq is the cell's n_reps squared errors, as simulate_squared_errors
     gives them for its panel; without it the cell is simulated alone, as
     its own one-cell panel.  emp_q95 and its interval's endpoints are
-    order statistics of sq at the ranks of _exact_ranks(n_reps).  The
-    approx_q95 interval resamples sq bootstrap_reps times on its own
-    seed-derived stream, keyed by the cell id, so a report is
-    reproducible from (cell_id, master_seed) and the panel id of its
-    outcomes.
+    order statistics of sq at the ranks of _exact_ranks(n_reps).
+    approx_q95 is mean + C_95 * sd, and its interval approx_q95 -+ _Z
+    times _approx_q95_se.  No random number is drawn, so the report
+    depends on sq alone, not on the cell id or the master seed.
     """
     if sq is None:
         sq = simulate_squared_errors(cfg)
     sq = np.asarray(sq, dtype=float)
     if sq.shape != (cfg.n_reps,):
         raise ValueError(f"sq must have shape ({cfg.n_reps},), got {sq.shape}")
-    summary = {"mean_sq_err": float(sq.mean())}
-    if not np.isfinite(summary["mean_sq_err"]):
+    mean = float(sq.mean())
+    if not np.isfinite(mean):
         raise ValueError("mean_sq_err must be finite")
-    summary["sd_sq_err"] = float(sq.std(ddof=1))
-    if not np.isfinite(summary["sd_sq_err"]):
+    sd = float(sq.std(ddof=1))
+    if not np.isfinite(sd):
         raise ValueError("sd_sq_err must be finite")
     k, j_lo, j_hi = _exact_ranks(sq.size)
     s = np.sort(sq)
-    summary["emp_q95"] = float(s[k - 1])
-    summary["emp_q95_lo"], summary["emp_q95_hi"] = float(s[j_lo - 1]), float(s[j_hi - 1])
-    # a copy: the statistic works in place, and sq is resampled next
-    summary["approx_q95"] = float(_approx_q95_rows(sq[None, :].copy())[0])
-    summary["approx_q95_lo"], summary["approx_q95_hi"] = bootstrap_ci(
-        sq,
-        _approx_q95_rows,
-        n_resamples=cfg.bootstrap_reps,
-        rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
+    approx = mean + C_95 * sd
+    half = _Z * _approx_q95_se(sq, mean, sd)
+    if not np.isfinite(half):
+        raise ValueError("approx_q95 interval must be finite")
+    return CriterionReport(
+        mean_sq_err=mean,
+        sd_sq_err=sd,
+        emp_q95=float(s[k - 1]),
+        emp_q95_lo=float(s[j_lo - 1]),
+        emp_q95_hi=float(s[j_hi - 1]),
+        approx_q95=approx,
+        approx_q95_lo=approx - half,
+        approx_q95_hi=approx + half,
     )
-    return CriterionReport(**summary)

@@ -275,13 +275,62 @@ MUTANTS = (
     Mutant(
         "the exact interval's endpoints read from the unsorted sample",
         "twoarm/montecarlo.py",
-        "float(s[j_lo - 1]), float(s[j_hi - 1])",
-        "float(sq[j_lo - 1]), float(sq[j_hi - 1])",
+        "        emp_q95_lo=float(s[j_lo - 1]),\n        emp_q95_hi=float(s[j_hi - 1]),\n",
+        "        emp_q95_lo=float(sq[j_lo - 1]),\n        emp_q95_hi=float(sq[j_hi - 1]),\n",
         (
             "tests/test_montecarlo.py::TestExactInterval::test_equals_the_law_over_every_resample",
             "tests/test_montecarlo.py::TestRunCell"
             "::test_report_equals_reference_statistics_on_an_untouched_sample",
             "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+        ),
+    ),
+    Mutant(
+        "the delta interval's z at the one-sided 1.645",
+        "twoarm/montecarlo.py",
+        "_Z = 1.9599639845400536\n",
+        "_Z = 1.645\n",
+        (
+            "tests/test_montecarlo.py::TestDeltaInterval::test_z_is_the_normal_quantile",
+            "tests/test_montecarlo.py::TestDeltaInterval::test_half_width_equals_the_moment_oracle",
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "the delta interval drops the sd's influence term",
+        "twoarm/montecarlo.py",
+        "    psi = d + C_95 * (d * d - sd * sd) / (2.0 * sd)\n",
+        "    psi = d\n",
+        (
+            "tests/test_montecarlo.py::TestDeltaInterval::test_half_width_equals_the_moment_oracle",
+            "tests/test_montecarlo.py::TestDeltaInterval::test_covers_pb_exact_target",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "the sd's influence term divided by sd, not 2 sd",
+        "twoarm/montecarlo.py",
+        "(d * d - sd * sd) / (2.0 * sd)",
+        "(d * d - sd * sd) / sd",
+        (
+            "tests/test_montecarlo.py::TestDeltaInterval::test_half_width_equals_the_moment_oracle",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "the delta standard error divided by N, not sqrt(N)",
+        "twoarm/montecarlo.py",
+        "/ math.sqrt(sq.size)",
+        "/ sq.size",
+        (
+            "tests/test_montecarlo.py::TestDeltaInterval::test_half_width_equals_the_moment_oracle",
+            "tests/test_montecarlo.py::TestDeltaInterval::test_covers_pb_exact_target",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
         ),
     ),
     Mutant(

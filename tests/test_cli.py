@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,6 @@ def _micro_config(**extra):
         "responses": "continuous",
         "p": "1",
         "blocks": "1,2",
-        "bootstrap_reps": "200",
     }
     base.update({k: str(v) for k, v in extra.items()})
     return base
@@ -119,10 +119,29 @@ class TestBuildGrid:
 
     def test_defaults(self):
         grid = build_grid(_micro_config())
-        assert grid.bootstrap_reps == 200
         assert grid.pb_restarts == 1000
         assert grid.workers == 1
         assert grid.out_dir == "results"
+
+    def test_bootstrap_reps_is_deprecated_and_sets_nothing(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = build_grid(_micro_config(bootstrap_reps="200"))
+        assert [w.category for w in caught] == [FutureWarning]
+        message = str(caught[0].message)
+        assert "'bootstrap_reps'" in message and "sets nothing" in message
+        assert grid == build_grid(_micro_config())
+        assert not hasattr(grid, "bootstrap_reps")
+        # still checked as a count >= 1
+        for bad, match in (("0", ">= 1, got 0"), ("many", "must be an integer")):
+            with pytest.raises(ConfigError, match=match):
+                build_grid(_micro_config(bootstrap_reps=bad))
+
+    def test_no_warning_without_bootstrap_reps(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_grid(_micro_config())
+            build_grid({"preset": "fig2", "seed": "5"})
 
     def test_axis_is_exclusive_and_required(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -436,7 +455,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            f"p=1\nblocks=1,2\nbootstrap_reps=100\nout={out}\n",
+            f"p=1\nblocks=1,2\nout={out}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 0
@@ -451,7 +470,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            "p=1\nblocks=1\nbootstrap_reps=100\n",
+            "p=1\nblocks=1\n",
             encoding="utf-8",
         )
         assert main([str(cfg), "--reps", "200", "--out", str(out)]) == 0
@@ -471,7 +490,7 @@ class TestMain:
         cfg = tmp_path / "bom.cfg"
         cfg.write_bytes(
             b"\xef\xbb\xbfseed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            + f"p=1\nblocks=1\nbootstrap_reps=100\nout={out}\n".encode("utf-8")
+            + f"p=1\nblocks=1\nout={out}\n".encode("utf-8")
         )
         assert main([str(cfg)]) == 0
         assert _read_csv(out / "results.csv")[0]["seed"] == "7"
@@ -490,7 +509,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            "p=1\nblocks=1\nbootstrap_reps=100\n",
+            "p=1\nblocks=1\n",
             encoding="utf-8",
         )
         assert main([str(cfg), "--out", ""]) == 2
@@ -507,7 +526,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            f"p=1\nblocks=1\nbootstrap_reps=100\nout={afile}\n",
+            f"p=1\nblocks=1\nout={afile}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 2
@@ -532,7 +551,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            f"p=1\nblocks=1\nbootstrap_reps=100\nout={out}\n",
+            f"p=1\nblocks=1\nout={out}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 2
@@ -548,7 +567,7 @@ class TestMain:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
-            f"p=1\nblocks=1\nbootstrap_reps=100\nout={out}\n",
+            f"p=1\nblocks=1\nout={out}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 1
@@ -595,46 +614,46 @@ class TestPinnedOutputBytes:
     PINNED = {
         "exponential": {
             "continuous": (
-                "daccf725078323249593c97aaf05359252466bf349f0ffd31785c8fd369fa66f",
-                "d0abfb3e7fff92f3e9e7069c83a3e414627819f8c96cfd87b9d27b7483fd4a53",
+                "118f61ca0f32d702852fd0ae8ab69d540608269a3686c0410d4a2531cecc73cf",
+                "55d8a3b0662f0c7b88aa7ce1926f9fe12e985d97e86416137a27aac1fba0e553",
             ),
             "incidence": (
-                "bc5bb1c68e1d595a03e6eee7c22fc7b9aac4714a784708830621d5e5ace16814",
-                "148630a6733414959587f54f50998b704b029bd4923668fc050a46fa80f8333d",
+                "550124600db93ad03444b2c51b733850cede8e0b60053d11782f8ed710b4312a",
+                "8421c02000155e360e35af040433461d8e7cec9a8bedd4ee43109147a800973d",
             ),
             "proportion": (
-                "94e7069e1d2587e2cebd74cdf8210d6ab7d25d45926897f2e7b6ad389d8d5561",
-                "012e8db959dece7252168b3a535192ca048c359d438cb05acb4567abc110a8e9",
+                "2a20ddabb9de7b13698b8bc0eff533917eeee4b6a8cf9a4f3051ca5522c3eb63",
+                "0611b1f88f61b5280333b45e46cb68e1adc1b5f242a86e054fb356407b19a6e7",
             ),
             "count": (
-                "afd111d17644a155248a20740dfa4bcddf4457bf0a0e8cd49c442766c21aed64",
-                "a16b65341a037d33ef2ff13ce0f5a120f5176d94e7e6b4140b6ec4f203b4fe1f",
+                "da5167dc0ce1fb317afe290cab99af6b2c5b3f0b041ca8d8f76a89252f3a1ec9",
+                "311f02bc2b5c8eae5985ca42d012f7cbfe1c7ca4722564316a0f8986df408101",
             ),
             "survival": (
-                "4f3d729f6fd7a02971d7dc7396f835a7d535fd6d722835bdbadd4364a8e4134d",
-                "cdc028b77838bac832c926c4a99f91b755a1a52c87bc88c1fa8ce714eed101f8",
+                "a6ca953e7ea92a5767c9ea5af8323ef7d550b0c8388d628ef721514d96d04546",
+                "0555d64ffd0fdc38687223f25c2384bdf1317cc670dc2c58602e5d0968a5bca1",
             ),
         },
         "uniform": {
             "continuous": (
-                "0eb1e59e862bb1f2adcb3a625858f5631ec930120867475a2876824d04ac10ec",
-                "7e5f0304f6a70909ede518712c1099520404bb843fc1e395ccef0a733018f3b1",
+                "d9a4f8206756c30c8ae9166c3424e4600f082432ea9c141bafaa15ef64603973",
+                "44108bda016437ae4c07da9c864bf4a1f48bfe1017497181ce409c61f4b38211",
             ),
             "incidence": (
-                "384ede28bce9eca3c38db568217038330a118e3cb415258de69926910d90a702",
-                "501e93e235d698594d15046a898753f4218b5109652fcfdb4a02a60c38af176b",
+                "595d7699c1374cc4935f0eb6ab60351da2ad1f0953dac7260a69c01596c795c1",
+                "a75a08a22b46e1ac9379bad322db965ddeff0622969de285fc27e808120f8c3d",
             ),
             "proportion": (
-                "fc69b1a0b497e47bb30198e80d1765f31929ee255a3aacd9ebc55bf8281482b6",
-                "0a7c4eeb5408792fd488e5d15e330cfd661ac5b6af292050b587880d02c016db",
+                "6ac2d39ade2da441dba639d03f09754aad54c38ad4ed78029bbc6a038356b87d",
+                "ece413674bbf6a44fa1a3558fdc205059d112506ac00b39c7ac1ccde0336c6a5",
             ),
             "count": (
-                "94359ca16babead3dad8c8753a1e7b6751c953f7b840bc15752e0213746f7edc",
-                "87839a882d0d2e42b819072941409f9a94485a92917f73f17e3ddaf18e36c859",
+                "0fac06e588e4ed4831d6dcb486234e6709825ca7291642f5c6024b5ad7cc56eb",
+                "2efe29b23383852aa47e97ffbd2c15ae0322b33327b18dedc587b8193dfc41ed",
             ),
             "survival": (
-                "19ac76e3b7149a24ff1ef06f3d485aa8201601da33287fec66e9b427839e9474",
-                "b655c7ac1be90b3576e2b0a5ada317029e95d6907b704a8cd494a7a1be1c5280",
+                "bf6c8c370dd17d0e5a9a71a22353e5385b3060926d312306d08e449ea3a212a9",
+                "35a65a0771bdacb23f9b40631387f54dca7ae95c3b71244af6e676eadf98ee83",
             ),
         },
     }
@@ -644,7 +663,7 @@ class TestPinnedOutputBytes:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
             f"seed=2024\nreps=300\nn_subjects=16\np=1\n{axis}\n"
-            f"covariates={family}\nbootstrap_reps=60\nout={out}\n",
+            f"covariates={family}\nout={out}\n",
             encoding="utf-8",
         )
         assert main([str(cfg)]) == 0
@@ -660,24 +679,24 @@ class TestPinnedOutputBytes:
     # The same micro grid, run as a p=1 blocking sweep.
     PINNED_SWEEP = {
         "continuous": (
-            "bbedc2585573df483caa18d0ce86c9597d0880ee04aab4179b7b1b606bf742f3",
-            "3defa4a4617987efd9e69d18fd5b164b14a20e9ad5832177207db225138f92fa",
+            "337a5ba7630c06b31b105853229de261bdae4051c2a1de3b463ade5329f3fd7e",
+            "40451be62b64ea2976dde9025f9cda63aadc97633223850804049b1cd3616d2e",
         ),
         "incidence": (
-            "4c78e1dc56a5e09df33796a277a076466b57c4324895ee95aa0910381449948d",
-            "ceed5542b2b12b96291a229e665dd3161e7e9a7aec86da1eb0b32fd7336b0b4b",
+            "6d6c643568bfe34d7e0ecbee99b4fe3066eab33f70bfdf934d9121b9463f0a85",
+            "9fa6c737a34774bd40083289b7adef7832155372a19ddf6fe1f3347b46ca19e8",
         ),
         "proportion": (
-            "859a31cf9ff754945ba190a7b051fb9c1b776b692fa0be17020967b4facb18f8",
-            "4738d1027a059f22e87b3a27f2d28dcc5b32bce8254435cd506aa9fc5ba8623a",
+            "03d1be1e40bc8b57b9fc7950b6e7841d011a2bb184348930b5a7205b8b345fca",
+            "312b62469c756f15c0751b8870975cda5f95a40fc14088a4a1316e86a17ea48a",
         ),
         "count": (
-            "d6567779a4b75f9e361f6b74ef7202f998e33e26afc80ef3caea68a801f5f71a",
-            "a4acc746019a6a5f5d83c2fa2b882ef0f42dd226eb8ccce4ab7f945bd3b9b70d",
+            "7facef639a0620972b6557758ccca77fd8aa84864658b8b4f3e5bc5402958ed7",
+            "bbe6f0b6afcc737f60627a0140151210990cb67dcbd29a6a55949de60b3ff97c",
         ),
         "survival": (
-            "41a8a0e5eace06651d78955c96b1b2cbd9605fb30885fddf216fdd18a3767fc6",
-            "01f99a7bc2c0dd2542fb0acebd8bbcf560d127eb6bcd81c71030f8ade42570b3",
+            "dc08a62a1f8f711651910564d986a1841e6ff86992755f34d18a021095148e2d",
+            "2121a768b334a20247bcabbfdb1dd23e060b31b52a01c2b9fd36029bb56247a3",
         ),
     }
 

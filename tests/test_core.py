@@ -176,9 +176,6 @@ _COUNTS = {
     "CellConfig.n_reps": (
         "n_reps", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, v, 1)
     ),
-    "CellConfig.bootstrap_reps": (
-        "bootstrap_reps", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, 10, 1, v)
-    ),
     "CellConfig.master_seed": (
         "master_seed", lambda v: CellConfig("c", _MODEL, _X4, _BCRD4, 10, v)
     ),

@@ -18,7 +18,7 @@ from twoarm.criteria import (
     pm_conditional_variance,
 )
 from twoarm.designs import DesignSpec, design_covariance
-from twoarm.montecarlo import C_95, CellConfig, _approx_q95_rows, run_cell
+from twoarm.montecarlo import C_95, CellConfig, run_cell
 from twoarm.response import (
     default_covariate_source,
     default_model,
@@ -211,17 +211,37 @@ class TestPmConditionalVariance:
         assert pm_conditional_variance(c * v) == pytest.approx(c**4 * base, rel=1e-9)
 
 
+def _summary_of(samples):
+    """run_cell's report on a given sample."""
+    cfg = CellConfig(
+        cell_id="unit::approx",
+        model=default_model("continuous", 1),
+        x=CovariateMatrix([[0.0], [0.5], [1.0], [2.0]]),
+        design=DesignSpec.bcrd(4),
+        n_reps=len(samples),
+        master_seed=1,
+    )
+    return run_cell(cfg, np.asarray(samples, dtype=float))
+
+
 class TestApproxQuantile:
-    """mean + C_95 * sd, as run_cell evaluates it on a one-row block."""
+    """mean + C_95 * sd and its delta-method interval, as run_cell
+    evaluates them."""
 
     def test_worked_example(self):
-        # mean 2, sample variance 4
-        got = _approx_q95_rows(np.array([[0.0, 2.0, 4.0]]))
-        assert got.shape == (1,)
-        assert got[0] == pytest.approx(5.29, rel=1e-12)
+        # mean 2, sample variance 4; the deviations -2, 0, 2 have central
+        # sums S2 = 8, S3 = 0, S4 = 32, so the influence values'
+        # variance is (S2 + C_95^2 (S4 - S2^2 / 3) / (4 * 4)) / 2
+        report = _summary_of([0.0, 2.0, 4.0])
+        assert report.approx_q95 == pytest.approx(5.29, rel=1e-12)
+        se = math.sqrt((8.0 + C_95**2 * (32.0 - 64.0 / 3.0) / 16.0) / 2.0 / 3.0)
+        half = 1.959963984540054 * se
+        assert report.approx_q95_lo == pytest.approx(5.29 - half, rel=1e-12)
+        assert report.approx_q95_hi == pytest.approx(5.29 + half, rel=1e-12)
 
     def test_zero_variance_returns_the_mean(self):
-        assert _approx_q95_rows(np.full((1, 4), 0.75))[0] == 0.75
+        report = _summary_of([0.75] * 4)
+        assert report.approx_q95_lo == report.approx_q95 == report.approx_q95_hi == 0.75
 
     def test_rejects_bad_inputs(self):
         # survival means near exp(700) overflow the squared errors
@@ -286,7 +306,7 @@ class TestPbQuantile:
             {
                 "seed": "808", "reps": "20000", "n_subjects": "96",
                 "responses": "continuous", "p": "1,2,5", "designs": "pb",
-                "pb_restarts": "20", "bootstrap_reps": "10",
+                "pb_restarts": "20",
             }
         )
         rows = cli.run_grid(grid)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from twoarm.montecarlo import (
     C_95,
     CellConfig,
     CriterionReport,
-    _approx_q95_rows,
+    _Z,
     _exact_ranks,
     bootstrap_ci,
     run_cell,
@@ -35,9 +36,12 @@ from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracl
 
 from util_oracles import (
     ROW_BLOCK_DRAWS,
+    approx_q95_rows,
     balanced_allocations,
     binomial_tail_reference,
     bootstrap_ci_reference,
+    bootstrap_statistics_reference,
+    delta_se_reference,
     draw_outcomes_reference,
     exact_bootstrap_rank_reference,
     simulate_squared_errors_reference,
@@ -162,7 +166,7 @@ class TestBootstrapCi:
         "rows, reference",
         [
             (_order_statistic_rows, _REFERENCE_STATISTICS["emp_q95"]),
-            (_approx_q95_rows, _REFERENCE_STATISTICS["approx_q95"]),
+            (approx_q95_rows, _REFERENCE_STATISTICS["approx_q95"]),
         ],
         ids=["empirical", "approx"],
     )
@@ -210,7 +214,7 @@ class TestBootstrapCi:
         # A numpy release that changes that sequence fails here.
         v = np.square(substream(b, n, "approx-rows").normal(0.0, 1.0, (b, n)))
         want = v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1)
-        assert _approx_q95_rows(v.copy()).tobytes() == want.tobytes()
+        assert approx_q95_rows(v.copy()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001, 8193])
     def test_block_draw_consumes_the_stream_like_sequential_draws(self, n):
@@ -225,7 +229,7 @@ class TestBootstrapCi:
         assert rng_block.random() == rng_seq.random()
 
 
-def _report_of(samples, bootstrap_reps=50):
+def _report_of(samples):
     """run_cell's report on a given sample of squared errors."""
     samples = np.asarray(samples, dtype=float)
     cfg = CellConfig(
@@ -235,7 +239,6 @@ def _report_of(samples, bootstrap_reps=50):
         design=DesignSpec.bcrd(4),
         n_reps=samples.size,
         master_seed=5,
-        bootstrap_reps=bootstrap_reps,
     )
     return run_cell(cfg, samples)
 
@@ -299,17 +302,123 @@ class TestExactInterval:
     def test_interval_holds_the_point_at_every_small_n(self):
         for n in range(2, 61):
             samples = np.square(substream(n, "small-n").normal(0.0, 1.0, n))
-            report = _report_of(samples, bootstrap_reps=10)
+            report = _report_of(samples)
             assert report.emp_q95_lo <= report.emp_q95 <= report.emp_q95_hi, n
 
-    def test_bootstrap_reps_moves_only_the_approx_interval(self):
+
+def _criterion_6_samples(blocks):
+    """The squared errors of criterion 6's blocking-sweep cells at the
+    given block counts (2n = 96, continuous, p = 1, 20,000 replicates):
+    a cell's sample depends only on its own config and its panel id."""
+    seed, response, p, n_sub = 20260814, "continuous", 1, 96
+    rng = substream(seed, "covariates", "uniform", response, p)
+    x = draw_covariates(default_covariate_source(response), n_sub, p, rng)
+    model = default_model(response, p)
+    cells = [
+        CellConfig(
+            f"{response}|p{p}|block|B{b}|n{n_sub}", model, x,
+            DesignSpec.block(build_blocking(x, b)), 20_000, seed,
+        )
+        for b in blocks
+    ]
+    return cells, simulate_squared_errors(cells, f"{response}|p{p}|n{n_sub}")
+
+
+class TestDeltaInterval:
+    """approx_q95's interval is approx_q95 -+ z * se, se the delta-method
+    (infinitesimal jackknife) standard error, with no resampling."""
+
+    def test_z_is_the_normal_quantile(self):
+        assert _Z == NormalDist().inv_cdf(1.0 - _ALPHA)
+
+    def test_report_ignores_cell_id_and_master_seed(self):
         cfg = _pm_cell(n_reps=2000)
         sq = simulate_squared_errors(cfg)
-        one = asdict(run_cell(replace(cfg, bootstrap_reps=1), sq))
-        many = asdict(run_cell(replace(cfg, bootstrap_reps=1000), sq))
-        assert {name for name in one if one[name] != many[name]} == {
-            "approx_q95_lo", "approx_q95_hi",
-        }
+        want = run_cell(cfg, sq)
+        for other in (
+            replace(cfg, cell_id="another cell"),
+            replace(cfg, master_seed=cfg.master_seed + 1),
+            replace(cfg, cell_id="x", master_seed=0),
+        ):
+            assert run_cell(other, sq) == want
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1.0 / 3.0, 3.25, 1e-300])
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000, 12500])
+    def test_a_constant_sample_collapses_to_its_point(self, value, n):
+        # sd is 0, or a rounding residue whose standard error vanishes
+        # beside the point
+        report = _report_of(np.full(n, value))
+        assert report.approx_q95_lo == report.approx_q95 == report.approx_q95_hi
+
+    def test_an_overflowing_interval_raises(self):
+        # sd is finite (about 9.5e151), but the outlier's influence value
+        # (about 7.8e154) squares past the float range
+        samples = np.zeros(1000)
+        samples[0] = 3e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^approx_q95 interval must be finite$"):
+                _report_of(samples)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 12500])
+    @pytest.mark.parametrize("kind", ["chi2", "lognormal", "lattice", "two-point"])
+    def test_half_width_equals_the_moment_oracle(self, kind, n):
+        z = substream(n, kind, "delta-data").normal(0.0, 1.0, n)
+        samples = {
+            "chi2": np.square(z),
+            "lognormal": np.exp(2.0 * z),
+            "lattice": np.floor(3 * np.square(z)) / 9,
+            "two-point": np.where(z > 0.5, 2.0, 1.0),
+        }[kind]
+        if np.ptp(samples) == 0:  # a short lattice or two-point draw
+            samples[0] += 1.0
+        report = _report_of(samples)
+        half = NormalDist().inv_cdf(1.0 - _ALPHA) * delta_se_reference(samples)
+        assert report.approx_q95_hi - report.approx_q95 == pytest.approx(half, rel=1e-9)
+        assert report.approx_q95 - report.approx_q95_lo == pytest.approx(half, rel=1e-9)
+
+    def test_covers_pb_exact_target(self):
+        # pb's squared error is (w*'v / 2n)^2 with w*'v ~ N(m, s^2) for
+        # the continuous response, so its mean + 1.645 sd is exact:
+        # (m^2 + s^2 + 1.645 sqrt(2 s^4 + 4 m^2 s^2)) / 4n^2.  The
+        # interval must cover it in 95% of cells, within four binomial
+        # standard errors, over 400 seeds.
+        x = CovariateMatrix(np.linspace(0.0, 1.0, 8)[:, None])
+        model = default_model("continuous", 1)
+        w_star = Allocation([1, 1, 1, 1, -1, -1, -1, -1])
+        mu_t, mu_c = potential_means(model, x)
+        m = float(w_star.signs @ (mu_t + mu_c))
+        s2 = float(residual_variances(model, mu_t, mu_c).sum())
+        target = (m * m + s2 + C_95 * math.sqrt(2 * s2 * s2 + 4 * m * m * s2)) / 64.0
+        seeds = 400
+        hits = 0
+        for seed in range(seeds):
+            cfg = CellConfig("delta::pb", model, x, DesignSpec.pb(w_star), 1000, seed)
+            report = run_cell(cfg)
+            hits += report.approx_q95_lo <= target <= report.approx_q95_hi
+        band = 4.0 * math.sqrt(0.95 * 0.05 / seeds)
+        assert abs(hits / seeds - 0.95) <= band, hits
+
+    @pytest.mark.parametrize("b", [1, 48])
+    def test_agrees_with_many_resamples_on_criterion_6_cells(self, b):
+        # 20,000 percentile-bootstrap resamples, one at a time, as
+        # bootstrap_ci_reference draws them: each endpoint of the delta
+        # interval lies between the resampled statistics' quantiles at
+        # its level plus and minus four standard errors of a share, and
+        # so does the resampled interval's own endpoint.
+        (cfg,), (sq,) = _criterion_6_samples([b])
+        reps = 20_000
+        stats = bootstrap_statistics_reference(
+            sq, _REFERENCE_STATISTICS["approx_q95"], reps, rng=substream(b, "delta-boot")
+        )
+        resampled = np.quantile(stats, [_ALPHA, 1.0 - _ALPHA])
+        report = run_cell(cfg, sq)
+        delta = 4.0 * math.sqrt(_ALPHA * (1.0 - _ALPHA) / reps)
+        ends = (report.approx_q95_lo, report.approx_q95_hi)
+        for end, boot, level in zip(ends, resampled, (_ALPHA, 1.0 - _ALPHA)):
+            low, high = np.quantile(stats, [level - delta, level + delta])
+            assert low <= boot <= high
+            assert low <= end <= high
 
 
 class TestCellConfig:
@@ -319,8 +428,9 @@ class TestCellConfig:
         spec = DesignSpec.bcrd(4)
         with pytest.raises(ValueError):
             CellConfig("c", model, x, spec, n_reps=1, master_seed=0)
-        with pytest.raises(ValueError):
-            CellConfig("c", model, x, spec, n_reps=10, master_seed=0, bootstrap_reps=0)
+        # bootstrap_reps is gone: passing it fails loudly
+        with pytest.raises(TypeError, match="bootstrap_reps"):
+            CellConfig("c", model, x, spec, n_reps=10, master_seed=0, bootstrap_reps=1000)
         with pytest.raises(ValueError):
             CellConfig("c", model, x, DesignSpec.bcrd(6), n_reps=10, master_seed=0)
         with pytest.raises(ValueError):
@@ -570,7 +680,6 @@ class TestRunCell:
             design=DesignSpec.bcrd(16),
             n_reps=200,
             master_seed=3,
-            bootstrap_reps=50,
         )
         if finite:
             report = run_cell(cfg)
@@ -582,8 +691,9 @@ class TestRunCell:
                 run_cell(cfg)
 
     def test_report_equals_reference_statistics_on_an_untouched_sample(self):
-        # The statistics work in place; the point values must not change
-        # the sample that the intervals resample afterwards.
+        # Every figure from its textbook formula on an untouched copy of
+        # the sample: the point values bit for bit, the delta interval
+        # from the moment oracle's standard error.
         cfg = _pm_cell(n_reps=3000)
         sq = simulate_squared_errors(cfg)
         want = {"mean_sq_err": float(sq.mean()), "sd_sq_err": float(sq.std(ddof=1))}
@@ -594,13 +704,11 @@ class TestRunCell:
             float(s[exact_bootstrap_rank_reference(sq.size, level) - 1])
             for level in (_ALPHA, 1.0 - _ALPHA)
         )
-        want["approx_q95_lo"], want["approx_q95_hi"] = bootstrap_ci_reference(
-            sq.copy(),
-            _REFERENCE_STATISTICS["approx_q95"],
-            cfg.bootstrap_reps,
-            rng=substream(cfg.master_seed, cfg.cell_id, "bootstrap-approx"),
-        )
-        assert run_cell(cfg) == CriterionReport(**want)
+        half = NormalDist().inv_cdf(1.0 - _ALPHA) * delta_se_reference(sq)
+        got = asdict(run_cell(cfg))
+        for column, sign in (("approx_q95_lo", -1.0), ("approx_q95_hi", 1.0)):
+            assert got.pop(column) == pytest.approx(want["approx_q95"] + sign * half, rel=1e-12)
+        assert got == want
 
     def test_summary_fields_are_consistent(self):
         cfg = _pm_cell(n_reps=2000)
@@ -627,7 +735,7 @@ class TestRunCell:
                     2.7691815352837024,
                     (2.343956504755472, 3.3414073497799155),
                     2.4665356722696172,
-                    (2.243122030996993, 2.8712417192688453),
+                    (2.1083080660189903, 2.824763278520244),
                 ),
             ),
             (
@@ -639,7 +747,7 @@ class TestRunCell:
                     1.4554141853901286,
                     (1.3319439505704138, 1.645655107365447),
                     1.383842171652769,
-                    (1.2682095117003094, 1.4810674201306435),
+                    (1.2634674986405663, 1.5042168446649715),
                 ),
             ),
         ],
@@ -655,7 +763,6 @@ class TestRunCell:
             design=design,
             n_reps=300,
             master_seed=11,
-            bootstrap_reps=50,
         )
         report = run_cell(cfg)
         got = (

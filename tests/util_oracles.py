@@ -10,9 +10,12 @@ pair.
 The reference pb search is the one-restart-at-a-time loop
 that the lockstep production search must reproduce bit for bit, and
 the reference bootstrap is the one-resample-at-a-time loop that the
-block-wise production bootstrap must reproduce bit for bit.  The
-binomial tail, summed term by term, gives the ranks of the exact
-bootstrap interval of the empirical quantile.  The
+block-wise bootstrap must reproduce bit for bit; with approx_q95_rows,
+the row-wise normal approximation that the grid once resampled, it is
+the resampling oracle of the delta-method approx_q95 interval, whose
+standard error delta_se_reference writes from the sample's central
+moments.  The binomial tail, summed term by term, gives the ranks of
+the exact bootstrap interval of the empirical quantile.  The
 reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with each arm one whole numpy draw
 (the continuous draw one rng.normal(mu, 1.0) call, the proportion
@@ -36,6 +39,7 @@ import numpy as np
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.designs import regularized_covariance
 from twoarm.matching import DistanceMatrix, MatchResult
+from twoarm.montecarlo import C_95
 from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, potential_means
 from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunk_sizes, substream
 
@@ -278,6 +282,23 @@ def greedy_pair_switch_reference(
     return Allocation(best_w.astype(np.int8))
 
 
+def bootstrap_statistics_reference(
+    samples: np.ndarray,
+    statistic,
+    n_resamples: int,
+    *,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The statistic of each of n_resamples resamples, one index draw and
+    one 1-D statistic per resample."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    stats = np.empty(n_resamples)
+    for r in range(n_resamples):
+        stats[r] = statistic(samples[rng.integers(0, n, n)])
+    return stats
+
+
 def bootstrap_ci_reference(
     samples: np.ndarray,
     statistic,
@@ -286,14 +307,52 @@ def bootstrap_ci_reference(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """95% percentile bootstrap, one index draw and one 1-D statistic per resample."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    stats = np.empty(n_resamples)
-    for r in range(n_resamples):
-        stats[r] = statistic(samples[rng.integers(0, n, n)])
+    stats = bootstrap_statistics_reference(samples, statistic, n_resamples, rng=rng)
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def approx_q95_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise normal approximation mean + C_95 * sd of a (b, N) block.
+
+    Works in place on v.  Each row's mean is computed once, then used in
+    numpy's own variance sequence (sum, divide, subtract, square, sum,
+    divide by N - 1), so the result is bitwise
+    v.mean(axis=1) + C_95 * v.std(axis=1, ddof=1).
+    """
+    n = v.shape[1]
+    mean = np.add.reduce(v, axis=1, keepdims=True)
+    mean /= n
+    v -= mean
+    np.multiply(v, v, out=v)
+    var = np.add.reduce(v, axis=1)
+    var /= n - 1
+    return mean[:, 0] + C_95 * np.sqrt(var, out=var)
+
+
+def delta_se_reference(samples) -> float:
+    """Delta-method standard error of mean + C_95 * sd, from the central
+    moment sums S_k = sum (x_i - m)^k in plain Python.
+
+    With s^2 = S_2 / (N - 1), the influence values
+    psi_i = d_i + C_95 (d_i^2 - s^2) / (2 s) have the sample variance
+    (S_2 + C_95 S_3 / s + C_95^2 (S_4 - S_2^2 / N) / (4 s^2)) / (N - 1),
+    since sum d_i = 0; the standard error is its root over sqrt(N).
+    """
+    xs = [float(x) for x in samples]
+    n = len(xs)
+    m = math.fsum(xs) / n
+    d = [x - m for x in xs]
+    s2_sum, s3_sum, s4_sum = (math.fsum(v ** k for v in d) for k in (2, 3, 4))
+    s = math.sqrt(s2_sum / (n - 1))
+    if s == 0.0:
+        return 0.0
+    var = (
+        s2_sum + C_95 * s3_sum / s
+        + C_95 ** 2 * (s4_sum - s2_sum ** 2 / n) / (4.0 * s * s)
+    ) / (n - 1)
+    return math.sqrt(var / n)
 
 
 def binomial_tail_reference(n: int, p: float, k: int) -> float:
