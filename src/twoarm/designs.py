@@ -85,9 +85,10 @@ def sample_allocations(
 
     Block-type designs randomize each block independently, exactly half
     of each block treated; pb flips a fair coin between w* and -w*.
-    Each design block's (n_draws, n_B) uniforms, their argsort and the
-    signs are taken in the row blocks of streams.row_blocks, which
-    consume rng exactly as one (n_draws, n_B) draw does.
+    Each design block's (n_draws, n_B) uniforms and their signs are
+    taken in the row blocks of streams.row_blocks, which consume rng
+    exactly as one (n_draws, n_B) draw does; _half_signs treats each
+    row's n_B / 2 smallest uniforms.
     """
     _check_int("n_draws", n_draws, 0)
     n_sub = spec.n_subjects
@@ -100,12 +101,37 @@ def sample_allocations(
     row_slices = row_blocks(n_draws, m)
     for members in blocks:
         for rows in row_slices:
-            # argsort of iid uniforms puts a uniformly random half first
-            order = np.argsort(rng.random((rows.stop - rows.start, m)), axis=1)
-            buf = np.full(order.shape, -1, dtype=np.int8)
-            np.put_along_axis(buf, order[:, : m // 2], 1, axis=1)
-            out[rows, members] = buf
+            out[rows, members] = _half_signs(rng.random((rows.stop - rows.start, m)))
     return out
+
+
+def _half_signs(u: np.ndarray) -> np.ndarray:
+    """+1 on the n_B / 2 smallest uniforms of each row of u, -1 elsewhere (int8).
+
+    The argsort of iid uniforms puts a uniformly random half first.  When
+    no row ties at the cut (its n_B / 2-th and next smallest values
+    differ), that half is exactly the values at or below the cut, which
+    a values-only sort finds faster than argsort; a pair's cut is the
+    smaller of its two.  If any row ties at the cut, all of u is taken
+    by argsort, so every byte is argsort's on any host.
+    """
+    h = u.shape[1] // 2
+    if h == 1:
+        cut = np.minimum(u[:, 0], u[:, 1])
+        tie = u[:, 0] == u[:, 1]
+    else:
+        s = np.sort(u, axis=1)
+        cut = s[:, h - 1]
+        tie = s[:, h - 1] == s[:, h]
+    if tie.any():
+        order = np.argsort(u, axis=1)
+        signs = np.full(u.shape, -1, dtype=np.int8)
+        np.put_along_axis(signs, order[:, :h], 1, axis=1)
+        return signs
+    signs = np.less_equal(u, cut[:, None]).view(np.int8)
+    signs <<= 1
+    signs -= 1
+    return signs
 
 
 def design_covariance(spec: DesignSpec) -> np.ndarray:

@@ -5,7 +5,8 @@ a design.  Each replicate draws fresh potential outcomes and, for each
 cell, one allocation, and records the squared error of that cell's
 difference-in-means estimate.  The outcomes are drawn once per panel
 and shared by every cell (common random numbers, so design comparisons
-are paired); each cell's allocations come from its own stream.
+are paired); each cell's allocations come from its own stream, and a
+pb cell, whose squared error does not depend on its coin, draws none.
 Replicates are drawn in fixed-size chunks on seed-derived substreams
 keyed by the panel id (outcomes) and the cell id (allocations), so
 results are bit-identical no matter how panels are scheduled across
@@ -230,7 +231,9 @@ def _chunk_squared_errors(
     row block at a time, each block one draw_outcomes call.  Each cell
     then draws its signs on its own stream and sums w * v row block by
     row block through one product buffer, so v is never written after
-    the draw and every cell sees the same outcomes."""
+    the draw and every cell sees the same outcomes.  A pb cell sums
+    w* * v in every row: its squared error is the same for -w*, bitwise,
+    so its coin is never drawn."""
     first, size = cells[0], reps.stop - reps.start
     rng_y = substream(first.master_seed, panel_id, "outcomes", ci)
     v = draw_outcomes(first.model, mu_t, rng_y, size)
@@ -240,8 +243,11 @@ def _chunk_squared_errors(
     product = np.empty((blocks[0].stop, v.shape[1]))
     contrast = np.empty(size)
     for cfg, out in zip(cells, sq):
-        rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
-        w = sample_allocations(cfg.design, size, rng_w)
+        if cfg.design.kind == "pb":
+            w = np.broadcast_to(cfg.design.w_star.signs, (size, v.shape[1]))
+        else:
+            rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
+            w = sample_allocations(cfg.design, size, rng_w)
         for rows in blocks:
             part = product[: rows.stop - rows.start]
             np.multiply(v[rows], w[rows], out=part).sum(axis=1, out=contrast[rows])
@@ -256,7 +262,8 @@ def simulate_squared_errors(cells, panel_id: str | None = None):
     field that differs).  Each chunk draws the outcomes v = y_t + y_c
     once, on substream(master_seed, panel_id, "outcomes", chunk), and
     every cell applies its own allocations to them, drawn on
-    substream(master_seed, cell_id, "alloc", chunk).  So a cell's array
+    substream(master_seed, cell_id, "alloc", chunk); a pb cell scores
+    w* itself and leaves that stream unused.  So a cell's array
     depends only on its own config and panel_id, not on the other cells
     of the panel, and the cells' designs are compared on common draws.
     A chunk holds one full outcome buffer at a time and frees it before

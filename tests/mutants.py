@@ -112,6 +112,84 @@ MUTANTS = (
         ("tests/test_designs.py::TestDesignCovariance::test_is_read_only",),
     ),
     Mutant(
+        "the sampler treats the values below the cut, not at or below it",
+        "twoarm/designs.py",
+        "signs = np.less_equal(u, cut[:, None])",
+        "signs = np.less(u, cut[:, None])",
+        (
+            "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-682]",
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[96-no-cut-tie]",
+        ),
+    ),
+    Mutant(
+        "the sampler's cut at the next value up",
+        "twoarm/designs.py",
+        "cut = s[:, h - 1]\n",
+        "cut = s[:, h]\n",
+        (
+            "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[bcrd-8192]",
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[4-no-cut-tie]",
+        ),
+    ),
+    Mutant(
+        "the sampler keeps a tie at the cut on the sort path",
+        "twoarm/designs.py",
+        "    if tie.any():\n"
+        "        order = np.argsort(u, axis=1)\n"
+        "        signs = np.full(u.shape, -1, dtype=np.int8)\n"
+        "        np.put_along_axis(signs, order[:, :h], 1, axis=1)\n"
+        "        return signs\n",
+        "",
+        (
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[2-every-kind]",
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[24-every-kind]",
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[96-last-row-tie]",
+        ),
+    ),
+    Mutant(
+        "a pair's cut at the larger of its two uniforms",
+        "twoarm/designs.py",
+        "cut = np.minimum(u[:, 0], u[:, 1])",
+        "cut = np.maximum(u[:, 0], u[:, 1])",
+        (
+            "tests/test_designs.py::TestSampling::test_pm_pairs_flip_uniformly_and_independently",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[48-682]",
+            "tests/test_designs.py::TestTiesAtTheCut"
+            "::test_tied_uniforms_give_the_argsort_signs[2-no-cut-tie]",
+        ),
+    ),
+    Mutant(
+        "a pb cell scores w* reversed",
+        "twoarm/montecarlo.py",
+        "np.broadcast_to(cfg.design.w_star.signs, ",
+        "np.broadcast_to(cfg.design.w_star.signs[::-1], ",
+        (
+            "tests/test_montecarlo.py::TestPanel"
+            "::test_pb_scores_w_star_without_drawing_its_coin[continuous]",
+        ),
+    ),
+    Mutant(
+        # w* reversed is w* or -w* in the pinned and delta tests' cells, so
+        # only the 2n = 96 cell above tells it apart; a rotation is caught
+        # by the pinned pb report too.
+        "a pb cell scores w* rotated by one subject",
+        "twoarm/montecarlo.py",
+        "np.broadcast_to(cfg.design.w_star.signs, ",
+        "np.broadcast_to(np.roll(cfg.design.w_star.signs, 1), ",
+        (
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values[pb]",
+            "tests/test_montecarlo.py::TestPanel"
+            "::test_pb_scores_w_star_without_drawing_its_coin[survival]",
+        ),
+    ),
+    Mutant(
         "PM_COND_VAR_COEFF at the reported 1/16",
         "twoarm/criteria.py",
         "PM_COND_VAR_COEFF = 0.25\n",

@@ -69,7 +69,6 @@ def blocking_sweep_rows():
             "responses": "continuous",
             "p": "1",
             "blocks": "1,2,3,4,6,8,12,16,24,48",
-            "bootstrap_reps": "1000",
         }
     )
     rows = run_grid(grid)
@@ -236,7 +235,6 @@ def test_criterion_7_design_comparison_ordering():
             "p": "1,2",
             "designs": "bcrd,pm,pb",
             "pb_restarts": "1000",
-            "bootstrap_reps": "1000",
         }
     )
     rows = run_grid(grid)

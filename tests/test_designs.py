@@ -131,6 +131,80 @@ class TestSampling:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+class _PreparedUniforms:
+    """A generator stand-in whose random() hands out a prepared sequence
+    of uniforms in row-major order, as a real stream hands out its own:
+    so the sampler's row blocks and the oracle's whole block draws see
+    the same values, and `taken` counts the values each side used."""
+
+    def __init__(self, values):
+        self._values = np.ravel(values)
+        self.taken = 0
+
+    def random(self, shape):
+        size = int(np.prod(shape))
+        out = self._values[self.taken : self.taken + size].reshape(shape)
+        self.taken += size
+        return out.copy()
+
+
+def _tied_rows(kinds, m, rng):
+    """One (len(kinds), m) block of uniforms, each row of its kind:
+    "distinct" leaves the row as drawn; "cut" ties its m/2-th and next
+    smallest values; "below" and "above" tie its two smallest and two
+    largest (not at the cut for m >= 4); "equal" makes the whole row one
+    value; "coarse" rounds it to thirds, which ties it many times over."""
+    kinds = np.asarray(kinds)
+    u = rng.random((kinds.size, m))
+    order = np.argsort(u, axis=1)
+    h = m // 2
+    for kind, to, rank in (("cut", h, h - 1), ("below", 1, 0), ("above", -2, -1)):
+        rows = np.flatnonzero(kinds == kind)
+        u[rows, order[rows, to]] = u[rows, order[rows, rank]]
+    equal, coarse = kinds == "equal", kinds == "coarse"
+    u[equal] = u[equal, :1]
+    u[coarse] = np.floor(u[coarse] * 3.0) / 3.0
+    return u
+
+
+_TIE_LAYOUTS = {
+    # every row block ties at the cut somewhere
+    "every-kind": ("distinct", "cut", "below", "above", "equal", "coarse"),
+    # ties away from the cut only: every row block takes the sort path
+    "no-cut-tie": ("distinct", "below", "above"),
+    # one tie at the cut in the last row, so only its row block defers
+    "last-row-tie": ("distinct", "below", "above"),
+}
+
+
+class TestTiesAtTheCut:
+    @pytest.mark.parametrize("layout", list(_TIE_LAYOUTS))
+    @pytest.mark.parametrize("m", [2, 4, 16, 24, 96])
+    def test_tied_uniforms_give_the_argsort_signs(self, m, layout):
+        # 8,192 rows at 2n = 96 cut into row blocks of 682 to 8,192 rows.
+        # A pair's two smallest and two largest values are its own two,
+        # so no tie lies away from its cut.
+        n_draws = 8192
+        kinds = _TIE_LAYOUTS[layout]
+        if m == 2:
+            kinds = tuple(k for k in kinds if k not in ("below", "above"))
+        row_kinds = [kinds[r % len(kinds)] for r in range(n_draws)]
+        if layout == "last-row-tie":
+            row_kinds[-1] = "cut"
+        blocking = Blocking(_permuted_ids(96, 96 // m, substream(31, m, "ids")))
+        spec = DesignSpec.bcrd(96) if m == 96 else DesignSpec.block(blocking)
+        rng = substream(32, m, layout, "ties")
+        values = np.stack([_tied_rows(row_kinds, m, rng) for _ in range(96 // m)])
+        stub, ref_stub = _PreparedUniforms(values), _PreparedUniforms(values)
+        got = sample_allocations(spec, n_draws, stub)
+        want = sample_allocations_reference(spec, n_draws, ref_stub)
+        assert got.dtype == want.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+        assert stub.taken == ref_stub.taken == values.size
+        for members in spec.blocking.blocks():
+            np.testing.assert_array_equal(got[:, members].sum(axis=1), 0)
+
+
 class TestDesignCovariance:
     @pytest.mark.parametrize(
         "spec",

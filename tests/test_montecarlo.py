@@ -627,6 +627,20 @@ class TestPanel:
         assert ten == calls
         assert sum(calls) == 2 * (8192 + 100)
 
+    @pytest.mark.parametrize("kind", RESPONSE_KINDS)
+    def test_pb_scores_w_star_without_drawing_its_coin(self, kind, monkeypatch):
+        # (-w*'v)^2 is (w*'v)^2 bitwise, so the chunk loop scores w*
+        # itself and must still give the bytes of the oracle, which draws
+        # the coin, over a full and a ragged chunk.
+        (cfg,) = _panel(kind, 8192 + 100, _FOUR_DESIGNS[3:])
+
+        def no_draw(spec, n_draws, rng):
+            raise AssertionError("a pb cell drew allocations")
+
+        monkeypatch.setattr(twoarm.montecarlo, "sample_allocations", no_draw)
+        got = simulate_squared_errors(cfg)
+        assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
+
     def test_cells_that_disagree_are_rejected(self):
         cells = _panel("continuous", 300, _FOUR_DESIGNS[:2])
         first = cells[0]
