@@ -15,6 +15,9 @@ the checks use, live in twoarm.verify.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +88,15 @@ def sample_allocations(
 
     Block-type designs randomize each block independently, exactly half
     of each block treated; pb flips a fair coin between w* and -w*.
-    Each design block's (n_draws, n_B) uniforms and their signs are
-    taken in the row blocks of streams.row_blocks, which consume rng
-    exactly as one (n_draws, n_B) draw does; _half_signs treats each
-    row's n_B / 2 smallest uniforms.
+    Blocks of n_B <= _TABLE_MAX subjects take one
+    rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16) draw,
+    row-major over (row, block), and each index picks its block's signs
+    whole from _pattern_table(n_B), a row block at a time; the
+    pattern's k-th sign goes to the block's k-th member.  Larger blocks
+    draw each design block's (n_draws, n_B) uniforms in the row blocks
+    of streams.row_blocks, which consume rng exactly as one
+    (n_draws, n_B) draw does, and _half_signs treats each row's n_B / 2
+    smallest uniforms.
     """
     _check_int("n_draws", n_draws, 0)
     n_sub = spec.n_subjects
@@ -97,12 +105,47 @@ def sample_allocations(
         return coin[:, None] * spec.w_star.signs[None, :]
     out = np.empty((n_draws, n_sub), dtype=np.int8)
     blocks = spec.blocking.blocks()
-    m = blocks.shape[1]
+    n_blocks, m = blocks.shape
+    if m <= _TABLE_MAX:
+        table = _pattern_table(m)
+        index = rng.integers(0, table.shape[0], (n_draws, n_blocks), dtype=np.int16)
+        # A gathered row holds subject blocks[b, k] in column b * n_B + k;
+        # the inverse permutation puts each subject back in its column.
+        # Row blocks bound the intp copy that np.take makes of the index.
+        to_subject = np.argsort(blocks.ravel())
+        for rows in row_blocks(n_draws, n_sub):
+            signs = np.take(table, index[rows]).view(np.int8)
+            np.take(signs, to_subject, axis=1, out=out[rows])
+        return out
     row_slices = row_blocks(n_draws, m)
     for members in blocks:
         for rows in row_slices:
             out[rows, members] = _half_signs(rng.random((rows.stop - rows.start, m)))
     return out
+
+
+# Blocks of at most this many subjects draw a pattern index: C(16, 8) =
+# 12,870 patterns fit an int16, and the table takes 206 KB.
+_TABLE_MAX = 16
+
+
+@functools.cache
+def _pattern_table(m: int) -> np.ndarray:
+    """The C(m, m/2) balanced +-1 patterns of a block of m, read-only.
+
+    Row i is +1 at the i-th m/2-subset of range(m) in
+    itertools.combinations order and -1 elsewhere; each row is one
+    np.void of m int8 signs, so a gather moves a pattern whole.  Built
+    on first use, once per m and process.
+    """
+    h = m // 2
+    count = math.comb(m, h)
+    treated = np.fromiter(itertools.combinations(range(m), h), dtype=(np.int8, h), count=count)
+    signs = np.full((count, m), -1, dtype=np.int8)
+    np.put_along_axis(signs, treated, 1, axis=1)
+    table = signs.view(np.dtype((np.void, m)))[:, 0]
+    table.setflags(write=False)
+    return table
 
 
 def _half_signs(u: np.ndarray) -> np.ndarray:
@@ -111,18 +154,14 @@ def _half_signs(u: np.ndarray) -> np.ndarray:
     The argsort of iid uniforms puts a uniformly random half first.  When
     no row ties at the cut (its n_B / 2-th and next smallest values
     differ), that half is exactly the values at or below the cut, which
-    a values-only sort finds faster than argsort; a pair's cut is the
-    smaller of its two.  If any row ties at the cut, all of u is taken
-    by argsort, so every byte is argsort's on any host.
+    a values-only sort finds faster than argsort.  If any row ties at
+    the cut, all of u is taken by argsort, so every byte is argsort's on
+    any host.
     """
     h = u.shape[1] // 2
-    if h == 1:
-        cut = np.minimum(u[:, 0], u[:, 1])
-        tie = u[:, 0] == u[:, 1]
-    else:
-        s = np.sort(u, axis=1)
-        cut = s[:, h - 1]
-        tie = s[:, h - 1] == s[:, h]
+    s = np.sort(u, axis=1)
+    cut = s[:, h - 1]
+    tie = s[:, h - 1] == s[:, h]
     if tie.any():
         order = np.argsort(u, axis=1)
         signs = np.full(u.shape, -1, dtype=np.int8)

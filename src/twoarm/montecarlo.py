@@ -14,12 +14,14 @@ workers, and a cell's squared errors do not depend on which other cells
 share its panel.  A chunk holds one full outcome buffer v = y_T + y_C:
 the treated arm is drawn into it by response.draw_outcomes, and the
 control arm (one draw_outcomes call per row block), each cell's
-allocation uniforms and signs, and each cell's contrast are taken in
-row blocks of at most streams.BLOCK_ELEMENTS elements; every draw
-consumes its stream exactly as one whole draw would.  A cell's
-report, whose fields are the result columns of results.csv, holds the
-mean and sd of the squared error and two figures of its 0.95 quantile,
-each with a 95% interval, and neither interval draws a random number.
+allocation signs (the pattern lookups of blocks of at most 16
+subjects, the uniforms and sorts of larger blocks) and each cell's
+contrast are taken in row blocks of at most streams.BLOCK_ELEMENTS
+elements; every draw consumes its stream exactly as one whole draw
+would.  A cell's report, whose fields are the result columns of
+results.csv, holds the mean and sd of the squared error and two
+figures of its 0.95 quantile, each with a 95% interval, and neither
+interval draws a random number.
 The empirical quantile is an order statistic of the sorted sample, and
 so are its interval's endpoints: the percentile-bootstrap law of an
 order statistic is exact, from binomial tails, so that interval is the

@@ -118,7 +118,7 @@ MUTANTS = (
         "signs = np.less(u, cut[:, None])",
         (
             "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
-            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-682]",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[2-682]",
             "tests/test_designs.py::TestTiesAtTheCut"
             "::test_tied_uniforms_give_the_argsort_signs[96-no-cut-tie]",
         ),
@@ -132,7 +132,7 @@ MUTANTS = (
             "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
             "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[bcrd-8192]",
             "tests/test_designs.py::TestTiesAtTheCut"
-            "::test_tied_uniforms_give_the_argsort_signs[4-no-cut-tie]",
+            "::test_tied_uniforms_give_the_argsort_signs[24-no-cut-tie]",
         ),
     ),
     Mutant(
@@ -146,7 +146,7 @@ MUTANTS = (
         "",
         (
             "tests/test_designs.py::TestTiesAtTheCut"
-            "::test_tied_uniforms_give_the_argsort_signs[2-every-kind]",
+            "::test_tied_uniforms_give_the_argsort_signs[32-every-kind]",
             "tests/test_designs.py::TestTiesAtTheCut"
             "::test_tied_uniforms_give_the_argsort_signs[24-every-kind]",
             "tests/test_designs.py::TestTiesAtTheCut"
@@ -154,15 +154,52 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a pair's cut at the larger of its two uniforms",
+        "the pattern index drawn from C - 1 patterns",
         "twoarm/designs.py",
-        "cut = np.minimum(u[:, 0], u[:, 1])",
-        "cut = np.maximum(u[:, 0], u[:, 1])",
+        "rng.integers(0, table.shape[0], ",
+        "rng.integers(0, table.shape[0] - 1, ",
         (
-            "tests/test_designs.py::TestSampling::test_pm_pairs_flip_uniformly_and_independently",
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_uniform_over_the_whole_support_at_2n_8[pm]",
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_uniform_over_the_whole_support_at_2n_8[bcrd]",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-8192]",
+        ),
+    ),
+    Mutant(
+        "gathered columns placed through blocks().ravel(), not its inverse",
+        "twoarm/designs.py",
+        "to_subject = np.argsort(blocks.ravel())",
+        "to_subject = blocks.ravel()",
+        (
+            "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
             "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[48-682]",
-            "tests/test_designs.py::TestTiesAtTheCut"
-            "::test_tied_uniforms_give_the_argsort_signs[2-no-cut-tie]",
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_uniform_over_the_whole_support_at_2n_8[B=2]",
+        ),
+    ),
+    Mutant(
+        "the pattern table's last row treats one subject too many",
+        "twoarm/designs.py",
+        "    np.put_along_axis(signs, treated, 1, axis=1)\n",
+        "    np.put_along_axis(signs, treated, 1, axis=1)\n    signs[-1, 0] = 1\n",
+        (
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_table_rows_are_the_balanced_halves_in_combinations_order[6]",
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_uniform_over_the_whole_support_at_2n_8[bcrd]",
+            "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
+        ),
+    ),
+    Mutant(
+        "blocks of 12 and 16 subjects sort uniforms instead of drawing a pattern",
+        "twoarm/designs.py",
+        "_TABLE_MAX = 16\n",
+        "_TABLE_MAX = 8\n",
+        (
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-8192]",
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_full_and_ragged_chunks_match_the_separate_array_contrast[continuous]",
         ),
     ),
     Mutant(

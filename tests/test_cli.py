@@ -614,46 +614,46 @@ class TestPinnedOutputBytes:
     PINNED = {
         "exponential": {
             "continuous": (
-                "118f61ca0f32d702852fd0ae8ab69d540608269a3686c0410d4a2531cecc73cf",
-                "55d8a3b0662f0c7b88aa7ce1926f9fe12e985d97e86416137a27aac1fba0e553",
+                "5435c3c5b265d7b901c62a07f8381bf629a143f9ce0bd13d2255ba425e6362a7",
+                "b2bf8a9cb146fb908f75623d6f6b75a7ff5f69fee317843fcdf4084cfa605f3e",
             ),
             "incidence": (
-                "550124600db93ad03444b2c51b733850cede8e0b60053d11782f8ed710b4312a",
-                "8421c02000155e360e35af040433461d8e7cec9a8bedd4ee43109147a800973d",
+                "62fe36af0faf351c88555330646f50f5569a833ea460e633d300993fa54d9fa7",
+                "b41b9bd74ea8085ce99393f04b83f8a7a4e89344254b13028e8a25aafceb343f",
             ),
             "proportion": (
-                "2a20ddabb9de7b13698b8bc0eff533917eeee4b6a8cf9a4f3051ca5522c3eb63",
-                "0611b1f88f61b5280333b45e46cb68e1adc1b5f242a86e054fb356407b19a6e7",
+                "6cb985ee83f90a5437d43fd7e57d17c614e91d89b2c94f4ec36cffc808c1e6ac",
+                "f3a061a6f9b8cf77f7246d67f0878dc553055446454723f60d273f69b6519acf",
             ),
             "count": (
-                "da5167dc0ce1fb317afe290cab99af6b2c5b3f0b041ca8d8f76a89252f3a1ec9",
-                "311f02bc2b5c8eae5985ca42d012f7cbfe1c7ca4722564316a0f8986df408101",
+                "31182d76c90ac03bfe0c7042d508817732ecf928f92aae31ce1c5fc0272f2a99",
+                "3b36cbdd90f52c7c42dfe039f333ffc3a2d4447387a5636738ba40507624c703",
             ),
             "survival": (
-                "a6ca953e7ea92a5767c9ea5af8323ef7d550b0c8388d628ef721514d96d04546",
-                "0555d64ffd0fdc38687223f25c2384bdf1317cc670dc2c58602e5d0968a5bca1",
+                "f1b5a467786312bce5a7b9c7bbaddff64af8e9368d9e5def535ff9c92489e251",
+                "924b846bb21be18a9fca315a35bcf5b8fe65f1ed9f352125fa26e5983b8db7df",
             ),
         },
         "uniform": {
             "continuous": (
-                "d9a4f8206756c30c8ae9166c3424e4600f082432ea9c141bafaa15ef64603973",
-                "44108bda016437ae4c07da9c864bf4a1f48bfe1017497181ce409c61f4b38211",
+                "3a432af3d818ea82dc50f9f3e9f27b28107070428a7ae132892c163439bf0026",
+                "2499cc73e012581253ba43f7f8630593f9c50036fc771496ab39c873895a760c",
             ),
             "incidence": (
-                "595d7699c1374cc4935f0eb6ab60351da2ad1f0953dac7260a69c01596c795c1",
-                "a75a08a22b46e1ac9379bad322db965ddeff0622969de285fc27e808120f8c3d",
+                "89e27c1d50b9b9fbf921f4628421fd8d4a2de81d7c2719e4dcf0eb2f03e09d32",
+                "3b3f84af7bd87943bb3f1c0191b036fbb7efeee93c415d406b4603f26af28f0d",
             ),
             "proportion": (
-                "6ac2d39ade2da441dba639d03f09754aad54c38ad4ed78029bbc6a038356b87d",
-                "ece413674bbf6a44fa1a3558fdc205059d112506ac00b39c7ac1ccde0336c6a5",
+                "733dbd160553baba7cac3c46d9d76a624970b349ca258e3cbf774bd11289ecf1",
+                "50e906e33c39c9ffb6eea4bf798cf0a474ef3b7940e5a831eaa36e57bfd66ec7",
             ),
             "count": (
-                "0fac06e588e4ed4831d6dcb486234e6709825ca7291642f5c6024b5ad7cc56eb",
-                "2efe29b23383852aa47e97ffbd2c15ae0322b33327b18dedc587b8193dfc41ed",
+                "9d93542f318dac93ba97b3cc7cb0ba3e2602941bbdfd50e4eeb06c3b491bb7fd",
+                "5cacb3d586384b4f6635ff28c049400cb0c68b3865027628a5c2e4a27de83ec2",
             ),
             "survival": (
-                "bf6c8c370dd17d0e5a9a71a22353e5385b3060926d312306d08e449ea3a212a9",
-                "35a65a0771bdacb23f9b40631387f54dca7ae95c3b71244af6e676eadf98ee83",
+                "70cc19cd768a7b819fbdfca6bc9b50135eef461e2f50d1e36a2fab72b00ecb4e",
+                "fb9eb832a03d26346ee2602cfb889b9a5f0804ac7cc691748a3d27d7d1b22a96",
             ),
         },
     }
@@ -679,24 +679,24 @@ class TestPinnedOutputBytes:
     # The same micro grid, run as a p=1 blocking sweep.
     PINNED_SWEEP = {
         "continuous": (
-            "337a5ba7630c06b31b105853229de261bdae4051c2a1de3b463ade5329f3fd7e",
-            "40451be62b64ea2976dde9025f9cda63aadc97633223850804049b1cd3616d2e",
+            "d65eda5fec7911b66ac5ba172f277cb73dc6e3425d9e0e69193b7d2df4b3b7c9",
+            "d400aeae4425150f797073e8a31f75b4864aea91a81ed8469a78ba92ee3ebfe1",
         ),
         "incidence": (
-            "6d6c643568bfe34d7e0ecbee99b4fe3066eab33f70bfdf934d9121b9463f0a85",
-            "9fa6c737a34774bd40083289b7adef7832155372a19ddf6fe1f3347b46ca19e8",
+            "84d94d4d58e02891f255773c542a11917117fb876e8f4cdec02c018f0c621dbf",
+            "fdc30f1884868ebf91f94ee49285ec14208dfc719bb2c8902f8168829d4e8197",
         ),
         "proportion": (
-            "03d1be1e40bc8b57b9fc7950b6e7841d011a2bb184348930b5a7205b8b345fca",
-            "312b62469c756f15c0751b8870975cda5f95a40fc14088a4a1316e86a17ea48a",
+            "7ded5e85a953b90a99a11bda89fde99e5141ec5f80fc63b3349cc7c05f11dbb7",
+            "a5c86e5022a13f93a592d4422a81fca7044dd9342f5b6ffe954548da70323918",
         ),
         "count": (
-            "7facef639a0620972b6557758ccca77fd8aa84864658b8b4f3e5bc5402958ed7",
-            "bbe6f0b6afcc737f60627a0140151210990cb67dcbd29a6a55949de60b3ff97c",
+            "8e935cd74e15df6beabaae081b44824fda93e758a07704a2fcec421814953ad6",
+            "05eb0f3422afd224a18916a6bf606cf09b8df014de7f4a1ee896f36cf6d16ec5",
         ),
         "survival": (
-            "dc08a62a1f8f711651910564d986a1841e6ff86992755f34d18a021095148e2d",
-            "2121a768b334a20247bcabbfdb1dd23e060b31b52a01c2b9fd36029bb56247a3",
+            "37f281f7bd6559b4f2aaa8f03dc65e95f32d6d2695956372a5dc224de4865b4e",
+            "883b59f821583ccc3e79872da49b83a1a3eb25d436200ecc84e52954bb3c6260",
         ),
     }
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from twoarm.designs import (
     DesignSpec,
     _descend_lockstep,
     _objectives,
+    _pattern_table,
     build_blocking,
     design_covariance,
     greedy_pair_switch,
@@ -26,8 +30,8 @@ from util_oracles import (
     sample_allocations_reference,
 )
 
-# chi-square critical values at alpha = 0.001
-_CHI2_001 = {3: 16.266, 5: 20.515}
+# chi-square critical values at alpha = 0.001, by degrees of freedom
+_CHI2_001 = {3: 16.266, 5: 20.515, 15: 37.697, 35: 66.619, 69: 111.055}
 
 
 def _block_counts(n_subjects):
@@ -66,12 +70,15 @@ class TestDesignSpec:
 
 class TestSampling:
     def test_every_draw_balanced_within_blocks(self):
-        blocking = Blocking([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
-        spec = DesignSpec.block(blocking)
-        draws = sample_allocations(spec, 500, substream(1, "bal"))
-        assert set(np.unique(draws)) == {-1, 1}
-        for members in blocking.blocks():
-            np.testing.assert_array_equal(draws[:, members].sum(axis=1), 0)
+        # three interleaved blocks: of 4, drawn by pattern index, and of
+        # 24, drawn by sorting uniforms
+        for m in (4, 24):
+            blocking = Blocking(np.arange(3 * m) % 3)
+            spec = DesignSpec.block(blocking)
+            draws = sample_allocations(spec, 500, substream(1, "bal"))
+            assert set(np.unique(draws)) == {-1, 1}
+            for members in blocking.blocks():
+                np.testing.assert_array_equal(draws[:, members].sum(axis=1), 0)
 
     def test_bcrd_uniform_over_support(self):
         spec = DesignSpec.bcrd(4)
@@ -179,15 +186,12 @@ _TIE_LAYOUTS = {
 
 class TestTiesAtTheCut:
     @pytest.mark.parametrize("layout", list(_TIE_LAYOUTS))
-    @pytest.mark.parametrize("m", [2, 4, 16, 24, 96])
+    @pytest.mark.parametrize("m", [24, 32, 48, 96])
     def test_tied_uniforms_give_the_argsort_signs(self, m, layout):
-        # 8,192 rows at 2n = 96 cut into row blocks of 682 to 8,192 rows.
-        # A pair's two smallest and two largest values are its own two,
-        # so no tie lies away from its cut.
+        # 8,192 rows at 2n = 96 cut into row blocks of 682 to 2,730 rows.
+        # Only blocks of more than 16 subjects draw uniforms.
         n_draws = 8192
         kinds = _TIE_LAYOUTS[layout]
-        if m == 2:
-            kinds = tuple(k for k in kinds if k not in ("below", "above"))
         row_kinds = [kinds[r % len(kinds)] for r in range(n_draws)]
         if layout == "last-row-tie":
             row_kinds[-1] = "cut"
@@ -203,6 +207,56 @@ class TestTiesAtTheCut:
         assert stub.taken == ref_stub.taken == values.size
         for members in spec.blocking.blocks():
             np.testing.assert_array_equal(got[:, members].sum(axis=1), 0)
+
+
+class TestPatternDraws:
+    """Blocks of at most 16 subjects draw one pattern index per (row, block)."""
+
+    @pytest.mark.parametrize(
+        "block_of, support_size",
+        [
+            ([0] * 8, 70),
+            # two blocks of four, scattered: 6 x 6 joint patterns, so the
+            # test also sees whether the blocks are drawn independently
+            ([0, 1, 1, 0, 1, 0, 0, 1], 36),
+            # four scattered pairs
+            ([0, 1, 2, 1, 3, 0, 3, 2], 16),
+        ],
+        ids=["bcrd", "B=2", "pm"],
+    )
+    def test_uniform_over_the_whole_support_at_2n_8(self, block_of, support_size):
+        blocking = Blocking(block_of)
+        if blocking.n_blocks == 1:
+            spec = DesignSpec.bcrd(8)
+        elif blocking.is_pairing:
+            spec = DesignSpec.pm(blocking)
+        else:
+            spec = DesignSpec.block(blocking)
+        n_draws = 100_000
+        draws = sample_allocations(spec, n_draws, substream(41, *block_of, "law"))
+        support = block_allocations(block_of)
+        assert len(support) == support_size
+        # each allocation coded by its treated subjects' bits
+        bits = 1 << np.arange(8)
+        codes, support_codes = (draws > 0) @ bits, (support > 0) @ bits
+        assert np.isin(codes, support_codes).all()
+        counts = np.bincount(codes, minlength=256)[support_codes]
+        expected = n_draws / support_size
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < _CHI2_001[support_size - 1]
+
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_table_rows_are_the_balanced_halves_in_combinations_order(self, m):
+        table = _pattern_table(m)
+        assert not table.flags.writeable
+        signs = table.view(np.int8).reshape(-1, m)
+        count = math.comb(m, m // 2)
+        assert signs.shape == (count, m)
+        assert set(np.unique(signs)) == {-1, 1}
+        np.testing.assert_array_equal(signs.sum(axis=1), 0)
+        assert len({row.tobytes() for row in signs}) == count
+        treated = [tuple(np.flatnonzero(row > 0)) for row in signs]
+        assert treated == list(itertools.combinations(range(m), m // 2))
 
 
 class TestDesignCovariance:

@@ -744,12 +744,12 @@ class TestRunCell:
                 DesignSpec.pm(Blocking([0, 0, 1, 1])),
                 "continuous",
                 (
-                    0.7887003100472314,
-                    1.0199607065181677,
-                    2.7691815352837024,
-                    (2.343956504755472, 3.3414073497799155),
-                    2.4665356722696172,
-                    (2.1083080660189903, 2.824763278520244),
+                    0.8191249577564128,
+                    1.0158599987194328,
+                    2.8153900573854567,
+                    (2.2888579890587377, 3.1259237016057773),
+                    2.4902146556498796,
+                    (2.1378679343099503, 2.842561376989809),
                 ),
             ),
             (

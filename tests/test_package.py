@@ -35,6 +35,8 @@ import twoarm
 from twoarm.core import CovariateMatrix
 for name in ("twoarm.verify", "twoarm.criteria"):
     print(name in sys.modules, importlib.util.find_spec(name) is not None)
+# the allocation pattern tables are built on first use, not on import
+print(twoarm.designs._pattern_table.cache_info().currsize)
 grid = twoarm.cli.build_grid(
     {"seed": "0", "reps": "2", "n_subjects": "8", "designs": "pm", "p": "2"}
 )
@@ -101,8 +103,9 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
         text=True,
         check=True,
     )
-    verify, criteria, networkx_loaded, names = done.stdout.splitlines()
+    verify, criteria, tables, networkx_loaded, names = done.stdout.splitlines()
     assert verify == criteria == "False True"
+    assert tables == "0"
     assert networkx_loaded == "False"
     exported = set(names.split())
     assert len(exported) == 8

@@ -20,9 +20,11 @@ reference chunk loop forms every outcome chunk's contrast from
 separate arrays, w * (y_t + y_c), with each arm one whole numpy draw
 (the continuous draw one rng.normal(mu, 1.0) call, the proportion
 draw one rng.beta call, the incidence and count draws written out)
-and each design block's allocations drawn whole; the production loop,
-which draws the control arm and the allocations in row blocks, must
-reproduce it bit for bit.
+and the allocations drawn whole: a small block's signs looked up row
+by row in a plain list of combinations, a large block's from its
+uniforms' argsort.  The production loop, which draws the control arm
+and a large block's uniforms in row blocks and gathers a small block's
+patterns from a table, must reproduce it bit for bit.
 The reference sorted blocking re-sorts each covariate-1 super-group by
 covariate 2 in its own loop step; the one stable lexsort of the
 production blocking must give the same blocks.
@@ -51,6 +53,10 @@ EXACT_CAPACITY = 12
 # first row-block boundary, and a full chunk.
 _EDGE = BLOCK_ELEMENTS // 96
 ROW_BLOCK_DRAWS = (0, 1, _EDGE - 1, _EDGE, _EDGE + 1, CHUNK_SIZE)
+
+# Blocks of at most this many subjects draw one pattern index per
+# (row, block); larger blocks draw uniforms.
+PATTERN_BLOCK_MAX = 16
 
 
 class CapacityError(ValueError):
@@ -405,14 +411,32 @@ def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
 
 
 def sample_allocations_reference(spec, n_draws: int, rng) -> np.ndarray:
-    """sample_allocations with each design block's (n_draws, n_B)
-    uniforms, argsort and signs taken whole, one block after another."""
+    """sample_allocations written out.  Blocks of n_B <= PATTERN_BLOCK_MAX
+    read one rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16)
+    draw and, one row and one block at a time, treat the members at the
+    positions of the index's entry in the list of
+    itertools.combinations(range(n_B), n_B / 2).  Larger blocks take each
+    design block's (n_draws, n_B) uniforms, argsort and signs whole, one
+    block after another."""
     if spec.kind == "pb":
         coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
         return coin[:, None] * spec.w_star.signs[None, :]
+    blocks = spec.blocking.blocks()
+    m = blocks.shape[1]
+    if m <= PATTERN_BLOCK_MAX:
+        halves = list(itertools.combinations(range(m), m // 2))
+        index = rng.integers(0, len(halves), (n_draws, len(blocks)), dtype=np.int16)
+        members = blocks.tolist()
+        rows = []
+        for row_index in index.tolist():
+            row = [-1] * spec.n_subjects
+            for block, i in zip(members, row_index):
+                for k in halves[i]:
+                    row[block[k]] = 1
+            rows.append(row)
+        return np.array(rows, dtype=np.int8).reshape(n_draws, spec.n_subjects)
     out = np.empty((n_draws, spec.n_subjects), dtype=np.int8)
-    for members in spec.blocking.blocks():
-        m = members.shape[0]
+    for members in blocks:
         order = np.argsort(rng.random((n_draws, m)), axis=1)
         buf = np.full((n_draws, m), -1, dtype=np.int8)
         np.put_along_axis(buf, order[:, : m // 2], 1, axis=1)
