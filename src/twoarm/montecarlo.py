@@ -33,8 +33,9 @@ errors, the standard error taken from the sample's influence values
 bootstrap as the number of resamples grows.  So a cell's report
 depends on its sample alone.
 
-run_cell summarises one cell's squared errors; given none, it simulates
-the cell alone as a one-cell panel keyed by its cell id.  The
+simulate_squared_errors takes one panel's cells and its id; a cell run
+alone is the one-cell panel keyed by its cell id, which is how run_cell
+simulates a cell given no squared errors to summarise.  The
 variance-floor and convergence reports in twoarm.verify run noise-only
 cells that way through the same chunk loop, and the closed forms of
 twoarm.criteria check its results; the grid path imports neither.
@@ -69,6 +70,8 @@ class CellConfig:
     master_seed: int
 
     def __post_init__(self):
+        if not isinstance(self.cell_id, str):
+            raise ValueError(f"cell_id must be a str, got {self.cell_id!r}")
         _check_int("n_reps", self.n_reps, 2)
         _check_int("master_seed", self.master_seed, 0)
         if self.design.n_subjects != self.x.n_subjects:
@@ -257,7 +260,7 @@ def _chunk_squared_errors(
         out[reps] = np.square(contrast / (2.0 * first.x.n_pairs))
 
 
-def simulate_squared_errors(cells, panel_id: str | None = None):
+def simulate_squared_errors(cells: list, panel_id: str) -> list[np.ndarray]:
     """Every replicate squared error of each cell of one panel.
 
     cells share model, x, n_reps and master_seed (ValueError names the
@@ -269,18 +272,10 @@ def simulate_squared_errors(cells, panel_id: str | None = None):
     depends only on its own config and panel_id, not on the other cells
     of the panel, and the cells' designs are compared on common draws.
     A chunk holds one full outcome buffer at a time and frees it before
-    the next.  Returns one array of n_reps per cell, in order.
-
-    A lone CellConfig in place of the list returns its array alone, and
-    its panel_id defaults to its cell id: simulate_squared_errors(cfg)
-    is simulate_squared_errors([cfg], cfg.cell_id)[0].
+    the next.  Returns one array of n_reps per cell, in order.  A cell
+    run alone is the one-cell panel ([cfg], cfg.cell_id).
     """
-    lone = isinstance(cells, CellConfig)
-    cells = [cells] if lone else list(cells)
-    if panel_id is None:
-        if not lone:
-            raise ValueError("a list of cells needs a panel_id")
-        panel_id = cells[0].cell_id
+    cells = list(cells)
     first = _panel_cell(cells, panel_id)
     mu_t, mu_c = potential_means(first.model, first.x)
     sq = [np.empty(first.n_reps) for _ in cells]
@@ -289,7 +284,7 @@ def simulate_squared_errors(cells, panel_id: str | None = None):
         reps = slice(pos, pos + size)
         _chunk_squared_errors(cells, panel_id, mu_t, mu_c, ci, reps, sq)
         pos += size
-    return sq[0] if lone else sq
+    return sq
 
 
 def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
@@ -304,7 +299,7 @@ def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
     depends on sq alone, not on the cell id or the master seed.
     """
     if sq is None:
-        sq = simulate_squared_errors(cfg)
+        (sq,) = simulate_squared_errors([cfg], cfg.cell_id)
     sq = np.asarray(sq, dtype=float)
     if sq.shape != (cfg.n_reps,):
         raise ValueError(f"sq must have shape ({cfg.n_reps},), got {sq.shape}")

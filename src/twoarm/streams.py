@@ -38,8 +38,9 @@ BLOCK_ELEMENTS = 1 << 16
 
 
 def _encode(part: int | str) -> list[int]:
-    """Map one path component to its 32-bit entropy words."""
-    if isinstance(part, (int, np.integer)):
+    """Map one path component, a non-bool integer >= 0 or a str, to its
+    32-bit entropy words; any other part raises ValueError naming it."""
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
         if part < 0:
             raise ValueError(f"stream path integers must be >= 0, got {part}")
         value = int(part)
@@ -47,6 +48,8 @@ def _encode(part: int | str) -> list[int]:
         while value := value >> 32:
             words.append(value & 0xFFFFFFFF)
         return words
+    if not isinstance(part, str):
+        raise ValueError(f"stream path parts must be str or non-bool integers, got {part!r}")
     digest = hashlib.sha256(part.encode("utf-8")).digest()
     # 8 words of 32 bits; plenty of separation between named roles.
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]

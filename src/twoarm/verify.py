@@ -11,7 +11,6 @@ noise-only cells through the production chunk loop.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, _check_int, _frozen
 from .criteria import pm_conditional_variance
-from .designs import DesignSpec, design_covariance, regularized_covariance
+from .designs import DesignSpec, _pattern_table, design_covariance, regularized_covariance
 from .matching import MatchResult, _pair_cost, mahalanobis_distances
 from .montecarlo import CellConfig, simulate_squared_errors
 from .response import ResponseModel, draw_outcomes, potential_means
@@ -100,9 +99,10 @@ def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.nd
 
     Every row is equally likely under the design.  Block-type supports
     are the product of the k = C(n_B, n_B/2) balanced patterns of each
-    block, so S = k^B, with block 0's pattern varying slowest; pb
-    contributes exactly {w*, -w*}.  Supports larger than max_support
-    are rejected.
+    block, the rows of the sampler's designs._pattern_table(n_B), so
+    S = k^B, with block 0's pattern varying slowest; pb contributes
+    exactly {w*, -w*}.  Supports larger than max_support are rejected
+    before the table is built.
     """
     if spec.kind == "pb":
         w = spec.w_star.signs
@@ -112,9 +112,7 @@ def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.nd
     k = math.comb(m, m // 2)
     if k**n_blocks > max_support:
         raise ValueError(f"design support exceeds {max_support} allocations")
-    pats = np.full((k, m), -1, dtype=np.int8)
-    for r, chosen in enumerate(itertools.combinations(range(m), m // 2)):
-        pats[r, list(chosen)] = 1
+    pats = _pattern_table(m).view(np.int8).reshape(k, m)
     digits = np.unravel_index(np.arange(k**n_blocks), (k,) * n_blocks)
     out = np.empty((k**n_blocks, spec.n_subjects), dtype=np.int8)
     out[:, members] = pats[np.stack(digits, axis=1)]
@@ -251,31 +249,32 @@ def _check_subject_count(n_sub: int) -> None:
         )
 
 
-def _noise_only_rows(cases, n_reps: int, master_seed: int, rho: float) -> list[dict]:
-    """n^2 Var of the squared error for (cell id, design, row fields) cases.
+def _noise_only_rows(cases, n_reps: int, master_seed: int) -> list[dict]:
+    """n^2 Var of the squared error for (cell id, design, row fields)
+    cases, at unit per-subject noise variance rho = 1.
 
-    Each case runs on a noise-only cell: a zero covariate and no
-    intercept or treatment effect give every subject mean 0, and each
-    arm adds the continuous response's unit-variance Gaussian noise.
-    For any sign vector w, w'v is then N(0, 2n rho) at total per-subject
-    noise variance rho, so the squared error is (rho / 2n) chi2_1
-    whatever the design, and n^2 Var is exactly rho^2 / 2.  The cells
-    run at rho = 2; the variance and its standard error (from the
-    sample's fourth central moment) are scaled by n^2 (rho / 2)^2.  A
-    row is the case's fields, then n_reps, scaled_variance and se.
+    Each case runs as its own one-cell panel on a noise-only cell: a
+    zero covariate and no intercept or treatment effect give every
+    subject mean 0, and each arm adds the continuous response's
+    unit-variance Gaussian noise, so v = y_T + y_C has rho = 2.  For any
+    sign vector w, w'v is then N(0, 2n rho), the squared error is
+    (rho / 2n) chi2_1 whatever the design, and n^2 Var is exactly
+    rho^2 / 2.  The variance and its standard error (from the sample's
+    fourth central moment) are scaled by n^2 / 4, to their values at
+    rho = 1, where n^2 Var is 0.5.  A row is the case's fields, then
+    n_reps, scaled_variance and se.
     """
     model = ResponseModel(kind="continuous", beta0=0.0, beta=np.ones(1), beta_t=0.0)
     rows = []
     for cell_id, spec, fields in cases:
         x = CovariateMatrix(np.zeros((spec.n_subjects, 1)))
-        sq = simulate_squared_errors(
-            CellConfig(cell_id, model, x, spec, n_reps, master_seed)
-        )
+        cfg = CellConfig(cell_id, model, x, spec, n_reps, master_seed)
+        (sq,) = simulate_squared_errors([cfg], cell_id)
         n = spec.n_subjects // 2
         var = float(sq.var(ddof=1))
         m4 = float(np.mean((sq - sq.mean()) ** 4))
         se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
-        scale = n * n * (rho / 2.0) ** 2
+        scale = n * n / 4.0
         est = {"n_reps": int(n_reps), "scaled_variance": scale * var, "se": scale * se}
         rows.append({**fields, **est})
     return rows
@@ -286,18 +285,15 @@ def variance_floor_report(
     block_counts,
     n_reps: int,
     master_seed: int,
-    rho: float = 1.0,
 ) -> list[dict]:
     """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
 
     Simulates block designs on a noise-only cell (so the allocation
-    term vanishes) with total per-subject noise variance rho, and
+    term vanishes) at unit per-subject noise variance (rho_bar = 1), and
     reports the scaled variance estimate with a moment-based standard
-    error next to the floor.  On such a cell n^2 Var is exactly
-    rho^2 / 2 for every blocking, four times the floor.
+    error next to the floor PM_REFERENCE = 0.125.  On such a cell
+    n^2 Var is exactly 0.5 for every blocking, four times the floor.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
     cases = []
     for n_sub in n_subjects_grid:
         _check_subject_count(n_sub)
@@ -310,11 +306,10 @@ def variance_floor_report(
             spec = DesignSpec.block(Blocking(np.arange(n_sub) // (n_sub // n_blocks)))
             fields = {"n_subjects": int(n_sub), "n_blocks": int(n_blocks)}
             cases.append((f"floor::{n_sub}::{n_blocks}", spec, fields))
-    bound = PM_REFERENCE * rho**2
-    rows = _noise_only_rows(cases, n_reps, master_seed, rho)
+    rows = _noise_only_rows(cases, n_reps, master_seed)
     for row in rows:
-        row["bound"] = bound
-        row["satisfied"] = bool(row["scaled_variance"] >= bound - 3.0 * row["se"])
+        row["bound"] = PM_REFERENCE
+        row["satisfied"] = bool(row["scaled_variance"] >= PM_REFERENCE - 3.0 * row["se"])
     return rows
 
 
@@ -346,7 +341,7 @@ def convergence_study(
                 spec = DesignSpec.pb(Allocation(w_star))
             fields = {"design": kind, "n_subjects": int(n_sub)}
             cases.append((f"convergence::{kind}::{n_sub}", spec, fields))
-    rows = _noise_only_rows(cases, n_reps, master_seed, 1.0)
+    rows = _noise_only_rows(cases, n_reps, master_seed)
     for row in rows:
         row["pm_reference"] = PM_REFERENCE
         row["pb_reference"] = PB_REFERENCE

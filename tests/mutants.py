@@ -189,6 +189,20 @@ MUTANTS = (
             "tests/test_designs.py::TestPatternDraws"
             "::test_uniform_over_the_whole_support_at_2n_8[bcrd]",
             "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
+            "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
+        ),
+    ),
+    Mutant(
+        # the reversed rows are the negated patterns: the same support in
+        # another order, so only the order checks against the oracle see it
+        "the enumeration reads the pattern table in reverse order",
+        "twoarm/verify.py",
+        "pats = _pattern_table(m).view(np.int8).reshape(k, m)\n",
+        "pats = _pattern_table(m).view(np.int8).reshape(k, m)[::-1]\n",
+        (
+            "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
+            "tests/test_designs.py::TestEnumerateAllocations"
+            "::test_support_rows_in_oracle_order_on_permuted_ids",
         ),
     ),
     Mutant(

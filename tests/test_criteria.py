@@ -423,28 +423,11 @@ class TestVarianceFloorReport:
             assert row["satisfied"] is True
             assert abs(row["scaled_variance"] - 0.5) <= 4.0 * row["se"]
 
-    def test_scales_with_rho(self):
-        rows = variance_floor_report([8], [1], n_reps=4000, master_seed=78, rho=2.0)
-        assert rows[0]["bound"] == pytest.approx(0.5)
-        assert abs(rows[0]["scaled_variance"] - 2.0) <= 4.0 * rows[0]["se"]
-
-    def test_rho_rescales_one_unit_noise_sample(self):
-        # every rho runs the same unit-sd cell; only the factor (rho/2)^2 moves
-        unit, half = (
-            variance_floor_report([8], [2], n_reps=500, master_seed=9, rho=rho)[0]
-            for rho in (2.0, 1.0)
-        )
-        assert half["scaled_variance"] == unit["scaled_variance"] / 4.0
-        assert half["se"] == unit["se"] / 4.0
-
     def test_rejects_uneven_blockings(self):
         with pytest.raises(ValueError):
             variance_floor_report([12], [4], n_reps=100, master_seed=1)
         with pytest.raises(ValueError):
             variance_floor_report([16], [3], n_reps=100, master_seed=1)
-        for rho in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="rho"):
-                variance_floor_report([8], [1], n_reps=100, master_seed=1, rho=rho)
         for n_blocks in (0, -2):
             with pytest.raises(ValueError, match=f"block_counts.*got {n_blocks}"):
                 variance_floor_report([8], [n_blocks], n_reps=10, master_seed=1)
@@ -460,8 +443,8 @@ class TestVarianceFloorReport:
 
 def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):
     # a bad entry after good ones must raise before the good cells run
-    def simulate(cfg):
-        raise AssertionError(f"{cfg.cell_id} simulated before validation")
+    def simulate(cells, panel_id):
+        raise AssertionError(f"{panel_id} simulated before validation")
 
     monkeypatch.setattr(twoarm.verify, "simulate_squared_errors", simulate)
     with pytest.raises(ValueError, match="n_subjects_grid.*got 7"):

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -85,6 +85,12 @@ def _pm_cell(n_reps=20_000, seed=404):
         n_reps=n_reps,
         master_seed=seed,
     )
+
+
+def _alone(cfg):
+    """A cell's squared errors, simulated as its own one-cell panel."""
+    (sq,) = simulate_squared_errors([cfg], cfg.cell_id)
+    return sq
 
 
 def _empirical_quantile(samples):
@@ -333,7 +339,7 @@ class TestDeltaInterval:
 
     def test_report_ignores_cell_id_and_master_seed(self):
         cfg = _pm_cell(n_reps=2000)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         want = run_cell(cfg, sq)
         for other in (
             replace(cfg, cell_id="another cell"),
@@ -428,6 +434,9 @@ class TestCellConfig:
         spec = DesignSpec.bcrd(4)
         with pytest.raises(ValueError):
             CellConfig("c", model, x, spec, n_reps=1, master_seed=0)
+        for cell_id in (None, 7, b"c"):
+            with pytest.raises(ValueError, match="cell_id must be a str"):
+                CellConfig(cell_id, model, x, spec, n_reps=10, master_seed=0)
         # bootstrap_reps is gone: passing it fails loudly
         with pytest.raises(TypeError, match="bootstrap_reps"):
             CellConfig("c", model, x, spec, n_reps=10, master_seed=0, bootstrap_reps=1000)
@@ -441,10 +450,10 @@ class TestCellConfig:
 class TestSimulateSquaredErrors:
     def test_shape_sign_and_determinism(self):
         cfg = _pm_cell(n_reps=500)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         assert sq.shape == (500,)
         assert (sq >= 0.0).all()
-        np.testing.assert_array_equal(sq, simulate_squared_errors(cfg))
+        np.testing.assert_array_equal(sq, _alone(cfg))
 
     def test_cell_id_separates_streams(self):
         a = _pm_cell(n_reps=500)
@@ -456,11 +465,11 @@ class TestSimulateSquaredErrors:
             n_reps=500,
             master_seed=a.master_seed,
         )
-        assert not np.array_equal(simulate_squared_errors(a), simulate_squared_errors(b))
+        assert not np.array_equal(_alone(a), _alone(b))
 
     def test_spans_chunk_boundaries(self):
         cfg = _pm_cell(n_reps=8192 + 100)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         assert sq.shape == (8292,)
         assert np.isfinite(sq).all()
 
@@ -479,7 +488,7 @@ class TestSimulateSquaredErrors:
                 n_reps=8192 + 100,
                 master_seed=29,
             )
-            got = simulate_squared_errors(cfg)
+            got = _alone(cfg)
             assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
 
     @pytest.mark.parametrize("n_draws", ROW_BLOCK_DRAWS)
@@ -560,7 +569,7 @@ class TestSimulateSquaredErrors:
 
     def test_mean_matches_the_analytic_criterion(self):
         cfg = _pm_cell(n_reps=40_000)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         mu_t, mu_c = potential_means(cfg.model, cfg.x)
         rho = residual_variances(cfg.model, mu_t, mu_c)
         inputs = CriterionInputs(mu_t + mu_c, rho, design_covariance(cfg.design))
@@ -601,11 +610,14 @@ class TestPanel:
             assert got.tobytes() == alone.tobytes(), cell.cell_id
 
     def test_a_lone_cell_is_its_own_panel(self):
+        # run_cell(cfg) simulates the cell as the one-cell panel keyed by
+        # its cell id, and no other panel id gives its report
         cfg = _pm_cell(n_reps=500)
-        want = simulate_squared_errors([cfg], cfg.cell_id)[0]
-        assert simulate_squared_errors(cfg).tobytes() == want.tobytes()
-        other = simulate_squared_errors([cfg], "another panel")[0]
-        assert not np.array_equal(other, want)
+        (sq,) = simulate_squared_errors([cfg], cfg.cell_id)
+        want = np.array(astuple(run_cell(cfg, sq)))
+        assert np.array(astuple(run_cell(cfg))).tobytes() == want.tobytes()
+        (other,) = simulate_squared_errors([cfg], "another panel")
+        assert not np.array_equal(np.array(astuple(run_cell(cfg, other))), want)
 
     def test_a_panel_draws_its_outcomes_once(self, monkeypatch):
         calls = []
@@ -638,7 +650,7 @@ class TestPanel:
             raise AssertionError("a pb cell drew allocations")
 
         monkeypatch.setattr(twoarm.montecarlo, "sample_allocations", no_draw)
-        got = simulate_squared_errors(cfg)
+        got = _alone(cfg)
         assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
 
     def test_cells_that_disagree_are_rejected(self):
@@ -661,8 +673,6 @@ class TestPanel:
                 simulate_squared_errors([*cells, odd], "pid")
         with pytest.raises(ValueError, match="no cells"):
             simulate_squared_errors([], "pid")
-        with pytest.raises(ValueError, match="list of cells needs a panel_id"):
-            simulate_squared_errors(cells)
 
 
 class TestRunCell:
@@ -709,7 +719,7 @@ class TestRunCell:
         # the sample: the point values bit for bit, the delta interval
         # from the moment oracle's standard error.
         cfg = _pm_cell(n_reps=3000)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         want = {"mean_sq_err": float(sq.mean()), "sd_sq_err": float(sq.std(ddof=1))}
         for column in ("emp_q95", "approx_q95"):
             want[column] = float(_REFERENCE_STATISTICS[column](sq.copy()))
@@ -727,7 +737,7 @@ class TestRunCell:
     def test_summary_fields_are_consistent(self):
         cfg = _pm_cell(n_reps=2000)
         report = run_cell(cfg)
-        sq = simulate_squared_errors(cfg)
+        sq = _alone(cfg)
         assert report.mean_sq_err == pytest.approx(float(sq.mean()), rel=1e-12)
         assert report.sd_sq_err == pytest.approx(float(sq.std(ddof=1)), rel=1e-12)
         assert report.emp_q95 == np.sort(sq)[math.ceil(0.95 * sq.size) - 1]

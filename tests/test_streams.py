@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ def test_string_and_int_components_mix():
 def test_negative_path_component_rejected():
     with pytest.raises(ValueError):
         substream(1, -2)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [2.5, None, np.float64(1.0), np.bool_(True), True, False, b"cell"],
+    ids=["float", "None", "np.float64", "np.bool_", "True", "False", "bytes"],
+)
+def test_path_parts_other_than_str_and_int_rejected(part):
+    # a bool is not the integer it equals: True must not give stream 1
+    with pytest.raises(ValueError, match="stream path parts must be .*got " + re.escape(repr(part))):
+        substream(1, "cell", part)
+
+
+def test_numpy_integer_parts_give_the_python_int_stream():
+    want = substream(1, "cell", 3).random(4)
+    for part in (np.int64(3), np.uint8(3)):
+        np.testing.assert_array_equal(substream(1, "cell", part).random(4), want)
 
 
 def _python_int_words(part):
