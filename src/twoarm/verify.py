@@ -1,12 +1,12 @@
-"""Exact oracles and convergence reports that check the design pipeline.
+"""Exact oracles and a convergence report that check the design pipeline.
 
 Nothing on the grid path imports this module; it imports the production
 modules and checks them.  It holds the potential-outcome type and the
 estimator algebra, support enumeration with the exact squared-error
 moments over a design's support, the imbalance of one allocation, the
 suboptimal rank-interval grid matcher, the noise/allocation variance
-split, and the variance-floor and convergence reports, which run
-noise-only cells through the production chunk loop.
+split, and the convergence report, which runs noise-only cells through
+the production chunk loop.
 """
 
 from __future__ import annotations
@@ -242,77 +242,6 @@ def variance_decomposition_terms(
     return float(cond_mean.var(ddof=1)), float(cond_var.mean())
 
 
-def _check_subject_count(n_sub: int) -> None:
-    if n_sub % 2 or n_sub < 4:
-        raise ValueError(
-            f"n_subjects_grid entries must be even and >= 4, got {n_sub}"
-        )
-
-
-def _noise_only_rows(cases, n_reps: int, master_seed: int) -> list[dict]:
-    """n^2 Var of the squared error for (cell id, design, row fields)
-    cases, at unit per-subject noise variance rho = 1.
-
-    Each case runs as its own one-cell panel on a noise-only cell: a
-    zero covariate and no intercept or treatment effect give every
-    subject mean 0, and each arm adds the continuous response's
-    unit-variance Gaussian noise, so v = y_T + y_C has rho = 2.  For any
-    sign vector w, w'v is then N(0, 2n rho), the squared error is
-    (rho / 2n) chi2_1 whatever the design, and n^2 Var is exactly
-    rho^2 / 2.  The variance and its standard error (from the sample's
-    fourth central moment) are scaled by n^2 / 4, to their values at
-    rho = 1, where n^2 Var is 0.5.  A row is the case's fields, then
-    n_reps, scaled_variance and se.
-    """
-    model = ResponseModel(kind="continuous", beta0=0.0, beta=np.ones(1), beta_t=0.0)
-    rows = []
-    for cell_id, spec, fields in cases:
-        x = CovariateMatrix(np.zeros((spec.n_subjects, 1)))
-        cfg = CellConfig(cell_id, model, x, spec, n_reps, master_seed)
-        (sq,) = simulate_squared_errors([cfg], cell_id)
-        n = spec.n_subjects // 2
-        var = float(sq.var(ddof=1))
-        m4 = float(np.mean((sq - sq.mean()) ** 4))
-        se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
-        scale = n * n / 4.0
-        est = {"n_reps": int(n_reps), "scaled_variance": scale * var, "se": scale * se}
-        rows.append({**fields, **est})
-    return rows
-
-
-def variance_floor_report(
-    n_subjects_grid,
-    block_counts,
-    n_reps: int,
-    master_seed: int,
-) -> list[dict]:
-    """Check the scaling floor n^2 Var[(tau_hat - tau)^2] >= rho_bar^2 / 8.
-
-    Simulates block designs on a noise-only cell (so the allocation
-    term vanishes) at unit per-subject noise variance (rho_bar = 1), and
-    reports the scaled variance estimate with a moment-based standard
-    error next to the floor PM_REFERENCE = 0.125.  On such a cell
-    n^2 Var is exactly 0.5 for every blocking, four times the floor.
-    """
-    cases = []
-    for n_sub in n_subjects_grid:
-        _check_subject_count(n_sub)
-        for n_blocks in block_counts:
-            _check_int("block_counts entries", n_blocks, 1)
-            if n_sub % n_blocks or (n_sub // n_blocks) % 2:
-                raise ValueError(
-                    f"{n_blocks} blocks do not give even blocks at 2n={n_sub}"
-                )
-            spec = DesignSpec.block(Blocking(np.arange(n_sub) // (n_sub // n_blocks)))
-            fields = {"n_subjects": int(n_sub), "n_blocks": int(n_blocks)}
-            cases.append((f"floor::{n_sub}::{n_blocks}", spec, fields))
-    rows = _noise_only_rows(cases, n_reps, master_seed)
-    for row in rows:
-        row["bound"] = PM_REFERENCE
-        row["satisfied"] = bool(row["scaled_variance"] >= PM_REFERENCE - 3.0 * row["se"])
-    return rows
-
-
 def convergence_study(
     design_kinds,
     n_subjects_grid,
@@ -321,29 +250,55 @@ def convergence_study(
 ) -> list[dict]:
     """Track n^2 Var[(tau_hat - tau)^2] as the sample grows.
 
-    Runs pm and/or pb on a noise-only cell (Gaussian noise with rho = 1)
-    and reports the scaled variance with a moment-based standard error,
-    next to the published reference constants and the
-    enumeration-implied pm candidate.  On such a cell n^2 Var is exactly
-    rho^2 / 2 = 0.5 for either design, so pm's and pb's rows estimate
-    one constant.
+    Every (kind, 2n) entry is checked before any cell runs; each then
+    runs as its own one-cell panel on a noise-only cell: a zero
+    covariate and no intercept or treatment effect give every subject
+    mean 0, and each arm adds the continuous response's unit-variance
+    Gaussian noise, so v = y_T + y_C has rho = 2.  For any sign vector
+    w, w'v is then N(0, 2n rho), the squared error is (rho / 2n) chi2_1
+    whatever the design, and n^2 Var is exactly rho^2 / 2, so pm's and
+    pb's rows estimate one constant.  The variance and its standard
+    error (from the sample's fourth central moment) are scaled by
+    n^2 / 4, to their values at rho = 1, where n^2 Var is 0.5, and
+    reported next to the published reference constants and the
+    enumeration-implied pm candidate.
     """
-    cases = []
-    for kind in design_kinds:
+    kinds = list(design_kinds)
+    for kind in kinds:
         if kind not in ("pm", "pb"):
             raise ValueError(f"convergence study covers pm and pb, not {kind!r}")
-        for n_sub in n_subjects_grid:
-            _check_subject_count(n_sub)
+    sizes = [_check_int("n_subjects_grid entries", n_sub, 4) for n_sub in n_subjects_grid]
+    for n_sub in sizes:
+        if n_sub % 2:
+            raise ValueError(f"n_subjects_grid entries must be even, got {n_sub}")
+    model = ResponseModel(kind="continuous", beta0=0.0, beta=np.ones(1), beta_t=0.0)
+    rows = []
+    for kind in kinds:
+        for n_sub in sizes:
             if kind == "pm":
                 spec = DesignSpec.pm(Blocking(np.arange(n_sub) // 2))
             else:
                 w_star = np.tile(np.array([1, -1], dtype=np.int8), n_sub // 2)
                 spec = DesignSpec.pb(Allocation(w_star))
-            fields = {"design": kind, "n_subjects": int(n_sub)}
-            cases.append((f"convergence::{kind}::{n_sub}", spec, fields))
-    rows = _noise_only_rows(cases, n_reps, master_seed)
-    for row in rows:
-        row["pm_reference"] = PM_REFERENCE
-        row["pb_reference"] = PB_REFERENCE
-        row["pm_enumeration_candidate"] = PM_ENUMERATION_CANDIDATE
+            cell_id = f"convergence::{kind}::{n_sub}"
+            x = CovariateMatrix(np.zeros((n_sub, 1)))
+            cfg = CellConfig(cell_id, model, x, spec, n_reps, master_seed)
+            (sq,) = simulate_squared_errors([cfg], cell_id)
+            n = n_sub // 2
+            var = float(sq.var(ddof=1))
+            m4 = float(np.mean((sq - sq.mean()) ** 4))
+            se = math.sqrt(max(m4 - var * var, 0.0) / sq.size)
+            scale = n * n / 4.0
+            rows.append(
+                {
+                    "design": kind,
+                    "n_subjects": n_sub,
+                    "n_reps": int(n_reps),
+                    "scaled_variance": scale * var,
+                    "se": scale * se,
+                    "pm_reference": PM_REFERENCE,
+                    "pb_reference": PB_REFERENCE,
+                    "pm_enumeration_candidate": PM_ENUMERATION_CANDIDATE,
+                }
+            )
     return rows

@@ -487,6 +487,100 @@ MUTANTS = (
             "::test_rejects_mu_that_is_not_a_finite_vector",
         ),
     ),
+    Mutant(
+        "the contrast divided by 2n + 1",
+        "twoarm/montecarlo.py",
+        "np.square(contrast / (2.0 * first.x.n_pairs))",
+        "np.square(contrast / (2.0 * first.x.n_pairs + 1.0))",
+        (
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_mean_matches_the_analytic_criterion",
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_full_and_ragged_chunks_match_the_separate_array_contrast",
+            "tests/test_montecarlo.py::TestConvergenceStudy::test_zero_gap_designs_sit_on_half",
+        ),
+    ),
+    Mutant(
+        "run_cell's sd scaled by 1.2",
+        "twoarm/montecarlo.py",
+        "    sd = float(sq.std(ddof=1))\n",
+        "    sd = float(sq.std(ddof=1)) * 1.2\n",
+        (
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+            "tests/test_montecarlo.py::TestRunCell::test_summary_fields_are_consistent",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "the empirical quantile at 0.99",
+        "twoarm/montecarlo.py",
+        "k = math.ceil(0.95 * n)",
+        "k = math.ceil(0.99 * n)",
+        (
+            "tests/test_montecarlo.py::TestEmpiricalQuantile::test_integer_grid",
+            "tests/test_montecarlo.py::TestExactInterval::test_ranks_equal_the_plain_python_oracle",
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+        ),
+    ),
+    Mutant(
+        "relabel's leaf scan continues past the labelled leaf",
+        "twoarm/matching.py",
+        "                for v in leaves(bv):\n"
+        "                    if label[v]:\n"
+        "                        break\n",
+        "                for v in leaves(bv):\n"
+        "                    if label[v]:\n"
+        "                        continue\n",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "pb's lockstep descent gives treated-level ties to the highest subject",
+        "twoarm/designs.py",
+        "s = np.where(delta_col == best[:, None], tr, n_sub).argmin(axis=1)",
+        "s = np.where(delta_col == best[:, None], tr, -1).argmax(axis=1)",
+        (
+            "tests/test_designs.py::TestLockstepMatchesReference::test_row_major_tie_break",
+            "tests/test_designs.py::TestLockstepMatchesReference::test_tied_and_skewed_panels",
+        ),
+    ),
+    Mutant(
+        "the sort path draws row blocks outermost",
+        "twoarm/designs.py",
+        "    for members in blocks:\n        for rows in row_slices:\n",
+        "    for rows in row_slices:\n        for members in blocks:\n",
+        (
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw",
+            "tests/test_designs.py::TestTiesAtTheCut::test_tied_uniforms_give_the_argsort_signs",
+        ),
+    ),
+    Mutant(
+        "convergence_study accepts an odd 2n",
+        "twoarm/verify.py",
+        "    for n_sub in sizes:\n"
+        "        if n_sub % 2:\n"
+        '            raise ValueError(f"n_subjects_grid entries must be even, got {n_sub}")\n',
+        "",
+        (
+            "tests/test_montecarlo.py::TestConvergenceStudy"
+            "::test_rejects_other_designs_and_odd_sizes",
+            "tests/test_criteria.py::test_noise_only_reports_reject_a_bad_entry_before_simulating",
+        ),
+    ),
+    Mutant(
+        "convergence_study runs its cells under another id",
+        "twoarm/verify.py",
+        'cell_id = f"convergence::{kind}::{n_sub}"',
+        'cell_id = f"convergence::{kind}:{n_sub}"',
+        (
+            "tests/test_montecarlo.py::TestConvergenceStudy"
+            "::test_each_entry_is_its_own_noise_only_panel",
+        ),
+    ),
 )
 
 # Runs in the child: argv is (copy of src, node ids...).  Prints the

@@ -36,7 +36,6 @@ from twoarm.verify import (
     convergence_study,
     enumerate_allocations,
     variance_decomposition_terms,
-    variance_floor_report,
 )
 
 from util_oracles import sign_patterns
@@ -413,45 +412,18 @@ class TestVarianceDecomposition:
             )
 
 
-class TestVarianceFloorReport:
-    def test_gaussian_noise_sits_on_half(self):
-        # with iid noise the scaled variance is rho^2 / 2 for any blocking
-        rows = variance_floor_report([16], [1, 4], n_reps=4000, master_seed=77)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["bound"] == pytest.approx(0.125)
-            assert row["satisfied"] is True
-            assert abs(row["scaled_variance"] - 0.5) <= 4.0 * row["se"]
-
-    def test_rejects_uneven_blockings(self):
-        with pytest.raises(ValueError):
-            variance_floor_report([12], [4], n_reps=100, master_seed=1)
-        with pytest.raises(ValueError):
-            variance_floor_report([16], [3], n_reps=100, master_seed=1)
-        for n_blocks in (0, -2):
-            with pytest.raises(ValueError, match=f"block_counts.*got {n_blocks}"):
-                variance_floor_report([8], [n_blocks], n_reps=10, master_seed=1)
-        for n_sub in (-4, 0, 2, 7):
-            with pytest.raises(ValueError, match=f"n_subjects_grid.*got {n_sub}"):
-                variance_floor_report([n_sub], [1], n_reps=10, master_seed=1)
-
-    def test_deterministic(self):
-        a = variance_floor_report([8], [2], n_reps=2000, master_seed=5)
-        b = variance_floor_report([8], [2], n_reps=2000, master_seed=5)
-        assert a == b
-
-
 def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):
     # a bad entry after good ones must raise before the good cells run
     def simulate(cells, panel_id):
         raise AssertionError(f"{panel_id} simulated before validation")
 
     monkeypatch.setattr(twoarm.verify, "simulate_squared_errors", simulate)
-    with pytest.raises(ValueError, match="n_subjects_grid.*got 7"):
-        variance_floor_report([8, 7], [1], n_reps=10, master_seed=1)
-    with pytest.raises(ValueError, match="4 blocks do not give even blocks at 2n=12"):
-        variance_floor_report([8, 12], [4], n_reps=10, master_seed=1)
     with pytest.raises(ValueError, match="not 'bcrd'"):
         convergence_study(["pm", "bcrd"], [8], n_reps=10, master_seed=1)
     with pytest.raises(ValueError, match="n_subjects_grid.*got 2"):
         convergence_study(["pm"], [8, 2], n_reps=10, master_seed=1)
+    with pytest.raises(ValueError, match="n_subjects_grid.*got 7"):
+        convergence_study(["pm", "pb"], [8, 7], n_reps=10, master_seed=1)
+    for kind in ("pm", "pb"):
+        with pytest.raises(ValueError, match="n_subjects_grid.*integer, got 8.0"):
+            convergence_study([kind], [8.0], n_reps=10, master_seed=1)

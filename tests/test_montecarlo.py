@@ -853,6 +853,37 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="n_subjects_grid.*got 2"):
             convergence_study(["pm"], [2], n_reps=100, master_seed=0)
 
+    def test_rejects_non_integer_and_too_small_sizes(self):
+        for bad in (8.0, "8", True, np.float64(8.0), None):
+            with pytest.raises(ValueError, match="n_subjects_grid.*integer, got"):
+                convergence_study(["pb"], [bad], n_reps=10, master_seed=0)
+        for n_sub in (-4, 0, 2):
+            with pytest.raises(ValueError, match=f"n_subjects_grid.*>= 4, got {n_sub}"):
+                convergence_study(["pm"], [n_sub], n_reps=10, master_seed=0)
+        (row,) = convergence_study(["pm"], [np.int64(8)], n_reps=10, master_seed=0)
+        assert type(row["n_subjects"]) is int and row["n_subjects"] == 8
+
+    def test_each_entry_is_its_own_noise_only_panel(self):
+        # the row is n^2/4 times the variance of the cell convergence::<kind>::<2n>
+        # run alone on a zero covariate with no signal
+        rows = convergence_study(["pm", "pb"], [8], n_reps=300, master_seed=12)
+        model = ResponseModel(kind="continuous", beta0=0.0, beta=np.ones(1), beta_t=0.0)
+        x = CovariateMatrix(np.zeros((8, 1)))
+        specs = {
+            "pm": DesignSpec.pm(Blocking(np.arange(8) // 2)),
+            "pb": DesignSpec.pb(Allocation(np.tile(np.array([1, -1], dtype=np.int8), 4))),
+        }
+        for row, kind in zip(rows, ("pm", "pb")):
+            cell_id = f"convergence::{kind}::8"
+            cfg = CellConfig(cell_id, model, x, specs[kind], 300, 12)
+            (sq,) = simulate_squared_errors([cfg], cell_id)
+            assert list(row) == [
+                "design", "n_subjects", "n_reps", "scaled_variance", "se",
+                "pm_reference", "pb_reference", "pm_enumeration_candidate",
+            ]
+            assert (row["design"], row["n_subjects"], row["n_reps"]) == (kind, 8, 300)
+            assert row["scaled_variance"] == 4 * 4 / 4.0 * float(sq.var(ddof=1))
+
     def test_deterministic(self):
         a = convergence_study(["pm"], [8], n_reps=500, master_seed=3)
         b = convergence_study(["pm"], [8], n_reps=500, master_seed=3)

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,8 @@ import twoarm
 import twoarm.cli
 import twoarm.montecarlo
 import twoarm.verify
+
+import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -65,19 +68,33 @@ def _readme_keys() -> list[str]:
     return re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
 
 
-def _readme_grid_row_snippet() -> str:
-    """The README's Python block that reproduces one grid row."""
+def _readme_python_block(marker: str) -> str:
+    """The one README Python block that contains marker."""
     blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
-    (block,) = [b.split("```", 1)[0] for b in blocks if "row of cli.run_grid(grid)" in b]
+    (block,) = [b.split("```", 1)[0] for b in blocks if marker in b]
     return block
 
 
-def test_readme_snippet_reproduces_its_grid_row():
+def _run_readme_block(marker: str) -> dict:
+    """Run a README Python block with every warning raised; its globals."""
     scope: dict = {}
     with warnings.catch_warnings():
-        # the snippet must not lean on a deprecated key
+        # a snippet must not lean on a deprecated key
         warnings.simplefilter("error")
-        exec(_readme_grid_row_snippet(), scope)
+        exec(_readme_python_block(marker), scope)
+    return scope
+
+
+def test_readme_library_use_example_runs_and_is_reproducible(capsys):
+    scope = _run_readme_block("report = run_cell(cfg)")
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(printed) == 2
+    assert all(math.isfinite(v) for v in printed)
+    assert twoarm.run_cell(scope["cfg"]) == scope["report"]
+
+
+def test_readme_snippet_reproduces_its_grid_row():
+    scope = _run_readme_block("row of cli.run_grid(grid)")
     grid, report = scope["grid"], scope["report"]
     (row,) = [
         r for r in twoarm.cli.run_grid(grid) if (r["design"], r["B"]) == ("block", 2)
@@ -180,3 +197,34 @@ def _gate_imports():
 def test_every_name_the_gate_imports_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert hasattr(module, attr), f"{module_name} has no {attr}"
+
+
+def _test_node_ids(path: Path) -> set[str]:
+    """'func' and 'Class::func' for each test function defined in a file."""
+    ids = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            ids.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            ids.update(
+                f"{node.name}::{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            )
+    return ids
+
+
+def test_every_mutant_entry_applies_once_and_names_existing_tests():
+    # the staleness half of tests/mutants.py, without running a mutant
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        text = (ROOT / "src" / m.path).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1, m.name
+        assert m.new != m.old, m.name
+        assert m.nodes, m.name
+        for node in m.nodes:
+            file, _, test = node.partition("::")
+            path = ROOT / file
+            assert path.is_file(), node
+            assert re.sub(r"\[.*\]$", "", test) in _test_node_ids(path), node
