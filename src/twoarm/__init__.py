@@ -1,9 +1,9 @@
 """Construction and tail-risk evaluation of two-arm experimental designs.
 
 The top-level names are the 8 that the README documents; everything
-else is reachable from its module.  The closed forms that check the
-package live in twoarm.criteria, and the exact oracles and convergence
-reports in twoarm.verify; nothing here imports either.
+else is reachable from its module.  The closed forms, exact oracles
+and convergence report that check the package live in one module,
+twoarm.criteria, which nothing here imports.
 """
 
 from .core import CovariateMatrix

@@ -11,8 +11,8 @@ Conventions used throughout the package:
 * The estimand is the average treatment effect over the sample and the
   estimator is the simple difference in arm means, whose error is
   w'(y_T + y_C) / 2n.  The potential-outcome type and the estimator
-  algebra written out term by term live in twoarm.verify, next to the
-  oracles that use them.
+  algebra written out term by term live in twoarm.criteria, next to
+  the oracles that use them.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Four families are supported:
           chosen to minimize Mahalanobis imbalance.
 
 Support enumeration and the imbalance of one allocation, which only
-the checks use, live in twoarm.verify.
+the checks use, live in twoarm.criteria.
 """
 
 from __future__ import annotations

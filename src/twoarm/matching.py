@@ -13,7 +13,7 @@ only.  With a single covariate the grid needs no graph: the
 minimum-cost pairing is the sorted blocking with B = n
 (designs.build_blocking), which pairs neighbours in stable-sorted
 order.  The suboptimal rank-interval grid matcher and its within-pair
-gap diagnostic, which only the checks use, live in twoarm.verify.
+gap diagnostic, which only the checks use, live in twoarm.criteria.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ depends on its sample alone.
 simulate_squared_errors takes one panel's cells and its id; a cell run
 alone is the one-cell panel keyed by its cell id, which is how run_cell
 simulates a cell given no squared errors to summarise.  The
-convergence report in twoarm.verify runs noise-only cells that way
-through the same chunk loop, and the closed forms of twoarm.criteria
-check its results; the grid path imports neither.
+convergence report in twoarm.criteria runs noise-only cells that way
+through the same chunk loop, and its closed forms check the results;
+the grid path does not import it.
 """
 
 from __future__ import annotations

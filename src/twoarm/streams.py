@@ -31,9 +31,9 @@ from .core import _check_int
 # parallel runs consume identical stream segments.
 CHUNK_SIZE = 8192
 
-# Elements per row block of a large draw (outcomes, allocation uniforms,
-# bootstrap indices): a float64 block takes 0.5 MB.  A block is never
-# less than one row, so rows wider than this take one row per block.
+# Elements per row block of a large draw or gather: outcomes, sort-path
+# uniforms, the pattern-index gather, and bootstrap indices (drawn only
+# by bootstrap_ci, kept for the benchmark).  A float64 block is 0.5 MB.
 BLOCK_ELEMENTS = 1 << 16
 
 

@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant(
         "mean_mse divides by 4n(n+1)",
         "twoarm/criteria.py",
-        "/ (4.0 * n * n)",
-        "/ (4.0 * n * (n + 1))",
+        "float(inputs.rho.sum())) / (4.0 * n * n)",
+        "float(inputs.rho.sum())) / (4.0 * n * (n + 1))",
         (
             "tests/test_criteria.py::TestMeanMse::test_quadratic_form_by_hand",
             "tests/test_criteria.py::TestMeanMse::test_single_nonzero_mean_under_bcrd",
@@ -196,7 +196,7 @@ MUTANTS = (
         # the reversed rows are the negated patterns: the same support in
         # another order, so only the order checks against the oracle see it
         "the enumeration reads the pattern table in reverse order",
-        "twoarm/verify.py",
+        "twoarm/criteria.py",
         "pats = _pattern_table(m).view(np.int8).reshape(k, m)\n",
         "pats = _pattern_table(m).view(np.int8).reshape(k, m)[::-1]\n",
         (
@@ -252,14 +252,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # imported last: criteria imports montecarlo, so an import at the
+        # top would be circular and stop twoarm from importing at all
         "montecarlo imports twoarm.criteria again",
         "twoarm/montecarlo.py",
-        "from .streams import chunk_sizes, row_blocks, substream\n",
-        "from .criteria import mean_mse  # noqa: F401\n"
-        "from .streams import chunk_sizes, row_blocks, substream\n",
+        "        approx_q95_hi=approx + half,\n    )\n",
+        "        approx_q95_hi=approx + half,\n    )\n\n\n"
+        "from .criteria import mean_mse  # noqa: E402,F401\n",
         (
             "tests/test_package.py"
-            "::test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme",
+            "::test_cli_leaves_criteria_unloaded_and_the_top_level_matches_the_readme",
         ),
     ),
     Mutant(
@@ -269,7 +271,7 @@ MUTANTS = (
         "from .core import CovariateMatrix\nfrom .criteria import mean_mse  # noqa: F401\n",
         (
             "tests/test_package.py"
-            "::test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme",
+            "::test_cli_leaves_criteria_unloaded_and_the_top_level_matches_the_readme",
         ),
     ),
     Mutant(
@@ -479,7 +481,7 @@ MUTANTS = (
     ),
     Mutant(
         "pair_gap_diagnostic accepts a non-finite mu",
-        "twoarm/verify.py",
+        "twoarm/criteria.py",
         "if mu.ndim != 1 or not np.isfinite(mu).all():",
         "if mu.ndim != 1:",
         (
@@ -525,6 +527,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the empirical quantile at 0.9",
+        "twoarm/montecarlo.py",
+        "k = math.ceil(0.95 * n)",
+        "k = math.ceil(0.9 * n)",
+        (
+            "tests/test_montecarlo.py::TestEmpiricalQuantile::test_integer_grid",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestPbQuantile"
+            "::test_grid_cells_lie_in_an_order_statistic_band",
+        ),
+    ),
+    Mutant(
         "relabel's leaf scan continues past the labelled leaf",
         "twoarm/matching.py",
         "                for v in leaves(bv):\n"
@@ -539,10 +553,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a blossom stage scans each vertex's neighbours in descending order",
+        "twoarm/matching.py",
+        "                for w in range(nv):\n",
+        "                for w in range(nv - 1, -1, -1):\n",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
         "pb's lockstep descent gives treated-level ties to the highest subject",
         "twoarm/designs.py",
         "s = np.where(delta_col == best[:, None], tr, n_sub).argmin(axis=1)",
         "s = np.where(delta_col == best[:, None], tr, -1).argmax(axis=1)",
+        (
+            "tests/test_designs.py::TestLockstepMatchesReference::test_row_major_tie_break",
+            "tests/test_designs.py::TestLockstepMatchesReference::test_tied_and_skewed_panels",
+        ),
+    ),
+    Mutant(
+        "pb's lockstep descent gives control-level ties to the highest subject",
+        "twoarm/designs.py",
+        "t = np.where(d == best[:, None], ct, n_sub).argmin(axis=1)",
+        "t = np.where(d == best[:, None], ct, -1).argmax(axis=1)",
         (
             "tests/test_designs.py::TestLockstepMatchesReference::test_row_major_tie_break",
             "tests/test_designs.py::TestLockstepMatchesReference::test_tied_and_skewed_panels",
@@ -560,7 +594,7 @@ MUTANTS = (
     ),
     Mutant(
         "convergence_study accepts an odd 2n",
-        "twoarm/verify.py",
+        "twoarm/criteria.py",
         "    for n_sub in sizes:\n"
         "        if n_sub % 2:\n"
         '            raise ValueError(f"n_subjects_grid entries must be even, got {n_sub}")\n',
@@ -573,12 +607,24 @@ MUTANTS = (
     ),
     Mutant(
         "convergence_study runs its cells under another id",
-        "twoarm/verify.py",
+        "twoarm/criteria.py",
         'cell_id = f"convergence::{kind}::{n_sub}"',
         'cell_id = f"convergence::{kind}:{n_sub}"',
         (
             "tests/test_montecarlo.py::TestConvergenceStudy"
             "::test_each_entry_is_its_own_noise_only_panel",
+        ),
+    ),
+    Mutant(
+        "pm's conditional mean in the variance split divided by 2n, not 4n^2",
+        "twoarm/criteria.py",
+        ".sum(axis=1) / (4.0 * n * n)",
+        ".sum(axis=1) / (2.0 * n)",
+        (
+            "tests/test_criteria.py::TestVarianceDecomposition"
+            "::test_matches_support_enumeration_on_shared_draws[pm]",
+            "tests/test_criteria.py::TestVarianceDecomposition"
+            "::test_matches_support_enumeration_on_shared_draws[pm-interleaved]",
         ),
     ),
 )

@@ -12,14 +12,8 @@ from twoarm.cli import build_grid, run_grid
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
     PM_COND_VAR_COEFF,
-    CriterionInputs,
-    mean_mse,
-    pm_conditional_variance,
-)
-from twoarm.designs import DesignSpec, design_covariance, sample_allocations
-from twoarm.matching import mahalanobis_distances, match_heuristic
-from twoarm.verify import (
     PM_COND_VAR_COEFF_REPORTED,
+    CriterionInputs,
     OutcomePair,
     convergence_study,
     enumerate_allocations,
@@ -27,8 +21,12 @@ from twoarm.verify import (
     estimand,
     estimate,
     match_grid,
+    mean_mse,
     pair_gap_diagnostic,
+    pm_conditional_variance,
 )
+from twoarm.designs import DesignSpec, design_covariance, sample_allocations
+from twoarm.matching import mahalanobis_distances, match_heuristic
 from twoarm.response import default_covariate_source, draw_covariates
 from twoarm.streams import substream
 

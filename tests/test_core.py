@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
+from twoarm.criteria import OutcomePair, estimand, estimate, squared_error
 from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
 from twoarm.montecarlo import CellConfig, bootstrap_ci
 from twoarm.response import default_covariate_source, default_model, draw_covariates, draw_outcomes
 from twoarm.streams import chunk_sizes, substream
-from twoarm.verify import OutcomePair, estimand, estimate, squared_error
 
 from util_oracles import balanced_allocations
 

@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoarm.cli as cli
-import twoarm.verify
+import twoarm.criteria
 from twoarm.core import Allocation, Blocking, CovariateMatrix
 from twoarm.criteria import (
+    PB_REFERENCE,
     PM_COND_VAR_COEFF,
+    PM_COND_VAR_COEFF_REPORTED,
+    PM_ENUMERATION_CANDIDATE,
+    PM_REFERENCE,
     CriterionInputs,
+    convergence_study,
+    enumerate_allocations,
     mean_mse,
     pb_quantile,
     pm_conditional_variance,
+    variance_decomposition_terms,
 )
 from twoarm.designs import DesignSpec, design_covariance
 from twoarm.montecarlo import C_95, CellConfig, run_cell
@@ -28,15 +35,6 @@ from twoarm.response import (
     residual_variances,
 )
 from twoarm.streams import substream
-from twoarm.verify import (
-    PB_REFERENCE,
-    PM_COND_VAR_COEFF_REPORTED,
-    PM_ENUMERATION_CANDIDATE,
-    PM_REFERENCE,
-    convergence_study,
-    enumerate_allocations,
-    variance_decomposition_terms,
-)
 
 from util_oracles import sign_patterns
 
@@ -417,7 +415,7 @@ def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):
     def simulate(cells, panel_id):
         raise AssertionError(f"{panel_id} simulated before validation")
 
-    monkeypatch.setattr(twoarm.verify, "simulate_squared_errors", simulate)
+    monkeypatch.setattr(twoarm.criteria, "simulate_squared_errors", simulate)
     with pytest.raises(ValueError, match="not 'bcrd'"):
         convergence_study(["pm", "bcrd"], [8], n_reps=10, master_seed=1)
     with pytest.raises(ValueError, match="n_subjects_grid.*got 2"):

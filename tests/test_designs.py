@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
+from twoarm.criteria import enumerate_allocations, mahalanobis_imbalance
 from twoarm.designs import (
     _RESTART_CHUNK,
     DesignSpec,
@@ -18,7 +19,6 @@ from twoarm.designs import (
     sample_allocations,
 )
 from twoarm.streams import substream
-from twoarm.verify import enumerate_allocations, mahalanobis_imbalance
 
 from util_oracles import (
     ROW_BLOCK_DRAWS,

@@ -5,6 +5,7 @@ import pytest
 import twoarm.cli as cli
 from twoarm.cli import build_grid
 from twoarm.core import Blocking, CovariateMatrix
+from twoarm.criteria import match_grid, pair_gap_diagnostic
 from twoarm.matching import DistanceMatrix, mahalanobis_distances, match_heuristic
 from twoarm.response import (
     default_covariate_source,
@@ -13,7 +14,6 @@ from twoarm.response import (
     potential_means,
 )
 from twoarm.streams import substream
-from twoarm.verify import match_grid, pair_gap_diagnostic
 
 from util_oracles import (
     EXACT_CAPACITY,

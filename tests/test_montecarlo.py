@@ -9,7 +9,13 @@ import pytest
 
 import twoarm.montecarlo
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.criteria import CriterionInputs, mean_mse
+from twoarm.criteria import (
+    CriterionInputs,
+    OutcomePair,
+    convergence_study,
+    enumerate_design_oracle,
+    mean_mse,
+)
 from twoarm.designs import DesignSpec, build_blocking, design_covariance, greedy_pair_switch
 from twoarm.montecarlo import (
     C_95,
@@ -32,7 +38,6 @@ from twoarm.response import (
     residual_variances,
 )
 from twoarm.streams import CHUNK_SIZE, substream
-from twoarm.verify import OutcomePair, convergence_study, enumerate_design_oracle
 
 from util_oracles import (
     ROW_BLOCK_DRAWS,

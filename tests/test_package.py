@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,8 +16,8 @@ import pytest
 
 import twoarm
 import twoarm.cli
+import twoarm.criteria
 import twoarm.montecarlo
-import twoarm.verify
 
 import mutants
 
@@ -25,19 +26,20 @@ README = ROOT / "README.md"
 GRID_CHILD = ROOT / "gridbench" / "grid_child.py"
 GATE = ROOT / "gridbench" / "gate.py"
 
-# Runs in a fresh interpreter: whether importing the command line loaded
-# twoarm.verify or twoarm.criteria, whether each exists at all
-# (find_spec does not load it), whether networkx is loaded after a pm
-# design at p = 2 has built its blossom matching (the matcher is the
-# package's own), and the public names of the top level.
+# Runs in a fresh interpreter: that the package has no verify module (its
+# contents live in twoarm.criteria), whether importing the command line
+# loaded twoarm.criteria and whether it exists at all (find_spec does not
+# load it), whether networkx is loaded after a pm design at p = 2 has
+# built its blossom matching (the matcher is the package's own), and the
+# public names of the top level.
 _PROBE = """
 import importlib.util, sys, types
 import numpy as np
 import twoarm.cli
 import twoarm
 from twoarm.core import CovariateMatrix
-for name in ("twoarm.verify", "twoarm.criteria"):
-    print(name in sys.modules, importlib.util.find_spec(name) is not None)
+assert importlib.util.find_spec(".verify", "twoarm") is None
+print("twoarm.criteria" in sys.modules, importlib.util.find_spec("twoarm.criteria") is not None)
 # the allocation pattern tables are built on first use, not on import
 print(twoarm.designs._pattern_table.cache_info().currsize)
 grid = twoarm.cli.build_grid(
@@ -107,21 +109,23 @@ def test_readme_keys_table_lists_exactly_the_config_keys():
     assert sorted(_readme_keys()) == sorted(twoarm.cli._KNOWN_KEYS)
 
 
-def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports twoarm from this tree."""
     src = str(Path(twoarm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    verify, criteria, tables, networkx_loaded, names = done.stdout.splitlines()
-    assert verify == criteria == "False True"
+
+
+def test_cli_leaves_criteria_unloaded_and_the_top_level_matches_the_readme():
+    done = _run_fresh(_PROBE)
+    assert done.returncode == 0, done.stderr
+    criteria, tables, networkx_loaded, names = done.stdout.splitlines()
+    assert criteria == "False True"
     assert tables == "0"
     assert networkx_loaded == "False"
     exported = set(names.split())
@@ -129,16 +133,28 @@ def test_cli_leaves_verify_unloaded_and_the_top_level_matches_the_readme():
     assert exported == _readme_exports()
 
 
-def test_readme_lists_exactly_the_public_verify_functions_and_classes():
+@pytest.mark.parametrize(
+    "module_name",
+    ["twoarm"]
+    + sorted(f"twoarm.{m.name}" for m in pkgutil.iter_modules(twoarm.__path__)),
+)
+def test_each_module_imports_first_in_a_fresh_interpreter(module_name):
+    # a circular import fails only when the cycle's other module is not
+    # yet loaded, so each module goes first in its own interpreter
+    done = _run_fresh(f"import {module_name}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_lists_exactly_the_public_criteria_functions_and_classes():
     defined = {
         name
-        for name, value in vars(twoarm.verify).items()
+        for name, value in vars(twoarm.criteria).items()
         if not name.startswith("_")
         and (inspect.isfunction(value) or inspect.isclass(value))
-        and value.__module__ == "twoarm.verify"
+        and value.__module__ == "twoarm.criteria"
     }
     mentioned = set(
-        re.findall(r"twoarm\.verify\.(\w+)", README.read_text(encoding="utf-8"))
+        re.findall(r"twoarm\.criteria\.(\w+)", README.read_text(encoding="utf-8"))
     )
     assert mentioned == defined
 
