@@ -326,7 +326,7 @@ def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
 def variance_decomposition_terms(
     spec: DesignSpec,
     model: ResponseModel,
-    x,
+    x: CovariateMatrix,
     n_draws: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
@@ -342,6 +342,8 @@ def variance_decomposition_terms(
     are rejected.
     """
     _check_int("n_draws", n_draws, 2)
+    if not isinstance(x, CovariateMatrix):
+        raise ValueError(f"x must be a CovariateMatrix, got {type(x).__name__}")
     if x.n_subjects != spec.n_subjects:
         raise ValueError(
             f"covariates have {x.n_subjects} subjects but the design has "

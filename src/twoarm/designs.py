@@ -9,8 +9,9 @@ Four families are supported:
 * pb    - perfect balance, a deterministic pair {w*, -w*} with w*
           chosen to minimize Mahalanobis imbalance.
 
-Support enumeration and the imbalance of one allocation, which only
-the checks use, live in twoarm.criteria.
+pb's search and pm's matching share one covariate metric,
+mahalanobis_gram.  Support enumeration and the imbalance of one
+allocation, which only the checks use, live in twoarm.criteria.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, _check_int
-from .streams import row_blocks
+from .streams import row_blocks, slices
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
 
@@ -234,6 +235,16 @@ def regularized_covariance(values: np.ndarray) -> np.ndarray:
     return s
 
 
+def mahalanobis_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, h) of the metric M = regularized_covariance(values)^-1: the
+    Gram matrix g = X M X', whose w'gw is pb's imbalance, and the squared
+    distances h_ij = g_ii + g_jj - 2 g_ij, whose diagonal is exactly 0."""
+    m = np.linalg.inv(regularized_covariance(values))
+    g = values @ m @ values.T
+    gd = np.diag(g)
+    return g, gd[:, None] + gd[None, :] - 2.0 * g
+
+
 # Restarts descended together in one lockstep batch.  It bounds the
 # (chunk, n, n) work array, which stays in cache at the preset 2n=96.
 _RESTART_CHUNK = 32
@@ -318,26 +329,23 @@ def greedy_pair_switch(
     Runs `restarts` greedy descents from independent uniform balanced
     starts (each restart on its own spawned sub-stream); every step
     applies the single (+1, -1) swap that lowers the Mahalanobis
-    imbalance the most, the lowest treated and then the lowest control
-    subject on ties (the first in row-major scan order), for at most
-    100 * 2n steps.  The winner is the lowest final objective, earliest
-    restart on ties.  The descents run in lockstep batches of restarts,
+    imbalance w'gw (g of mahalanobis_gram) the most, the lowest treated
+    and then the lowest control subject on ties (the first in row-major
+    scan order), for at most 100 * 2n steps.  The winner is the lowest
+    final objective, earliest restart on ties.  The descents run in
+    lockstep batches of restarts, the streams.slices of _RESTART_CHUNK,
     each batch spawning its own sub-streams in turn, which changes no
     restart's start, path or tie-breaks.  A batch's start and final
-    objectives come from one batched product, bitwise w'Gw of each row;
+    objectives come from one batched product, bitwise w'gw of each row;
     the batch's first minimum replaces the winner only if it is strictly
     lower, so the earliest restart still wins a tie.
     """
     _check_int("restarts", restarts, 1)
-    vals = x.values
     n_sub, n = x.n_subjects, x.n_pairs
-    m = np.linalg.inv(regularized_covariance(vals))
-    g = vals @ m @ vals.T
-    gd = np.diag(g)
-    h = gd[:, None] + gd[None, :] - 2.0 * g
+    g, h = mahalanobis_gram(x.values)
     best_w, best_obj = None, np.inf
-    for lo in range(0, restarts, _RESTART_CHUNK):
-        children = rng.spawn(min(_RESTART_CHUNK, restarts - lo))
+    for batch in slices(restarts, _RESTART_CHUNK):
+        children = rng.spawn(batch.stop - batch.start)
         chunk = np.full((len(children), n_sub), -1.0)
         for r, child in enumerate(children):
             chunk[r, child.permutation(n_sub)[:n]] = 1.0

@@ -2,15 +2,16 @@
 
 The pairwise-matching design needs a partition of the 2n subjects into
 n pairs with small within-pair covariate distance.  This module
-provides the Mahalanobis distance matrix and the one exact minimum-cost
-matcher, Edmonds' blossom algorithm on the complete graph, in Galil's
-primal-dual form.  The matcher is a port of Joris van Rantwijk's
-maximum-weight matching code onto integer-indexed lists, kept to the
-code's visiting order so that it returns the same pairing as the
-reference it was ported from, ties included (tests/util_oracles.py
-holds that reference, and the tests compare the two).  It needs numpy
-only.  With a single covariate the grid needs no graph: the
-minimum-cost pairing is the sorted blocking with B = n
+provides the Mahalanobis distance matrix (the metric of
+designs.mahalanobis_gram, which the pb search shares) and the one exact
+minimum-cost matcher, Edmonds' blossom algorithm on the complete graph,
+in Galil's primal-dual form.  The matcher is a port of Joris van
+Rantwijk's maximum-weight matching code onto integer-indexed lists,
+kept to the code's visiting order so that it returns the same pairing
+as the reference it was ported from, ties included
+(tests/util_oracles.py holds that reference, and the tests compare the
+two).  It needs numpy only.  With a single covariate the grid needs no
+graph: the minimum-cost pairing is the sorted blocking with B = n
 (designs.build_blocking), which pairs neighbours in stable-sorted
 order.  The suboptimal rank-interval grid matcher and its within-pair
 gap diagnostic, which only the checks use, live in twoarm.criteria.
@@ -23,17 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Blocking, CovariateMatrix, _frozen
-from .designs import regularized_covariance
+from .core import Blocking, CovariateMatrix
+from .designs import mahalanobis_gram
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric non-negative pairwise distances, zero diagonal."""
+    """Symmetric non-negative pairwise distances, zero diagonal: values
+    is (d + d') / 2 of the accepted d, with its diagonal set to exactly 0."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.values)
+        arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distances must form a square matrix")
         if not np.isfinite(arr).all():
@@ -44,6 +46,9 @@ class DistanceMatrix:
             raise ValueError("distances must be >= 0")
         if not np.allclose(np.diag(arr), 0.0, rtol=0, atol=1e-12):
             raise ValueError("self-distances must be 0")
+        arr = (arr + arr.T) / 2.0
+        np.fill_diagonal(arr, 0.0)
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -62,17 +67,11 @@ class MatchResult:
 def mahalanobis_distances(x: CovariateMatrix) -> DistanceMatrix:
     """All pairwise (x_i - x_j)' S^-1 (x_i - x_j) distances.
 
-    S is the unbiased sample covariance of the covariates, ridged only
-    if near-singular (see designs.regularized_covariance).
+    The h of designs.mahalanobis_gram, the metric the pb search uses,
+    made exactly symmetric and clipped at 0.
     """
-    vals = x.values
-    m = np.linalg.inv(regularized_covariance(vals))
-    xm = vals @ m
-    sq = np.einsum("ij,ij->i", xm, vals)
-    d = sq[:, None] + sq[None, :] - 2.0 * (xm @ vals.T)
-    d = np.maximum((d + d.T) / 2.0, 0.0)
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d)
+    _, h = mahalanobis_gram(x.values)
+    return DistanceMatrix(np.maximum((h + h.T) / 2.0, 0.0))
 
 
 def _pair_cost(pairs, d: np.ndarray) -> float:
@@ -215,32 +214,34 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
         # min keeps the first of equal slacks, as a strict "<" scan does
         bestedge[b] = min(mybestedges[b], key=lambda k: slack(*k), default=None)
 
-    def expand_blossom(b, endstage):
-        def recurse(b):
-            for s in childs[b]:
-                blossomparent[s] = -1
-                if s >= nv:
-                    if endstage and blossomdual[s] == 0:
-                        yield s
-                    else:
-                        for v in leaves(s):
-                            inblossom[v] = s
-                else:
-                    inblossom[s] = s
-            if not endstage and label[b] == 2:
-                relabel(b)
-            label[b] = 0
-            labeledge[b] = bestedge[b] = None
-            del blossomdual[b]
-            unused.append(b)
-
-        stack = [recurse(b)]
+    def walk(step, b, arg):
+        # step(b, arg) depth first without recursion: each (b', arg') that a
+        # step yields runs step(b', arg') to its end before that step resumes.
+        stack = [step(b, arg)]
         while stack:
-            for s in stack[-1]:
-                stack.append(recurse(s))
+            for sub in stack[-1]:
+                stack.append(step(*sub))
                 break
             else:
                 stack.pop()
+
+    def expand_blossom(b, endstage):
+        for s in childs[b]:
+            blossomparent[s] = -1
+            if s >= nv:
+                if endstage and blossomdual[s] == 0:
+                    yield s, endstage
+                else:
+                    for v in leaves(s):
+                        inblossom[v] = s
+            else:
+                inblossom[s] = s
+        if not endstage and label[b] == 2:
+            relabel(b)
+        label[b] = 0
+        labeledge[b] = bestedge[b] = None
+        del blossomdual[b]
+        unused.append(b)
 
     def relabel(b):
         # An expanding T-blossom hands its labels on to its sub-blossoms.
@@ -289,52 +290,43 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                 assign_label(v, 2, labeledge[v][0])
 
     def augment_blossom(b, v):
-        def recurse(b, v):
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
+        t = v
+        while blossomparent[t] != b:
+            t = blossomparent[t]
+        if t >= nv:
+            yield t, v
+        sub, edg = childs[b], edges[b]
+        i = j = sub.index(t)
+        if i & 1:
+            j -= len(sub)
+            jstep = 1
+        else:
+            jstep = -1
+        while j != 0:
+            j += jstep
+            t = sub[j]
+            if jstep == 1:
+                w, x = edg[j]
+            else:
+                x, w = edg[j - 1]
             if t >= nv:
-                yield t, v
-            sub, edg = childs[b], edges[b]
-            i = j = sub.index(t)
-            if i & 1:
-                j -= len(sub)
-                jstep = 1
-            else:
-                jstep = -1
-            while j != 0:
-                j += jstep
-                t = sub[j]
-                if jstep == 1:
-                    w, x = edg[j]
-                else:
-                    x, w = edg[j - 1]
-                if t >= nv:
-                    yield t, w
-                j += jstep
-                t = sub[j]
-                if t >= nv:
-                    yield t, x
-                mate[w] = x
-                mate[x] = w
-            childs[b] = sub[i:] + sub[:i]
-            edges[b] = edg[i:] + edg[:i]
-            blossombase[b] = blossombase[childs[b][0]]
-
-        stack = [recurse(b, v)]
-        while stack:
-            for args in stack[-1]:
-                stack.append(recurse(*args))
-                break
-            else:
-                stack.pop()
+                yield t, w
+            j += jstep
+            t = sub[j]
+            if t >= nv:
+                yield t, x
+            mate[w] = x
+            mate[x] = w
+        childs[b] = sub[i:] + sub[:i]
+        edges[b] = edg[i:] + edg[:i]
+        blossombase[b] = blossombase[childs[b][0]]
 
     def augment_matching(v, w):
         for s, j in ((v, w), (w, v)):
             while True:
                 bs = inblossom[s]
                 if bs >= nv:
-                    augment_blossom(bs, s)
+                    walk(augment_blossom, bs, s)
                 mate[s] = j
                 if labeledge[bs] is None:
                     break
@@ -342,7 +334,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                 bt = inblossom[t]
                 s, j = labeledge[bt]
                 if bt >= nv:
-                    augment_blossom(bt, j)
+                    walk(augment_blossom, bt, j)
                 mate[j] = s
 
     while True:
@@ -428,7 +420,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                     elif label[b] == 2:
                         blossomdual[b] -= delta
             if deltatype == 4:
-                expand_blossom(deltablossom, False)
+                walk(expand_blossom, deltablossom, False)
             else:
                 v, w = deltaedge
                 allowedge[v * nv + w] = allowedge[w * nv + v] = 1
@@ -440,7 +432,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                 and label[b] == 1
                 and blossomdual[b] == 0
             ):
-                expand_blossom(b, True)
+                walk(expand_blossom, b, True)
 
 
 def match_heuristic(d: DistanceMatrix) -> MatchResult:
@@ -449,7 +441,7 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     Runs the blossom algorithm on the complete distance graph, which
     minimizes the total within-pair cost in polynomial time: a
     maximum-cardinality matching of maximum total weight, with weights
-    (1 + max d) - d_ij read from the upper triangle.  Those weights and
+    (1 + max d) - d_ij, symmetric because d is.  Those weights and
     the visiting order are the reference matcher's in
     tests/util_oracles.py, so the pairing equals it, ties included.
     Deterministic for a given distance matrix.
@@ -459,11 +451,7 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
             f"matching needs an even subject count >= 2, got {d.n_subjects}"
         )
     dist = d.values
-    first, second = np.triu_indices(d.n_subjects, 1)
-    weights = dist[first, second]
-    top = 1.0 + float(weights.max())
-    weight = np.zeros_like(dist)
-    weight[first, second] = weight[second, first] = top - weights
+    weight = (1.0 + float(dist.max())) - dist
     mate = _max_weight_mate(weight)
     tuples = [(i, j) for i, j in enumerate(mate) if i < j]
     return MatchResult(Blocking.from_pairs(tuples), _pair_cost(tuples, dist))

@@ -7,38 +7,32 @@ difference-in-means estimate.  The outcomes are drawn once per panel
 and shared by every cell (common random numbers, so design comparisons
 are paired); each cell's allocations come from its own stream, and a
 pb cell, whose squared error does not depend on its coin, draws none.
-Replicates are drawn in fixed-size chunks on seed-derived substreams
+Replicates are drawn in the fixed-size chunks of streams.chunks, each
+chunk one slice of every cell's output, on seed-derived substreams
 keyed by the panel id (outcomes) and the cell id (allocations), so
 results are bit-identical no matter how panels are scheduled across
 workers, and a cell's squared errors do not depend on which other cells
-share its panel.  A chunk holds one full outcome buffer v = y_T + y_C:
-the treated arm is drawn into it by response.draw_outcomes, and the
-control arm (one draw_outcomes call per row block), each cell's
-allocation signs (the pattern lookups of blocks of at most 16
-subjects, the uniforms and sorts of larger blocks) and each cell's
-contrast are taken in row blocks of at most streams.BLOCK_ELEMENTS
-elements; every draw consumes its stream exactly as one whole draw
-would.  A cell's report, whose fields are the result columns of
-results.csv, holds the mean and sd of the squared error and two
-figures of its 0.95 quantile, each with a 95% interval, and neither
-interval draws a random number.
-The empirical quantile is an order statistic of the sorted sample, and
-so are its interval's endpoints: the percentile-bootstrap law of an
-order statistic is exact, from binomial tails, so that interval is the
-limit of infinitely many resamples.  The normal approximation
-mean + C_95 * sd (C_95 = 1.645, the paper's rounding, defined here)
-has a delta-method interval, its value plus and minus z standard
-errors, the standard error taken from the sample's influence values
-(the infinitesimal jackknife): the normal-theory limit of the
-bootstrap as the number of resamples grows.  So a cell's report
+share its panel.  Within a chunk, the control arm's outcomes, each
+cell's allocation signs and each cell's contrast are taken in the row
+blocks of streams.row_blocks, and every draw consumes its stream
+exactly as one whole draw would (see _chunk_squared_errors).
+A cell's report, whose fields are the result columns of results.csv,
+holds the mean and sd of the squared error and two figures of its 0.95
+quantile, each with a 95% interval, and neither interval draws a
+random number.  The empirical quantile is an order statistic of the
+sorted sample, and so are its interval's endpoints: the
+percentile-bootstrap law of an order statistic is exact, from binomial
+tails, so that interval is the limit of infinitely many resamples.  The
+normal approximation mean + C_95 * sd (C_95 = 1.645, the paper's
+rounding, defined here) has a delta-method interval, its value plus and
+minus z standard errors, the standard error taken from the sample's
+influence values (the infinitesimal jackknife): the normal-theory limit
+of the bootstrap as the number of resamples grows.  So a cell's report
 depends on its sample alone.
 
-simulate_squared_errors takes one panel's cells and its id; a cell run
-alone is the one-cell panel keyed by its cell id, which is how run_cell
-simulates a cell given no squared errors to summarise.  The
-convergence report in twoarm.criteria runs noise-only cells that way
-through the same chunk loop, and its closed forms check the results;
-the grid path does not import it.
+A cell run alone is the one-cell panel keyed by its cell id; the
+convergence report in twoarm.criteria runs its noise-only cells that
+way, and the grid path does not import it.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ import numpy as np
 from .core import CovariateMatrix, _check_int
 from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, potential_means
-from .streams import chunk_sizes, row_blocks, substream
+from .streams import chunks, row_blocks, substream
 
 # The 0.95 normal quantile, rounded as the paper rounds it, used by the
 # normal approximation mean + C_95 * sd to the criterion.
@@ -74,6 +68,10 @@ class CellConfig:
             raise ValueError(f"cell_id must be a str, got {self.cell_id!r}")
         _check_int("n_reps", self.n_reps, 2)
         _check_int("master_seed", self.master_seed, 0)
+        for name, cls in (("model", ResponseModel), ("x", CovariateMatrix),
+                          ("design", DesignSpec)):
+            if not isinstance(value := getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
         if self.model.n_covariates != self.x.n_covariates:
@@ -279,11 +277,8 @@ def simulate_squared_errors(cells: list, panel_id: str) -> list[np.ndarray]:
     first = _panel_cell(cells, panel_id)
     mu_t, mu_c = potential_means(first.model, first.x)
     sq = [np.empty(first.n_reps) for _ in cells]
-    pos = 0
-    for ci, size in enumerate(chunk_sizes(first.n_reps)):
-        reps = slice(pos, pos + size)
+    for ci, reps in enumerate(chunks(first.n_reps)):
         _chunk_squared_errors(cells, panel_id, mu_t, mu_c, ci, reps, sq)
-        pos += size
     return sq
 
 

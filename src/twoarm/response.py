@@ -58,6 +58,10 @@ class ResponseModel:
     def __post_init__(self):
         if self.kind not in RESPONSE_KINDS:
             raise ValueError(f"unknown response kind {self.kind!r}")
+        for name in ("beta0", "beta_t", "beta"):
+            value = np.asarray(given := getattr(self, name))
+            if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be numeric and finite, got {given!r}")
         beta = _frozen(self.beta)
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a non-empty vector")

@@ -15,8 +15,9 @@ pool as the list of Python ints, so the state and every spawned child
 are the same; the array only spares ``SeedSequence.spawn`` from
 converting each child's entropy one Python int at a time.
 
-Large draws are taken in the row blocks of ``row_blocks``, which
-consume a stream exactly as one whole draw does.
+``slices`` cuts every count into batches: replicates into ``chunks``,
+large draws into ``row_blocks`` (which consume a stream exactly as one
+whole draw does), and the pb search's restarts.
 """
 
 from __future__ import annotations
@@ -67,19 +68,20 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
-def chunk_sizes(total: int) -> list[int]:
-    """Split `total` replicates into CHUNK_SIZE chunks (last one ragged)."""
+def slices(total: int, step: int) -> list[slice]:
+    """Cut range(total) into consecutive slices of `step` (the last one ragged)."""
     _check_int("total", total, 0)
-    full, rest = divmod(total, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rest] if rest else [])
+    return [slice(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def chunks(total: int) -> list[slice]:
+    """The CHUNK_SIZE slices of `total` replicates."""
+    return slices(total, CHUNK_SIZE)
 
 
 def row_blocks(n_rows: int, width: int) -> list[slice]:
-    """Cut n_rows rows of `width` elements into consecutive row slices of
-    at most max(1, BLOCK_ELEMENTS // width) rows (the last one ragged).
-
-    Every sampler that draws in these blocks consumes its stream exactly
-    as one (n_rows, width) draw does, so no byte depends on the block
-    size."""
-    step = max(1, BLOCK_ELEMENTS // max(1, width))
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    """The slices of max(1, BLOCK_ELEMENTS // width) of n_rows rows of
+    `width` elements.  Every sampler that draws in these blocks consumes
+    its stream exactly as one (n_rows, width) draw does, so no byte
+    depends on the block size."""
+    return slices(n_rows, max(1, BLOCK_ELEMENTS // max(1, width)))

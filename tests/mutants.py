@@ -12,13 +12,15 @@ pytest in a child process whose PYTHONPATH puts the copy first; the
 child stops at once unless twoarm is imported from the copy.  Each
 entry is reported as
 
-    killed    every listed node has a failing test,
+    killed    every listed node has a failing test, or `import twoarm`
+              fails on the mutant (a circular import, say), so that
+              every test would fail; the exception is the detail,
     survived  some listed node passes on the mutant (a finding about
               the tests: the entry stays in the table),
-    stale     the old text is not in the file exactly once, or pytest
-              could not run the nodes (a renamed test, or an edit that
-              no longer makes importable code); the entry must be
-              updated with the code or the tests it names.
+    stale     the old text is not in the file exactly once, the mutated
+              file does not compile, or pytest could not run the nodes
+              (a renamed test); the entry must be updated with the code
+              or the tests it names.
 
 A refactor of a module updates that module's stale entries.  The exit
 status is 0 only if every entry is killed.  pytest does not collect
@@ -263,6 +265,13 @@ MUTANTS = (
             "tests/test_package.py"
             "::test_cli_leaves_criteria_unloaded_and_the_top_level_matches_the_readme",
         ),
+    ),
+    Mutant(
+        "designs imports twoarm.criteria beside its other imports: an import cycle",
+        "twoarm/designs.py",
+        "from .streams import row_blocks, slices\n",
+        "from .streams import row_blocks, slices\nfrom .criteria import mahalanobis_imbalance\n",
+        ("tests/test_package.py::test_each_module_imports_first_in_a_fresh_interpreter",),
     ),
     Mutant(
         "the top level exports mean_mse again",
@@ -627,11 +636,173 @@ MUTANTS = (
             "::test_matches_support_enumeration_on_shared_draws[pm-interleaved]",
         ),
     ),
+    Mutant(
+        "a blossom stage's delta4 takes the last of equal blossom duals",
+        "twoarm/matching.py",
+        "(deltatype == -1 or z < delta)",
+        "(deltatype == -1 or z <= delta)",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching[5]",
+        ),
+    ),
+    Mutant(
+        "a blossom stage's delta2 takes the last of equal least slacks",
+        "twoarm/matching.py",
+        "or d < delta:\n                        deltatype, delta, deltaedge = 2,",
+        "or d <= delta:\n                        deltatype, delta, deltaedge = 2,",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "a blossom stage's delta3 takes the last of equal least slacks",
+        "twoarm/matching.py",
+        "or d < delta:\n                        deltatype, delta, deltaedge = 3,",
+        "or d <= delta:\n                        deltatype, delta, deltaedge = 3,",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "an S-blossom's least-slack edge keeps the last of equal slacks",
+        "twoarm/matching.py",
+        "best = bestedge[bv]\n                        if best is None or kslack < (",
+        "best = bestedge[bv]\n                        if best is None or kslack <= (",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "a free vertex's least-slack edge keeps the last of equal slacks",
+        "twoarm/matching.py",
+        "best = bestedge[w]\n                        if best is None or kslack < (",
+        "best = bestedge[w]\n                        if best is None or kslack <= (",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "a new blossom's least-slack edge to each neighbour blossom keeps the last tie",
+        "twoarm/matching.py",
+        "slack(i, j) < slack(*bestedgeto[bj])",
+        "slack(i, j) <= slack(*bestedgeto[bj])",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "a new blossom's least-slack edge is the last of equal slacks",
+        "twoarm/matching.py",
+        "bestedge[b] = min(mybestedges[b], key=",
+        "bestedge[b] = min(mybestedges[b][::-1], key=",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "match_grid sends each odd group's first member to overflow",
+        "twoarm/criteria.py",
+        "overflow.append(shuffled.pop())",
+        "overflow.append(shuffled.pop(0))",
+        ("tests/test_matching.py::TestMatchGrid::test_odd_groups_spill_to_overflow",),
+    ),
+    Mutant(
+        "pb's search lets a later restart win a tie",
+        "twoarm/designs.py",
+        "if objs[k] < best_obj:",
+        "if objs[k] <= best_obj:",
+        (
+            "tests/test_designs.py::TestLockstepMatchesReference::test_row_major_tie_break",
+            "tests/test_designs.py::TestLockstepMatchesReference::test_tied_and_skewed_panels",
+        ),
+    ),
+    Mutant(
+        "run_cell's sd scaled by 0.8",
+        "twoarm/montecarlo.py",
+        "    sd = float(sq.std(ddof=1))\n",
+        "    sd = float(sq.std(ddof=1)) * 0.8\n",
+        (
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "run_cell's sd taken as the variance",
+        "twoarm/montecarlo.py",
+        "    sd = float(sq.std(ddof=1))\n",
+        "    sd = float(sq.var(ddof=1))\n",
+        (
+            "tests/test_montecarlo.py::TestRunCell"
+            "::test_report_equals_reference_statistics_on_an_untouched_sample",
+            "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values",
+            "tests/test_criteria.py::TestApproxQuantile::test_worked_example",
+        ),
+    ),
+    Mutant(
+        "bootstrap_ci draws its block of resample indices transposed",
+        "twoarm/montecarlo.py",
+        "samples[rng.integers(0, n, (b, n))]",
+        "samples[rng.integers(0, n, (n, b)).T]",
+        ("tests/test_montecarlo.py::TestBootstrapCi::test_equals_one_resample_at_a_time",),
+    ),
+    Mutant(
+        "the covariate metric without its ridge",
+        "twoarm/designs.py",
+        "    m = np.linalg.inv(regularized_covariance(values))\n",
+        "    m = np.linalg.inv(np.atleast_2d(np.cov(values, rowvar=False)))\n",
+        (
+            "tests/test_designs.py::TestMahalanobisGram"
+            "::test_a_constant_covariate_is_ridged_not_singular",
+            "tests/test_matching.py::TestMatchHeuristic::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "slices drops the ragged tail",
+        "twoarm/streams.py",
+        "for lo in range(0, total, step)]",
+        "for lo in range(0, total - total % step, step)]",
+        (
+            "tests/test_streams.py::test_chunks_cover_total",
+            "tests/test_streams.py::test_row_blocks_cover_the_rows_in_order",
+            "tests/test_montecarlo.py::TestSimulateSquaredErrors"
+            "::test_full_and_ragged_chunks_match_the_separate_array_contrast",
+            "tests/test_designs.py::TestLockstepMatchesReference::test_restart_counts_off_the_chunk",
+        ),
+    ),
+    Mutant(
+        "DistanceMatrix stores its input without averaging it with its transpose",
+        "twoarm/matching.py",
+        "        arr = (arr + arr.T) / 2.0\n",
+        "",
+        (
+            "tests/test_matching.py::TestDistanceMatrix"
+            "::test_near_symmetric_input_is_stored_exactly_symmetric",
+        ),
+    ),
+    Mutant(
+        "the blossom walk calls a nested step with its yielded pair as one argument",
+        "twoarm/matching.py",
+        "                stack.append(step(*sub))\n",
+        "                stack.append(step(sub))\n",
+        (
+            "tests/test_matching.py::TestMatchExact::test_matches_brute_force",
+            "tests/test_matching.py::TestMatchHeuristic::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
 )
 
 # Runs in the child: argv is (copy of src, node ids...).  Prints the
-# pytest exit code (or the error that stopped twoarm from importing) and
-# the failing node ids as JSON on its last line.
+# pytest exit code and the failing node ids, or the error that stopped
+# twoarm from importing, as JSON on its last line.
 _CHILD = r"""
 import json, sys
 from pathlib import Path
@@ -639,7 +810,7 @@ import pytest
 try:
     import twoarm
 except Exception as exc:
-    print(json.dumps({"exit": repr(exc), "failed": []}))
+    print(json.dumps({"import_error": repr(exc)}))
     sys.exit()
 copy = Path(sys.argv[1]).resolve()
 if copy not in Path(twoarm.__file__).resolve().parents:
@@ -672,12 +843,15 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
     text = (ROOT / "src" / mutant.path).read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
         return "stale", f"old text found {text.count(mutant.old)} times"
+    mutated = text.replace(mutant.old, mutant.new)
+    try:
+        compile(mutated, mutant.path, "exec")
+    except SyntaxError as exc:
+        return "stale", f"the mutated file does not compile: {exc}"
     with tempfile.TemporaryDirectory(prefix="twoarm-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        (src / mutant.path).write_text(
-            text.replace(mutant.old, mutant.new), encoding="utf-8"
-        )
+        (src / mutant.path).write_text(mutated, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run(
             [sys.executable, "-c", _CHILD, str(src), *mutant.nodes],
@@ -690,6 +864,8 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{mutant.name}: child failed\n{done.stdout}{done.stderr}")
     result = json.loads(lines[-1])
+    if "import_error" in result:
+        return "killed", f"twoarm does not import: {result['import_error']}"
     if result["exit"] not in (0, 1):
         return "stale", f"pytest did not run the nodes: {result['exit']}"
     passed = [n for n in mutant.nodes if not any(_selects(n, f) for f in result["failed"])]

@@ -10,7 +10,7 @@ from twoarm.criteria import OutcomePair, estimand, estimate, squared_error
 from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
 from twoarm.montecarlo import CellConfig, bootstrap_ci
 from twoarm.response import default_covariate_source, default_model, draw_covariates, draw_outcomes
-from twoarm.streams import chunk_sizes, substream
+from twoarm.streams import chunks, substream
 
 from util_oracles import balanced_allocations
 
@@ -194,7 +194,7 @@ _COUNTS = {
     "draw_outcomes": ("n_draws", lambda v: draw_outcomes(_MODEL, [0.0], _RNG, v)),
     "build_blocking": ("n_blocks", lambda v: build_blocking(_X4, v)),
     "greedy_pair_switch": ("restarts", lambda v: greedy_pair_switch(_X4, v, _RNG)),
-    "chunk_sizes": ("total", chunk_sizes),
+    "chunks": ("total", chunks),
 }
 
 

@@ -409,6 +409,14 @@ class TestVarianceDecomposition:
                 DesignSpec.bcrd(4), model, x6, 10, substream(1, "vd6")
             )
 
+    def test_rejects_covariates_that_are_not_a_covariate_matrix(self):
+        # an ndarray x used to raise AttributeError on x.n_subjects
+        model = default_model("continuous", 1)
+        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
+            variance_decomposition_terms(
+                DesignSpec.bcrd(4), model, np.zeros((4, 1)), 10, substream(1, "vd4")
+            )
+
 
 def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):
     # a bad entry after good ones must raise before the good cells run

@@ -15,9 +15,11 @@ from twoarm.designs import (
     build_blocking,
     design_covariance,
     greedy_pair_switch,
+    mahalanobis_gram,
     regularized_covariance,
     sample_allocations,
 )
+from twoarm.matching import mahalanobis_distances
 from twoarm.streams import substream
 
 from util_oracles import (
@@ -430,6 +432,34 @@ class TestBuildBlocking:
             build_blocking(x, 0)
 
 
+class TestMahalanobisGram:
+    def test_single_covariate_example(self):
+        # sample variance 5/3: g_ij = 0.6 x_i x_j, h_ij = 0.6 (x_i - x_j)^2
+        vals = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g, h = mahalanobis_gram(vals)
+        np.testing.assert_allclose(g, 0.6 * np.outer(vals, vals), rtol=1e-12)
+        np.testing.assert_allclose(h, 0.6 * (vals - vals.T) ** 2, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_h_is_the_pairwise_distance_with_an_exact_zero_diagonal(self, p):
+        vals = np.random.default_rng(p).exponential(size=(24, p))
+        _, h = mahalanobis_gram(vals)
+        m = np.linalg.inv(regularized_covariance(vals))
+        diff = vals[:, None, :] - vals[None, :, :]
+        np.testing.assert_allclose(h, np.einsum("ijk,kl,ijl->ij", diff, m, diff), atol=1e-9)
+        assert (np.diag(h) == 0.0).all()
+        # the matching's distances are h made exactly symmetric
+        d = mahalanobis_distances(CovariateMatrix(vals)).values
+        assert d.tobytes() == np.maximum((h + h.T) / 2.0, 0.0).tobytes()
+
+    def test_a_constant_covariate_is_ridged_not_singular(self):
+        # S is singular; its ridge leaves the other covariate's distances
+        vals = np.column_stack([np.arange(8.0), np.ones(8)])
+        g, h = mahalanobis_gram(vals)
+        assert np.isfinite(g).all()
+        np.testing.assert_allclose(h, mahalanobis_gram(vals[:, :1])[1], rtol=1e-7)
+
+
 class TestRegularizedCovariance:
     def test_plain_case_is_unbiased_covariance(self):
         vals = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -458,7 +488,7 @@ class TestGreedyPairSwitch:
     def test_objective_monotone_along_descent(self):
         # every descent ends no higher than it started, balanced, and at
         # an allocation that no single (+1, -1) swap improves
-        g, h = _gram(np.random.default_rng(7).normal(size=(12, 2)))
+        g, h = mahalanobis_gram(np.random.default_rng(7).normal(size=(12, 2)))
         starts = np.vstack([[1.0, -1.0] * 6, _random_starts(39, 12, 70)])
         ends = _descend_lockstep(g, h, starts.copy())
         for w0, w in zip(starts, ends):
@@ -517,13 +547,6 @@ class TestGreedyPairSwitch:
             mahalanobis_imbalance(x, Allocation([1, -1, 1, -1, 1, -1]))
 
 
-def _gram(vals):
-    m = np.linalg.inv(regularized_covariance(vals))
-    g = vals @ m @ vals.T
-    gd = np.diag(g)
-    return g, gd[:, None] + gd[None, :] - 2.0 * g
-
-
 def _random_starts(count, n_subjects, seed):
     rng = np.random.default_rng(seed)
     half = [1.0, -1.0] * (n_subjects // 2)
@@ -568,7 +591,7 @@ class TestLockstepMatchesReference:
         want = greedy_pair_switch_reference(x, 40, substream(*path))
         np.testing.assert_array_equal(got.signs, want.signs)
         # every restart, not only the winner, ends where it ends alone
-        g, h = _gram(x.values)
+        g, h = mahalanobis_gram(x.values)
         starts = _random_starts(40, n_subjects, seed)
         ends = _descend_lockstep(g, h, starts.copy())
         for w0, w in zip(starts, ends):
@@ -590,7 +613,7 @@ class TestLockstepMatchesReference:
         # integer covariates tie many swaps exactly; the first minimum in
         # row-major (treated, control) order must win, as in the reference
         vals = np.random.default_rng(23).integers(0, 3, size=(12, 1)).astype(float)
-        g, h = _gram(vals)
+        g, h = mahalanobis_gram(vals)
         starts = _random_starts(50, 12, 100)
         assert _count_tied_starts(g, h, starts) > 0
         ends = _descend_lockstep(g, h, starts.copy())
@@ -610,7 +633,7 @@ class TestLockstepMatchesReference:
         # exponential covariates: every restart ends where it ends alone,
         # after swaps have left the slots out of subject order
         vals = _tied_or_skewed_panel(kind, 30 + p, n_subjects, p)
-        g, h = _gram(vals)
+        g, h = mahalanobis_gram(vals)
         starts = _random_starts(60, n_subjects, 31 + p)
         if kind != "exponential":
             assert _count_tied_starts(g, h, starts) > 0
@@ -627,7 +650,7 @@ class TestLockstepMatchesReference:
     @pytest.mark.parametrize("n_subjects", [4, 12, 96])
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_batched_objectives_equal_one_row_at_a_time(self, p, n_subjects):
-        g, _ = _gram(_uniform_panel(40 + p, n_subjects, p).values)
+        g, _ = mahalanobis_gram(_uniform_panel(40 + p, n_subjects, p).values)
         rows = _random_starts(70, n_subjects, 41)
         want = np.array([float(row @ g @ row) for row in rows])
         assert _objectives(g, rows).tobytes() == want.tobytes()

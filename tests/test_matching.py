@@ -104,6 +104,20 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="distances must be finite"):
             DistanceMatrix(d)
 
+    def test_near_symmetric_input_is_stored_exactly_symmetric(self):
+        # 1e-12 of asymmetry and of self-distance pass the checks; the
+        # stored matrix is their exact average, with an exact zero diagonal
+        given = _random_distances(24, 5).values + np.triu(np.full((24, 24), 1e-12))
+        assert not (given == given.T).all()
+        d = DistanceMatrix(given)
+        want = (given + given.T) / 2.0
+        np.fill_diagonal(want, 0.0)
+        assert d.values.tobytes() == want.tobytes()
+        assert (d.values == d.values.T).all()
+        got, ref = match_heuristic(d), match_networkx_reference(d)
+        assert got.pairing.pairs() == ref.pairing.pairs()
+        assert got.cost == ref.cost
+
     def test_duplicate_rows_distance_zero(self):
         x = CovariateMatrix(np.repeat([[1.0, 2.0], [3.0, 4.0]], 2, axis=0))
         d = mahalanobis_distances(x)

@@ -450,6 +450,16 @@ class TestCellConfig:
         with pytest.raises(ValueError):
             CellConfig("c", default_model("continuous", 2), x, spec,
                        n_reps=10, master_seed=0)
+        # a wrong type is named, not an AttributeError deep inside
+        for field, bad, got in (
+            ("design", None, "NoneType"),
+            ("x", x.values, "ndarray"),
+            ("model", "continuous", "str"),
+        ):
+            fields = dict(cell_id="c", model=model, x=x, design=spec, n_reps=10, master_seed=0)
+            fields[field] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be a [A-Za-z]+, got {got}$"):
+                CellConfig(**fields)
 
 
 class TestSimulateSquaredErrors:

@@ -231,13 +231,15 @@ def _test_node_ids(path: Path) -> set[str]:
 
 
 def test_every_mutant_entry_applies_once_and_names_existing_tests():
-    # the staleness half of tests/mutants.py, without running a mutant
+    # the staleness half of tests/mutants.py, without running a mutant:
+    # each edit applies once and leaves a file that compiles
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
     for m in mutants.MUTANTS:
         text = (ROOT / "src" / m.path).read_text(encoding="utf-8")
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old, m.name
+        compile(text.replace(m.old, m.new), m.path, "exec")
         assert m.nodes, m.name
         for node in m.nodes:
             file, _, test = node.partition("::")

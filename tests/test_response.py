@@ -33,6 +33,34 @@ class TestResponseModel:
         with pytest.raises(ValueError):
             ResponseModel(kind="continuous", beta0=0.0, beta=[], beta_t=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("beta0", float("nan")),
+            ("beta0", "a"),
+            ("beta0", None),
+            ("beta0", True),
+            ("beta_t", float("inf")),
+            ("beta_t", "0.1"),
+            ("beta", [float("inf")]),
+            ("beta", [1.0, float("nan")]),
+            ("beta", ["1.0"]),
+            ("beta", [1.0, None]),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["continuous", "count"])
+    def test_rejects_non_numeric_or_non_finite_coefficients(self, kind, field, bad):
+        # each used to fail late (mu must be finite, a numpy UFuncTypeError,
+        # a TypeError, or an overflow warning then a count-mean error)
+        coefficients = dict(beta0=0.0, beta=[1.0], beta_t=0.0)
+        coefficients[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be numeric and finite, got "):
+            ResponseModel(kind=kind, **coefficients)
+
+    def test_accepts_numpy_and_integer_coefficients(self):
+        model = ResponseModel("count", np.float32(-1.0), np.array([1, 2]), 0)
+        np.testing.assert_array_equal(model.beta, [1.0, 2.0])
+
     def test_beta_is_read_only(self):
         model = default_model("continuous", 3)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunk_sizes, row_blocks, substream
+from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunks, row_blocks, substream
 
 
 def test_same_path_same_stream():
@@ -72,13 +72,13 @@ def test_uint32_words_give_the_python_int_entropy_pool(seed, path):
         np.testing.assert_array_equal(a.permutation(96), b.permutation(96))
 
 
-def test_chunk_sizes_cover_total():
-    sizes = chunk_sizes(2 * CHUNK_SIZE + 17)
-    assert sizes == [CHUNK_SIZE, CHUNK_SIZE, 17]
-    assert chunk_sizes(CHUNK_SIZE) == [CHUNK_SIZE]
-    assert chunk_sizes(0) == []
+def test_chunks_cover_total():
+    c = CHUNK_SIZE
+    assert chunks(2 * c + 17) == [slice(0, c), slice(c, 2 * c), slice(2 * c, 2 * c + 17)]
+    assert chunks(c) == [slice(0, c)]
+    assert chunks(0) == []
     with pytest.raises(ValueError):
-        chunk_sizes(-1)
+        chunks(-1)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ from twoarm.designs import regularized_covariance
 from twoarm.matching import DistanceMatrix, MatchResult
 from twoarm.montecarlo import C_95
 from twoarm.response import PROPORTION_PHI, SURVIVAL_SHAPE, potential_means
-from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, chunk_sizes, substream
+from twoarm.streams import BLOCK_ELEMENTS, CHUNK_SIZE, substream
 
 # Largest 2n the exact bitmask DP accepts.
 EXACT_CAPACITY = 12
@@ -450,7 +450,8 @@ def simulate_squared_errors_reference(cfg) -> np.ndarray:
     mu_t, mu_c = potential_means(cfg.model, cfg.x)
     n = cfg.x.n_pairs
     out = []
-    for ci, size in enumerate(chunk_sizes(cfg.n_reps)):
+    for ci, lo in enumerate(range(0, cfg.n_reps, CHUNK_SIZE)):
+        size = min(CHUNK_SIZE, cfg.n_reps - lo)
         rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
         rng_w = substream(cfg.master_seed, cfg.cell_id, "alloc", ci)
         y_t = draw_outcomes_reference(cfg.model, mu_t, rng_y, size)
