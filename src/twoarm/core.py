@@ -13,6 +13,8 @@ Conventions used throughout the package:
   w'(y_T + y_C) / 2n.  The potential-outcome type and the estimator
   algebra written out term by term live in twoarm.criteria, next to
   the oracles that use them.
+* A caller's arrays and real scalars pass through _frozen: a read-only
+  copy, or a ValueError that starts with the field's name.
 """
 
 from __future__ import annotations
@@ -23,20 +25,32 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    """Copy to an immutable ndarray so instances stay value-like."""
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen(name: str, values, ndim: int, dtype=float) -> np.ndarray:
+    """A read-only dtype copy of values with ndim axes, or a ValueError that
+    starts with name: for ragged input, a type other than integer or float
+    (strings, None, bools), another rank, or a non-finite or non-integral entry."""
+    rank = f"{ndim}-D" if ndim else "a scalar"
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be {rank}, got a ragged sequence") from None
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numeric, got dtype {raw.dtype}")
+    if raw.ndim != ndim:
+        raise ValueError(f"{name} must be {rank}")
+    if not (finite := np.isfinite(raw)).all():
+        raise ValueError(f"{name} must be finite, got {raw[~finite][0]}")
+    arr = raw.astype(dtype)
+    if arr.dtype.kind in "iu" and not np.array_equal(arr, raw):
+        raise ValueError(f"{name} must be integers, got {raw[arr != raw][0]}")
     arr.setflags(write=False)
     return arr
 
 
-def _frozen_ints(name: str, values, dtype) -> np.ndarray:
-    """_frozen for integer entries; ValueError naming them if one is not."""
-    raw = np.asarray(values)
-    arr = _frozen(raw, dtype)
-    if not np.array_equal(arr, raw):
-        raise ValueError(f"{name} must be integers, got {raw[arr != raw][0]}")
-    return arr
+def _check_type(name: str, value, cls: type) -> None:
+    """ValueError naming value unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _check_int(name: str, value, minimum: int) -> int:
@@ -62,17 +76,13 @@ class CovariateMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"covariates must be 2-D, got ndim={arr.ndim}")
+        arr = _frozen("covariates", self.values, 2)
         if arr.shape[0] < 4 or arr.shape[0] % 2:
             raise ValueError(
                 f"subject count must be even and >= 4, got {arr.shape[0]}"
             )
         if arr.shape[1] < 1:
             raise ValueError("need at least one covariate column")
-        if not np.isfinite(arr).all():
-            raise ValueError("covariates must be finite")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -95,11 +105,11 @@ class Allocation:
     signs: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_ints("allocation signs", self.signs, np.int8)
+        arr = _frozen("allocation signs", self.signs, 1, np.int8)
         if arr.size == 0:
             raise ValueError("allocation signs must be non-empty")
-        if arr.ndim != 1 or arr.shape[0] % 2:
-            raise ValueError("allocation must be a 1-D vector of even length")
+        if arr.shape[0] % 2:
+            raise ValueError(f"allocation signs must have even length, got {arr.size}")
         if not np.isin(arr, (-1, 1)).all():
             raise ValueError("allocation entries must be -1 or +1")
         if int(arr.sum()) != 0:
@@ -118,9 +128,7 @@ class Blocking:
     block_of: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_ints("block_of", self.block_of, np.int64)
-        if arr.ndim != 1:
-            raise ValueError("block_of must be 1-D")
+        arr = _frozen("block_of", self.block_of, 1, np.int64)
         if arr.size == 0:
             raise ValueError("block_of must be non-empty")
         ids, counts = np.unique(arr, return_counts=True)

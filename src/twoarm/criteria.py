@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, _check_int, _frozen
+from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type, _frozen
 from .designs import DesignSpec, _pattern_table, regularized_covariance
 from .matching import MatchResult, _pair_cost, mahalanobis_distances
 from .montecarlo import CellConfig, simulate_squared_errors
@@ -55,26 +55,23 @@ class CriterionInputs:
     sigma_w: np.ndarray
 
     def __post_init__(self):
-        sigma_w = _frozen(self.sigma_w)
-        if sigma_w.ndim != 2 or sigma_w.shape[0] != sigma_w.shape[1]:
+        sigma_w = _frozen("sigma_w", self.sigma_w, 2)
+        if sigma_w.shape[0] != sigma_w.shape[1]:
             raise ValueError("sigma_w must be square")
         if not np.allclose(sigma_w, sigma_w.T, rtol=0, atol=1e-12):
             raise ValueError("sigma_w must be symmetric")
         if not np.allclose(np.diag(sigma_w), 1.0, rtol=0, atol=1e-12):
             raise ValueError("sigma_w diagonal must be exactly 1")
-        mu = _frozen(self.mu)
-        rho = _frozen(self.rho)
-        if mu.ndim != 1 or rho.shape != mu.shape:
-            raise ValueError("mu and rho must be 1-D vectors of one length")
+        mu = _frozen("mu", self.mu, 1)
+        rho = _frozen("rho", self.rho, 1)
+        if rho.shape != mu.shape:
+            raise ValueError("mu and rho must be vectors of one length")
         if mu.shape[0] != sigma_w.shape[0]:
             raise ValueError("mu length must match sigma_w")
         if mu.shape[0] == 0:
             raise ValueError("subject count must be > 0, got 0")
         if mu.shape[0] % 2:
             raise ValueError("subject count must be even")
-        for name, arr in (("mu", mu), ("rho", rho)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
         if (rho < 0).any():
             raise ValueError("rho entries must be >= 0")
         object.__setattr__(self, "mu", mu)
@@ -104,13 +101,9 @@ def pm_conditional_variance(v) -> float:
     is PM_COND_VAR_COEFF * sum_{i<j} d_i^2 d_j^2 / n^4, computed here
     through sum_{i<j} d_i^2 d_j^2 = ((sum d^2)^2 - sum d^4) / 2.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] % 2 or v.shape[0] == 0:
-        raise ValueError(
-            f"v must be 1-D with non-zero even length, got shape {v.shape}"
-        )
-    if not np.isfinite(v).all():
-        raise ValueError("v must be finite")
+    v = _frozen("v", v, 1)
+    if v.shape[0] % 2 or v.shape[0] == 0:
+        raise ValueError(f"v must be of non-zero even length, got {v.shape[0]}")
     n = v.shape[0] // 2
     d_sq = np.square(v[1::2] - v[0::2])
     s2 = float(d_sq.sum())
@@ -129,17 +122,16 @@ def pb_quantile(w_star: Allocation, mu, rho, level: float = 0.95) -> float:
     standard normal Z, found by bisection to the last float.
     """
     signs = w_star.signs.astype(float)
-    mu = np.asarray(mu, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    mu = _frozen("mu", mu, 1)
+    rho = _frozen("rho", rho, 1)
     if mu.shape != signs.shape or rho.shape != signs.shape:
         raise ValueError(
             f"mu and rho must be vectors of w*'s {signs.size} entries, "
             f"got shapes {mu.shape} and {rho.shape}"
         )
-    if not (np.isfinite(mu).all() and np.isfinite(rho).all()):
-        raise ValueError("mu and rho must be finite")
     if (rho < 0).any() or not rho.sum() > 0:
         raise ValueError("rho entries must be >= 0 with a positive sum")
+    level = float(_frozen("level", level, 0))
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     s = math.sqrt(float(rho.sum()))
@@ -163,12 +155,7 @@ class OutcomePair:
 
     def __post_init__(self):
         for name in ("y_t", "y_c"):
-            arr = _frozen(getattr(self, name))
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(name, getattr(self, name), 1))
         if self.y_t.shape != self.y_c.shape:
             raise ValueError("y_t and y_c must share one length")
 
@@ -314,9 +301,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
 
 def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
     """Average squared within-pair gap of a mean vector: (1/n) sum (mu_a - mu_b)^2."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or not np.isfinite(mu).all():
-        raise ValueError(f"mu must be a finite 1-D vector, got shape {mu.shape}")
+    mu = _frozen("mu", mu, 1)
     if mu.shape[0] != pairing.n_subjects:
         raise ValueError("mu length must match the pairing")
     gaps = [mu[a] - mu[b] for a, b in pairing.pairs()]
@@ -342,8 +327,7 @@ def variance_decomposition_terms(
     are rejected.
     """
     _check_int("n_draws", n_draws, 2)
-    if not isinstance(x, CovariateMatrix):
-        raise ValueError(f"x must be a CovariateMatrix, got {type(x).__name__}")
+    _check_type("x", x, CovariateMatrix)
     if x.n_subjects != spec.n_subjects:
         raise ValueError(
             f"covariates have {x.n_subjects} subjects but the design has "

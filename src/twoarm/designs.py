@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, _check_int
+from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type
 from .streams import row_blocks, slices
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
@@ -340,6 +340,7 @@ def greedy_pair_switch(
     the batch's first minimum replaces the winner only if it is strictly
     lower, so the earliest restart still wins a tie.
     """
+    _check_type("x", x, CovariateMatrix)
     _check_int("restarts", restarts, 1)
     n_sub, n = x.n_subjects, x.n_pairs
     g, h = mahalanobis_gram(x.values)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Blocking, CovariateMatrix
+from .core import Blocking, CovariateMatrix, _check_type, _frozen
 from .designs import mahalanobis_gram
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +35,9 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _frozen("distances", self.values, 2)
+        if arr.shape[0] != arr.shape[1]:
             raise ValueError("distances must form a square matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("distances must be finite")
         if not np.allclose(arr, arr.T, rtol=0, atol=1e-9):
             raise ValueError("distances must be symmetric")
         if (arr < 0).any():
@@ -70,6 +68,7 @@ def mahalanobis_distances(x: CovariateMatrix) -> DistanceMatrix:
     The h of designs.mahalanobis_gram, the metric the pb search uses,
     made exactly symmetric and clipped at 0.
     """
+    _check_type("x", x, CovariateMatrix)
     _, h = mahalanobis_gram(x.values)
     return DistanceMatrix(np.maximum((h + h.T) / 2.0, 0.0))
 
@@ -446,6 +445,7 @@ def match_heuristic(d: DistanceMatrix) -> MatchResult:
     tests/util_oracles.py, so the pairing equals it, ties included.
     Deterministic for a given distance matrix.
     """
+    _check_type("d", d, DistanceMatrix)
     if d.n_subjects < 2 or d.n_subjects % 2:
         raise ValueError(
             f"matching needs an even subject count >= 2, got {d.n_subjects}"

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovariateMatrix, _check_int
+from .core import CovariateMatrix, _check_int, _check_type
 from .designs import DesignSpec, sample_allocations
 from .response import ResponseModel, draw_outcomes, potential_means
 from .streams import chunks, row_blocks, substream
@@ -64,14 +64,11 @@ class CellConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.cell_id, str):
-            raise ValueError(f"cell_id must be a str, got {self.cell_id!r}")
+        for name, cls in (("cell_id", str), ("model", ResponseModel),
+                          ("x", CovariateMatrix), ("design", DesignSpec)):
+            _check_type(name, getattr(self, name), cls)
         _check_int("n_reps", self.n_reps, 2)
         _check_int("master_seed", self.master_seed, 0)
-        for name, cls in (("model", ResponseModel), ("x", CovariateMatrix),
-                          ("design", DesignSpec)):
-            if not isinstance(value := getattr(self, name), cls):
-                raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
         if self.design.n_subjects != self.x.n_subjects:
             raise ValueError("design and covariates disagree on 2n")
         if self.model.n_covariates != self.x.n_covariates:

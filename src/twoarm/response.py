@@ -58,12 +58,10 @@ class ResponseModel:
     def __post_init__(self):
         if self.kind not in RESPONSE_KINDS:
             raise ValueError(f"unknown response kind {self.kind!r}")
-        for name in ("beta0", "beta_t", "beta"):
-            value = np.asarray(given := getattr(self, name))
-            if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
-                raise ValueError(f"{name} must be numeric and finite, got {given!r}")
-        beta = _frozen(self.beta)
-        if beta.ndim != 1 or beta.size < 1:
+        for name in ("beta0", "beta_t"):
+            object.__setattr__(self, name, float(_frozen(name, getattr(self, name), 0)))
+        beta = _frozen("beta", self.beta, 1)
+        if beta.size < 1:
             raise ValueError("beta must be a non-empty vector")
         object.__setattr__(self, "beta", beta)
 
@@ -100,8 +98,10 @@ class CovariateSource:
     def __post_init__(self):
         if self.family not in ("uniform", "exponential"):
             raise ValueError(f"unknown covariate family {self.family!r}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        half_width = float(_frozen("half_width", self.half_width, 0))
+        if not half_width > 0:
+            raise ValueError(f"half_width must be > 0, got {half_width}")
+        object.__setattr__(self, "half_width", half_width)
 
 
 def default_covariate_source(kind: str, family: str = "uniform") -> CovariateSource:
@@ -171,12 +171,8 @@ def potential_means(
 
 def _checked_mu(model: ResponseModel, mu, n_draws: int) -> np.ndarray:
     """mu as a float vector, once it and n_draws are valid for a draw."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1:
-        raise ValueError(f"mu must be 1-D, got shape {mu.shape}")
+    mu = _frozen("mu", mu, 1)
     _check_int("n_draws", n_draws, 0)
-    if not np.isfinite(mu).all():
-        raise ValueError("mu must be finite")
     kind = model.kind
     if kind == "incidence":
         if ((mu < 0) | (mu > 1)).any():

@@ -12,9 +12,11 @@ pytest in a child process whose PYTHONPATH puts the copy first; the
 child stops at once unless twoarm is imported from the copy.  Each
 entry is reported as
 
-    killed    every listed node has a failing test, or `import twoarm`
+    killed    every listed node has a failing test, `import twoarm`
               fails on the mutant (a circular import, say), so that
-              every test would fail; the exception is the detail,
+              every test would fail, with the exception as the detail,
+              or the child runs longer than CHILD_TIMEOUT_S (a walk
+              that never ends, say) and is stopped,
     survived  some listed node passes on the mutant (a finding about
               the tests: the entry stays in the table),
     stale     the old text is not in the file exactly once, the mutated
@@ -39,6 +41,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds one entry's child may run.  Every entry that ends by itself
+# takes a few seconds, so a child still running after this one loops.
+CHILD_TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -489,13 +495,16 @@ MUTANTS = (
         ("tests/test_criteria.py::TestPbQuantile::test_a_large_shift_leaves_one_normal_tail",),
     ),
     Mutant(
-        "pair_gap_diagnostic accepts a non-finite mu",
-        "twoarm/criteria.py",
-        "if mu.ndim != 1 or not np.isfinite(mu).all():",
-        "if mu.ndim != 1:",
+        "the input conversion accepts non-finite entries (pair_gap_diagnostic's mu among them)",
+        "twoarm/core.py",
+        "    if not (finite := np.isfinite(raw)).all():\n",
+        "    if False:\n",
         (
             "tests/test_matching.py::TestPairGapDiagnostic"
             "::test_rejects_mu_that_is_not_a_finite_vector",
+            "tests/test_core.py::TestOutsideInput::test_non_finite_is_named",
+            "tests/test_core.py::TestCovariateMatrix::test_rejects_non_finite",
+            "tests/test_criteria.py::TestPmConditionalVariance::test_rejects_non_finite",
         ),
     ),
     Mutant(
@@ -798,6 +807,57 @@ MUTANTS = (
             "tests/test_matching.py::TestMatchHeuristic::test_same_pairing_as_networkx_min_weight_matching",
         ),
     ),
+    Mutant(
+        "the blossom walk runs every step a step yields before popping the last",
+        "twoarm/matching.py",
+        "                stack.append(step(*sub))\n                break\n",
+        "                stack.append(step(*sub))\n",
+        (
+            "tests/test_matching.py::TestMatchExact::test_matches_brute_force",
+            "tests/test_matching.py::TestMatchHeuristic::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "the blossom walk creates a nested step but never runs it",
+        "twoarm/matching.py",
+        "                stack.append(step(*sub))\n",
+        "                step(*sub)\n",
+        (
+            "tests/test_matching.py::TestMatchExact::test_matches_brute_force",
+            "tests/test_matching.py::TestMatchHeuristic::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "the input conversion lets ragged input reach numpy's unnamed error",
+        "twoarm/core.py",
+        "    try:\n"
+        "        raw = np.asarray(values)\n"
+        "    except ValueError:\n",
+        "    raw = np.asarray(values)\n"
+        "    if False:\n",
+        ("tests/test_core.py::TestOutsideInput::test_ragged_is_named",),
+    ),
+    Mutant(
+        "the input conversion accepts strings, None and bools",
+        "twoarm/core.py",
+        '    if raw.dtype.kind not in "iuf":\n',
+        '    if raw.dtype.kind not in "iufbOU":\n',
+        (
+            "tests/test_core.py::TestOutsideInput::test_non_numeric_is_named",
+            "tests/test_response.py::TestResponseModel"
+            "::test_rejects_non_numeric_or_non_finite_coefficients",
+        ),
+    ),
+    Mutant(
+        "the input conversion truncates non-integer entries to an integer dtype",
+        "twoarm/core.py",
+        '    if arr.dtype.kind in "iu" and not np.array_equal(arr, raw):\n',
+        '    if False:\n',
+        (
+            "tests/test_core.py::TestAllocation::test_rejects_non_integer_signs",
+            "tests/test_core.py::TestBlocking::test_rejects_non_integer_block_ids",
+        ),
+    ),
 )
 
 # Runs in the child: argv is (copy of src, node ids...).  Prints the
@@ -853,13 +913,17 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / mutant.path).write_text(mutated, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(src), *mutant.nodes],
-            cwd=ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", _CHILD, str(src), *mutant.nodes],
+                cwd=ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=CHILD_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {CHILD_TIMEOUT_S} s"
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{mutant.name}: child failed\n{done.stdout}{done.stderr}")

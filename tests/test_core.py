@@ -6,13 +6,101 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.criteria import OutcomePair, estimand, estimate, squared_error
+from twoarm.criteria import (
+    CriterionInputs,
+    OutcomePair,
+    estimand,
+    estimate,
+    pair_gap_diagnostic,
+    pb_quantile,
+    pm_conditional_variance,
+    squared_error,
+)
 from twoarm.designs import DesignSpec, build_blocking, greedy_pair_switch, sample_allocations
+from twoarm.matching import DistanceMatrix
 from twoarm.montecarlo import CellConfig, bootstrap_ci
-from twoarm.response import default_covariate_source, default_model, draw_covariates, draw_outcomes
+from twoarm.response import (
+    CovariateSource,
+    ResponseModel,
+    default_covariate_source,
+    default_model,
+    draw_covariates,
+    draw_outcomes,
+)
 from twoarm.streams import chunks, substream
 
 from util_oracles import balanced_allocations
+
+
+_W4 = Allocation([1, -1, 1, -1])
+_PAIRS4 = Blocking.from_pairs([(0, 1), (2, 3)])
+
+# Every boundary that converts a caller's array: (field, a valid value,
+# the call that takes a value in that field's place).
+BOUNDARIES = {
+    "CovariateMatrix": ("covariates", np.zeros((4, 1)), CovariateMatrix),
+    "Allocation": ("allocation signs", [1, -1, 1, -1], Allocation),
+    "Blocking": ("block_of", [0, 0, 1, 1], Blocking),
+    "DistanceMatrix": ("distances", np.zeros((4, 4)), DistanceMatrix),
+    "ResponseModel.beta0": (
+        "beta0", 0.0, lambda v: ResponseModel("continuous", v, [1.0], 0.0)),
+    "ResponseModel.beta": (
+        "beta", [1.0], lambda v: ResponseModel("continuous", 0.0, v, 0.0)),
+    "ResponseModel.beta_t": (
+        "beta_t", 0.0, lambda v: ResponseModel("continuous", 0.0, [1.0], v)),
+    "draw_outcomes.mu": (
+        "mu", np.zeros(4),
+        lambda v: draw_outcomes(default_model("continuous", 1), v, substream(0, "io"), 2)),
+    "CovariateSource.half_width": (
+        "half_width", 1.0, lambda v: CovariateSource("uniform", v)),
+    "CriterionInputs.mu": (
+        "mu", np.zeros(4), lambda v: CriterionInputs(v, np.ones(4), np.eye(4))),
+    "CriterionInputs.rho": (
+        "rho", np.ones(4), lambda v: CriterionInputs(np.zeros(4), v, np.eye(4))),
+    "CriterionInputs.sigma_w": (
+        "sigma_w", np.eye(4), lambda v: CriterionInputs(np.zeros(4), np.ones(4), v)),
+    "OutcomePair.y_t": ("y_t", [1.0, 2.0], lambda v: OutcomePair(v, [0.0, 1.0])),
+    "OutcomePair.y_c": ("y_c", [0.0, 1.0], lambda v: OutcomePair([1.0, 2.0], v)),
+    "pm_conditional_variance.v": ("v", [1.0, 2.0], pm_conditional_variance),
+    "pb_quantile.mu": ("mu", np.zeros(4), lambda v: pb_quantile(_W4, v, np.ones(4))),
+    "pb_quantile.rho": ("rho", np.ones(4), lambda v: pb_quantile(_W4, np.zeros(4), v)),
+    "pb_quantile.level": (
+        "level", 0.95, lambda v: pb_quantile(_W4, np.zeros(4), np.ones(4), v)),
+    "pair_gap_diagnostic.mu": ("mu", np.zeros(4), lambda v: pair_gap_diagnostic(_PAIRS4, v)),
+}
+
+
+def _non_finite(good):
+    bad = np.array(good, dtype=float)
+    bad.flat[0] = np.inf
+    return bad
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+class TestOutsideInput:
+    """Each boundary names its field on ragged, non-numeric, wrong-rank or
+    non-finite input, in a ValueError that starts with the field."""
+
+    def check(self, boundary, make_bad):
+        field, good, call = BOUNDARIES[boundary]
+        call(good)  # the valid value passes, so the bad one fails for its defect
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            call(make_bad(good))
+
+    def test_ragged_is_named(self, boundary):
+        self.check(boundary, lambda good: [[1.0], [1.0, 2.0]])
+
+    def test_non_numeric_is_named(self, boundary):
+        for to_bad in (lambda good: np.asarray(good).astype(str),
+                       lambda good: np.full(np.shape(good), None),
+                       lambda good: np.ones(np.shape(good), dtype=bool)):
+            self.check(boundary, to_bad)
+
+    def test_wrong_rank_is_named(self, boundary):
+        self.check(boundary, lambda good: np.asarray(good)[None])
+
+    def test_non_finite_is_named(self, boundary):
+        self.check(boundary, _non_finite)
 
 
 class TestCovariateMatrix:

@@ -79,7 +79,7 @@ class TestCriterionInputs:
         asymmetric[0, 1] = 0.5
         cases = [
             (np.ones((2, 3)), "^sigma_w must be square$"),
-            (np.ones(4), "^sigma_w must be square$"),
+            (np.ones(4), "^sigma_w must be 2-D$"),
             (asymmetric, "^sigma_w must be symmetric$"),
             (0.5 * np.eye(4), "^sigma_w diagonal must be exactly 1$"),
             (design_covariance(DesignSpec.bcrd(6)), "^mu length must match sigma_w$"),
@@ -293,6 +293,10 @@ class TestPbQuantile:
         for level in (0.0, 1.0):
             with pytest.raises(ValueError, match="level"):
                 pb_quantile(self.W, np.zeros(96), rho, level)
+        # each used to raise a bare TypeError
+        for level in ("a", None, [0.95], math.nan):
+            with pytest.raises(ValueError, match="^level must be "):
+                pb_quantile(self.W, np.zeros(96), rho, level)
 
     def test_grid_cells_lie_in_an_order_statistic_band(self):
         # emp_q95 is the k-th of N order statistics, k = ceil(0.95 N), so
@@ -412,10 +416,11 @@ class TestVarianceDecomposition:
     def test_rejects_covariates_that_are_not_a_covariate_matrix(self):
         # an ndarray x used to raise AttributeError on x.n_subjects
         model = default_model("continuous", 1)
-        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
-            variance_decomposition_terms(
-                DesignSpec.bcrd(4), model, np.zeros((4, 1)), 10, substream(1, "vd4")
-            )
+        for x, got in ((np.zeros((4, 1)), "ndarray"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"^x must be a CovariateMatrix, got {got}$"):
+                variance_decomposition_terms(
+                    DesignSpec.bcrd(4), model, x, 10, substream(1, "vd4")
+                )
 
 
 def test_noise_only_reports_reject_a_bad_entry_before_simulating(monkeypatch):

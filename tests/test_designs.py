@@ -546,6 +546,11 @@ class TestGreedyPairSwitch:
         with pytest.raises(ValueError, match="^allocation and covariates disagree on 2n$"):
             mahalanobis_imbalance(x, Allocation([1, -1, 1, -1, 1, -1]))
 
+    def test_rejects_covariates_that_are_not_a_covariate_matrix(self):
+        # an ndarray x used to raise AttributeError on x.n_subjects
+        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
+            greedy_pair_switch(np.arange(4.0)[:, None], 1, substream(17, "greedy"))
+
 
 def _random_starts(count, n_subjects, seed):
     rng = np.random.default_rng(seed)

@@ -118,6 +118,11 @@ class TestDistanceMatrix:
         assert got.pairing.pairs() == ref.pairing.pairs()
         assert got.cost == ref.cost
 
+    def test_mahalanobis_distances_rejects_an_ndarray(self):
+        # an ndarray x used to raise AttributeError on x.values
+        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
+            mahalanobis_distances(np.arange(4.0)[:, None])
+
     def test_duplicate_rows_distance_zero(self):
         x = CovariateMatrix(np.repeat([[1.0, 2.0], [3.0, 4.0]], 2, axis=0))
         d = mahalanobis_distances(x)
@@ -175,6 +180,11 @@ class TestMatchHeuristic:
         d = DistanceMatrix(np.ones((n_subjects, n_subjects)) - np.eye(n_subjects))
         with pytest.raises(ValueError, match=f"got {n_subjects}$"):
             match_heuristic(d)
+
+    def test_rejects_an_ndarray(self):
+        # an ndarray d used to raise AttributeError on d.n_subjects
+        with pytest.raises(ValueError, match="^d must be a DistanceMatrix, got ndarray$"):
+            match_heuristic(np.ones((4, 4)) - np.eye(4))
 
     def test_never_better_than_exact_and_close(self):
         for seed in range(20):
@@ -356,7 +366,7 @@ class TestPairGapDiagnostic:
     def test_rejects_mu_that_is_not_a_finite_vector(self):
         pairing = Blocking.from_pairs([(0, 1), (2, 3)])
         for bad in (np.zeros((4, 3)), 1.0, [0.0, np.nan, 1.0, 1.0]):
-            with pytest.raises(ValueError, match="^mu must be a finite 1-D vector"):
+            with pytest.raises(ValueError, match="^mu must be (1-D|finite)"):
                 pair_gap_diagnostic(pairing, bad)
 
     def test_length_mismatch_rejected(self):

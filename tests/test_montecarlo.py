@@ -455,6 +455,7 @@ class TestCellConfig:
             ("design", None, "NoneType"),
             ("x", x.values, "ndarray"),
             ("model", "continuous", "str"),
+            ("cell_id", 7, "int"),
         ):
             fields = dict(cell_id="c", model=model, x=x, design=spec, n_reps=10, master_seed=0)
             fields[field] = bad

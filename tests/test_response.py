@@ -54,7 +54,7 @@ class TestResponseModel:
         # a TypeError, or an overflow warning then a count-mean error)
         coefficients = dict(beta0=0.0, beta=[1.0], beta_t=0.0)
         coefficients[field] = bad
-        with pytest.raises(ValueError, match=f"^{field} must be numeric and finite, got "):
+        with pytest.raises(ValueError, match=f"^{field} must be (numeric|finite), got "):
             ResponseModel(kind=kind, **coefficients)
 
     def test_accepts_numpy_and_integer_coefficients(self):
@@ -308,6 +308,12 @@ class TestCovariateSource:
             for half_width in (0.0, -1.0, math.nan):
                 with pytest.raises(ValueError, match="half_width"):
                     CovariateSource(family, half_width)
+            # these used to pass, or fail as a bare TypeError, or fail late at
+            # CovariateMatrix with no mention of half_width
+            for half_width in (math.inf, "a", None, [1.0]):
+                with pytest.raises(ValueError, match="^half_width must be "):
+                    CovariateSource(family, half_width)
+        assert CovariateSource("uniform", np.float32(2)).half_width == 2.0
 
     def test_default_scales(self):
         assert default_covariate_source("continuous").half_width == 1.0
