@@ -254,6 +254,8 @@ def enumerate_design_oracle(
 
 def mahalanobis_imbalance(x: CovariateMatrix, w: Allocation) -> float:
     """Imbalance objective (X'w)' S^-1 (X'w) for an allocation."""
+    _check_type("x", x, CovariateMatrix)
+    _check_type("w", w, Allocation)
     if w.n_subjects != x.n_subjects:
         raise ValueError("allocation and covariates disagree on 2n")
     u = x.values.T @ w.signs.astype(float)

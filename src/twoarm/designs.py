@@ -17,7 +17,6 @@ allocation, which only the checks use, live in twoarm.criteria.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +50,11 @@ class DesignSpec:
         if self.kind == "pb":
             if self.w_star is None or self.blocking is not None:
                 raise ValueError("pb requires w_star and no blocking")
+            _check_type("w_star", self.w_star, Allocation)
         else:
             if self.blocking is None or self.w_star is not None:
                 raise ValueError(f"{self.kind} requires a blocking and no w_star")
+            _check_type("blocking", self.blocking, Blocking)
             if self.kind == "bcrd" and self.blocking.n_blocks != 1:
                 raise ValueError("bcrd must have a single block")
             if self.kind == "pm" and not self.blocking.is_pairing:
@@ -136,17 +137,47 @@ def _pattern_table(m: int) -> np.ndarray:
 
     Row i is +1 at the i-th m/2-subset of range(m) in
     itertools.combinations order and -1 elsewhere; each row is one
-    np.void of m int8 signs, so a gather moves a pattern whole.  Built
-    on first use, once per m and process.
+    np.void of m int8 signs, so a gather moves a pattern whole.  The
+    rows are written in place by Pascal's rule (_fill_subsets), and the
+    build holds no array beside the table.  Built on first use, once per
+    m and process: the sampler and the support enumeration read the
+    same table.
     """
     h = m // 2
-    count = math.comb(m, h)
-    treated = np.fromiter(itertools.combinations(range(m), h), dtype=(np.int8, h), count=count)
-    signs = np.full((count, m), -1, dtype=np.int8)
-    np.put_along_axis(signs, treated, 1, axis=1)
+    signs = np.empty((math.comb(m, h), m), dtype=np.int8)
+    _fill_subsets(signs, slice(0, signs.shape[0]), 0, h, {})
     table = signs.view(np.dtype((np.void, m)))[:, 0]
     table.setflags(write=False)
     return table
+
+
+def _fill_subsets(signs: np.ndarray, rows: slice, col: int, k: int, first: dict) -> None:
+    """Write into signs[rows, col:] the k-subsets of the n = m - col
+    subjects from col on, in itertools.combinations order: +1 at the
+    subset, -1 elsewhere.
+
+    Pascal's rule, C(n, k) = C(n - 1, k - 1) + C(n - 1, k), in
+    combinations order: the subsets that hold subject col come first,
+    over the (k - 1)-subsets of the rest in their own order, then those
+    without it, over the k-subsets of the rest.  first maps each (n, k)
+    to the (rows, col) where its block was first written, and a block
+    met again is copied from there, so the memo of one build lives in
+    the table itself.
+    """
+    n = signs.shape[1] - col
+    if (n, k) in first:
+        src_rows, src_col = first[n, k]
+        signs[rows, col:] = signs[src_rows, src_col:]
+        return
+    if k in (0, n):
+        signs[rows, col:] = 1 if k else -1
+    else:
+        t = rows.start + math.comb(n - 1, k - 1)
+        signs[rows.start:t, col] = 1
+        _fill_subsets(signs, slice(rows.start, t), col + 1, k - 1, first)
+        signs[t:rows.stop, col] = -1
+        _fill_subsets(signs, slice(t, rows.stop), col + 1, k, first)
+    first[n, k] = (rows, col)
 
 
 def _half_signs(u: np.ndarray) -> np.ndarray:
@@ -206,6 +237,7 @@ def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
     covariate-1 stratum.  Covariates beyond the second are ignored.
     The sorted order is cut into n_blocks blocks of size n_B.
     """
+    _check_type("x", x, CovariateMatrix)
     n_sub = x.n_subjects
     _check_int("n_blocks", n_blocks, 1)
     if n_sub % n_blocks:

@@ -232,8 +232,9 @@ def draw_outcomes(
 
 
 def arm_variance(model: ResponseModel, mu: np.ndarray) -> np.ndarray:
-    """Outcome variance of one arm given its mean vector."""
-    mu = np.asarray(mu, dtype=float)
+    """Outcome variance of one arm given its mean vector, which must be a
+    valid mean of the model's outcome law (_checked_mu's ValueError)."""
+    mu = _checked_mu(model, mu, 0)
     kind = model.kind
     if kind == "continuous":
         return np.full_like(mu, 1.0)

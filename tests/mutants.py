@@ -189,8 +189,8 @@ MUTANTS = (
     Mutant(
         "the pattern table's last row treats one subject too many",
         "twoarm/designs.py",
-        "    np.put_along_axis(signs, treated, 1, axis=1)\n",
-        "    np.put_along_axis(signs, treated, 1, axis=1)\n    signs[-1, 0] = 1\n",
+        "    _fill_subsets(signs, slice(0, signs.shape[0]), 0, h, {})\n",
+        "    _fill_subsets(signs, slice(0, signs.shape[0]), 0, h, {})\n    signs[-1, 0] = 1\n",
         (
             "tests/test_designs.py::TestPatternDraws"
             "::test_table_rows_are_the_balanced_halves_in_combinations_order[6]",
@@ -199,6 +199,70 @@ MUTANTS = (
             "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
             "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
         ),
+    ),
+    Mutant(
+        # each block's two halves swapped: the rows in reverse
+        # combinations order, which are the negated patterns, so every
+        # draw is -w and no squared error moves; the order checks and
+        # the draw checks against the reference sampler see it
+        "Pascal's rule writes the subject-in-control rows first",
+        "twoarm/designs.py",
+        "        t = rows.start + math.comb(n - 1, k - 1)\n"
+        "        signs[rows.start:t, col] = 1\n"
+        "        _fill_subsets(signs, slice(rows.start, t), col + 1, k - 1, first)\n"
+        "        signs[t:rows.stop, col] = -1\n"
+        "        _fill_subsets(signs, slice(t, rows.stop), col + 1, k, first)\n",
+        "        t = rows.start + math.comb(n - 1, k)\n"
+        "        signs[rows.start:t, col] = -1\n"
+        "        _fill_subsets(signs, slice(rows.start, t), col + 1, k, first)\n"
+        "        signs[t:rows.stop, col] = 1\n"
+        "        _fill_subsets(signs, slice(t, rows.stop), col + 1, k - 1, first)\n",
+        (
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_table_rows_are_the_balanced_halves_in_combinations_order[6]",
+            "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-682]",
+        ),
+    ),
+    Mutant(
+        "Pascal's rule fills the subject-treated rows over k-subsets, not (k - 1)-subsets",
+        "twoarm/designs.py",
+        "        _fill_subsets(signs, slice(rows.start, t), col + 1, k - 1, first)\n",
+        "        _fill_subsets(signs, slice(rows.start, t), col + 1, k, first)\n",
+        (
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_table_rows_are_the_balanced_halves_in_combinations_order[4]",
+            "tests/test_designs.py::TestSampling::test_every_draw_balanced_within_blocks",
+            "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
+        ),
+    ),
+    Mutant(
+        # the same table, but the build holds a copy of every block
+        "the pattern build memoises a copy of each (n, k) block",
+        "twoarm/designs.py",
+        "    first[n, k] = (rows, col)\n",
+        "    first[n, k] = (rows, col, signs[rows, col:].copy())\n",
+        (
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_each_table_is_built_once_and_keeps_no_subtable",
+        ),
+    ),
+    Mutant(
+        "the pattern table is built again on every call",
+        "twoarm/designs.py",
+        "@functools.cache\ndef _pattern_table(",
+        "def _pattern_table(",
+        (
+            "tests/test_designs.py::TestPatternDraws"
+            "::test_each_table_is_built_once_and_keeps_no_subtable",
+        ),
+    ),
+    Mutant(
+        "the exact ranks are computed again on every call",
+        "twoarm/montecarlo.py",
+        "@functools.cache\ndef _exact_ranks(",
+        "def _exact_ranks(",
+        ("tests/test_montecarlo.py::TestRunCell::test_cached_ranks_give_the_reports_of_a_cold_cache",),
     ),
     Mutant(
         # the reversed rows are the negated patterns: the same support in

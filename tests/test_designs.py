@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +70,16 @@ class TestDesignSpec:
             DesignSpec("block", w_star=Allocation([1, -1]))
         with pytest.raises(ValueError):
             DesignSpec("nope", blocking=Blocking.single(4))
+
+    def test_rejects_structures_that_are_not_their_types(self):
+        with pytest.raises(ValueError, match="^blocking must be a Blocking, got list$"):
+            DesignSpec.block([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="^blocking must be a Blocking, got ndarray$"):
+            DesignSpec.pm(np.zeros(4))
+        with pytest.raises(ValueError, match="^blocking must be a Blocking, got ndarray$"):
+            DesignSpec("bcrd", blocking=np.zeros(4))
+        with pytest.raises(ValueError, match="^w_star must be a Allocation, got ndarray$"):
+            DesignSpec.pb(np.array([1, -1, 1, -1]))
 
 
 class TestSampling:
@@ -260,6 +272,33 @@ class TestPatternDraws:
         treated = [tuple(np.flatnonzero(row > 0)) for row in signs]
         assert treated == list(itertools.combinations(range(m), m // 2))
 
+    def test_each_table_is_built_once_and_keeps_no_subtable(self):
+        # tracemalloc sees numpy's array allocations.  The build writes
+        # the table in place: its peak is the table and some KB of
+        # Python objects, where a copy of each (n, k) subtable would add
+        # over 300 KB, and with
+        # the collector off even a subtable held in a reference cycle
+        # would stay beside the table.
+        _pattern_table.cache_clear()
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _pattern_table(16)
+            kept, peak = (v - before for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert table.nbytes == math.comb(16, 8) * 16
+        assert table.nbytes <= kept <= peak < table.nbytes + 65_536
+        for m in (4, 16, 4, 16, 4):
+            assert _pattern_table(m) is _pattern_table(m)
+        info = _pattern_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 9, 2)
+        assert _pattern_table(16) is table
+
 
 class TestDesignCovariance:
     @pytest.mark.parametrize(
@@ -431,6 +470,10 @@ class TestBuildBlocking:
         with pytest.raises(ValueError):
             build_blocking(x, 0)
 
+    def test_rejects_covariates_that_are_not_a_covariate_matrix(self):
+        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
+            build_blocking(np.zeros((4, 1)), 2)
+
 
 class TestMahalanobisGram:
     def test_single_covariate_example(self):
@@ -550,6 +593,14 @@ class TestGreedyPairSwitch:
         # an ndarray x used to raise AttributeError on x.n_subjects
         with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
             greedy_pair_switch(np.arange(4.0)[:, None], 1, substream(17, "greedy"))
+
+    def test_imbalance_rejects_arguments_that_are_not_their_types(self):
+        x = CovariateMatrix(np.arange(4.0)[:, None])
+        w = Allocation([1, -1, 1, -1])
+        with pytest.raises(ValueError, match="^x must be a CovariateMatrix, got ndarray$"):
+            mahalanobis_imbalance(np.zeros((4, 1)), w)
+        with pytest.raises(ValueError, match="^w must be a Allocation, got list$"):
+            mahalanobis_imbalance(x, [1, -1, 1, -1])
 
 
 def _random_starts(count, n_subjects, seed):

@@ -699,6 +699,28 @@ class TestRunCell:
         assert isinstance(a, CriterionReport)
         assert a == b
 
+    def test_cached_ranks_give_the_reports_of_a_cold_cache(self):
+        # The ranks are cached per N.  Each size is summarised once on a
+        # cleared cache and then again, in another order, on the warm
+        # one: a cache keyed on anything but N would hand one size's
+        # ranks to another.
+        sizes = (2, 3, 1000, 2500, 12500)
+        samples = {n: np.square(substream(n, "rank-cache").normal(0.0, 1.0, n)) for n in sizes}
+        cold = {}
+        for n in sizes:
+            _exact_ranks.cache_clear()
+            cold[n] = _report_of(samples[n])
+        _exact_ranks.cache_clear()
+        for n in sizes:
+            assert _report_of(samples[n]) == cold[n]
+        for n in reversed(sizes):
+            assert _report_of(samples[n]) == cold[n]
+        info = _exact_ranks.cache_info()
+        assert (info.misses, info.currsize) == (len(sizes), len(sizes))
+        assert {n: _exact_ranks(n) for n in sizes} == {
+            n: _exact_ranks.__wrapped__(n) for n in sizes
+        }
+
     def test_summarises_a_given_sample(self):
         cfg = _pm_cell(n_reps=2000)
         sq = simulate_squared_errors([cfg], "some panel")[0]

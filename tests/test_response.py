@@ -299,6 +299,42 @@ class TestArmVariance:
         mu_c = np.array([0.5, 1.5])
         np.testing.assert_allclose(residual_variances(model, mu_t, mu_c), [1.5, 3.5])
 
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            ([[1.0], [1.0, 2.0]], "^mu must be 1-D, got a ragged sequence$"),
+            (["a"], "^mu must be numeric, got dtype <U1$"),
+            ([[1.0, 2.0]], "^mu must be 1-D$"),
+            ([1.0, np.nan], "^mu must be finite, got nan$"),
+            ([-1.0], "^count means must be > 0$"),
+        ],
+        ids=["ragged", "string", "2-D", "nan", "negative"],
+    )
+    def test_rejects_a_mean_that_is_not_valid(self, mu, message):
+        model = default_model("count", 1)
+        with pytest.raises(ValueError, match=message):
+            arm_variance(model, mu)
+        with pytest.raises(ValueError, match=message):
+            residual_variances(model, [1.0], mu)
+
+    @pytest.mark.parametrize(
+        "kind, mu, message",
+        [
+            ("incidence", [1.5], "^incidence means must lie in \\[0, 1\\]$"),
+            ("proportion", [0.0], "^proportion means must lie strictly in \\(0, 1\\)$"),
+            ("survival", [0.0], "^survival means must be > 0$"),
+        ],
+    )
+    def test_each_law_checks_its_means(self, kind, mu, message):
+        with pytest.raises(ValueError, match=message):
+            arm_variance(default_model(kind, 1), mu)
+
+    def test_returns_a_fresh_writeable_array(self):
+        mu = np.array([0.5, 2.0])
+        for kind in ("continuous", "count"):
+            var = arm_variance(default_model(kind, 1), mu)
+            assert var.flags.writeable and not np.shares_memory(var, mu)
+
 
 class TestCovariateSource:
     def test_validation(self):
