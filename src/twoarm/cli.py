@@ -81,6 +81,8 @@ _PRESETS["exp"] = dict(_PRESETS["fig1"], covariates="exponential")
 
 # Covariate counts a grid may use.
 _P_VALUES = range(1, 6)
+# Every panel file name that emit_plot_data may write or remove.
+_PANEL_FILES = tuple(f"{resp}_p{p}.csv" for resp in RESPONSE_KINDS for p in _P_VALUES)
 
 
 class ConfigError(ValueError):
@@ -370,11 +372,9 @@ def emit_plot_data(rows: list[dict], out_dir: Path) -> list[Path]:
         path = out_dir / f"{resp}_p{p}.csv"
         _write_csv(path, columns, series)
         written.append(path)
-    for resp in RESPONSE_KINDS:
-        for p in _P_VALUES:
-            path = out_dir / f"{resp}_p{p}.csv"
-            if path not in written:
-                path.unlink(missing_ok=True)
+    for name in _PANEL_FILES:
+        if out_dir / name not in written:
+            (out_dir / name).unlink(missing_ok=True)
     return written
 
 
@@ -406,8 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(grid.out_dir)
         # an unusable output path fails here, before any cell runs
         (out_dir / "panels").mkdir(parents=True, exist_ok=True)
-        if (out_dir / "results.csv").is_dir():
-            raise IsADirectoryError(f"{out_dir / 'results.csv'} is a directory")
+        for path in [out_dir / "results.csv", *(out_dir / "panels" / f for f in _PANEL_FILES)]:
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

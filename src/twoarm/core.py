@@ -147,24 +147,20 @@ class Blocking:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Blocking":
-        """Build a size-2 blocking from an iterable of index pairs."""
-        pairs = [tuple(p) if np.iterable(p) else (p,) for p in pairs]
-        for p in pairs:
-            if len(p) != 2:
-                raise ValueError(f"a pair must be two indices, got {p}")
-        pairs = [tuple(_check_int("pair index", i, 0) for i in p) for p in pairs]
-        n = 2 * len(pairs)
-        block_of = np.full(n, -1, dtype=np.int64)
-        for b, (i, j) in enumerate(pairs):
-            if i == j:
-                raise ValueError("a pair cannot repeat an index")
-            for k in (i, j):
-                if not 0 <= k < n:
-                    raise ValueError(f"pair index {k} out of range for 2n={n}")
-                if block_of[k] >= 0:
-                    raise ValueError(f"subject {k} appears in two pairs")
-                block_of[k] = b
-        return cls(block_of)
+        """The size-2 blocking whose block b is row b of pairs, an (n, 2)
+        array or sequence that holds each subject index 0..2n-1 once."""
+        pairs = _frozen("pair index", pairs, 2, np.int64)
+        if pairs.shape[1] != 2:
+            raise ValueError(f"a pair must be two indices, got {pairs.shape[1]}")
+        n = pairs.size
+        if (outside := pairs[(pairs < 0) | (pairs >= n)]).size:
+            raise ValueError(f"pair index {outside[0]} out of range for 2n={n}")
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            raise ValueError("a pair cannot repeat an index")
+        if (reused := np.bincount(pairs.ravel(), minlength=n) > 1).any():
+            raise ValueError(f"subject {reused.argmax()} appears in two pairs")
+        # subject s sits at flat position argsort[s], in pair argsort[s] // 2
+        return cls(np.argsort(pairs.ravel()) // 2)
 
     @property
     def n_subjects(self) -> int:

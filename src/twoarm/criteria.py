@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type, _frozen
-from .designs import DesignSpec, _pattern_table, regularized_covariance
+from .designs import DesignSpec, _patterns_at, regularized_covariance
 from .matching import MatchResult, _pair_cost, mahalanobis_distances
 from .montecarlo import CellConfig, simulate_squared_errors
 from .response import ResponseModel, draw_outcomes, potential_means
@@ -121,6 +121,7 @@ def pb_quantile(w_star: Allocation, mu, rho, level: float = 0.95) -> float:
     (s x / 2n)^2, where x solves P(|Z + |m| / s| <= x) = level for a
     standard normal Z, found by bisection to the last float.
     """
+    _check_type("w_star", w_star, Allocation)
     signs = w_star.signs.astype(float)
     mu = _frozen("mu", mu, 1)
     rho = _frozen("rho", rho, 1)
@@ -165,6 +166,8 @@ class OutcomePair:
 
 
 def _check_lengths(w: Allocation, outcomes: OutcomePair) -> None:
+    _check_type("w", w, Allocation)
+    _check_type("outcomes", outcomes, OutcomePair)
     if w.n_subjects != outcomes.n_subjects:
         raise ValueError(
             f"allocation length {w.n_subjects} does not match "
@@ -174,6 +177,7 @@ def _check_lengths(w: Allocation, outcomes: OutcomePair) -> None:
 
 def estimand(outcomes: OutcomePair) -> float:
     """Sample average treatment effect mean(y_T - y_C)."""
+    _check_type("outcomes", outcomes, OutcomePair)
     return float(np.mean(outcomes.y_t - outcomes.y_c))
 
 
@@ -205,11 +209,12 @@ def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.nd
 
     Every row is equally likely under the design.  Block-type supports
     are the product of the k = C(n_B, n_B/2) balanced patterns of each
-    block, the rows of the sampler's designs._pattern_table(n_B), so
-    S = k^B, with block 0's pattern varying slowest; pb contributes
-    exactly {w*, -w*}.  Supports larger than max_support are rejected
-    before the table is built.
+    block, so S = k^B: row s is the sampler's own designs._patterns_at
+    of the B base-k digits of s, block 0's most significant, so block
+    0's pattern varies slowest; pb contributes exactly {w*, -w*}.
+    Supports larger than max_support are rejected before any is built.
     """
+    _check_type("spec", spec, DesignSpec)
     if spec.kind == "pb":
         w = spec.w_star.signs
         return np.stack([w, -w]).astype(np.int8)
@@ -218,11 +223,7 @@ def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.nd
     k = math.comb(m, m // 2)
     if k**n_blocks > max_support:
         raise ValueError(f"design support exceeds {max_support} allocations")
-    pats = _pattern_table(m).view(np.int8).reshape(k, m)
-    digits = np.unravel_index(np.arange(k**n_blocks), (k,) * n_blocks)
-    out = np.empty((k**n_blocks, spec.n_subjects), dtype=np.int8)
-    out[:, members] = pats[np.stack(digits, axis=1)]
-    return out
+    return _patterns_at(members, np.indices((k,) * n_blocks).reshape(n_blocks, -1).T)
 
 
 def _support_squared_errors(
@@ -243,6 +244,8 @@ def enumerate_design_oracle(
     the support with equal weight, which is exact for block-type
     designs (independent uniform blocks) and for pb ({w*, -w*}).
     """
+    _check_type("spec", spec, DesignSpec)
+    _check_type("outcomes", outcomes, OutcomePair)
     if outcomes.n_subjects != spec.n_subjects:
         raise ValueError(
             f"outcomes have {outcomes.n_subjects} subjects but the design "
@@ -273,6 +276,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
     within-pair covariate gaps shrink as n grows because interval
     widths shrink while groups stay pairable.
     """
+    _check_type("x", x, CovariateMatrix)
     vals = x.values
     n_sub, p = x.n_subjects, x.n_covariates
     n = x.n_pairs
@@ -303,6 +307,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
 
 def pair_gap_diagnostic(pairing: Blocking, mu) -> float:
     """Average squared within-pair gap of a mean vector: (1/n) sum (mu_a - mu_b)^2."""
+    _check_type("pairing", pairing, Blocking)
     mu = _frozen("mu", mu, 1)
     if mu.shape[0] != pairing.n_subjects:
         raise ValueError("mu length must match the pairing")
@@ -328,6 +333,7 @@ def variance_decomposition_terms(
     its conditional variance is 0); supports too large to enumerate
     are rejected.
     """
+    _check_type("spec", spec, DesignSpec)
     _check_int("n_draws", n_draws, 2)
     _check_type("x", x, CovariateMatrix)
     if x.n_subjects != spec.n_subjects:

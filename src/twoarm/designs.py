@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type
+from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type, _frozen
 from .streams import row_blocks, slices
 
 DESIGN_KINDS = ("bcrd", "block", "pm", "pb")
@@ -92,37 +92,44 @@ def sample_allocations(
     of each block treated; pb flips a fair coin between w* and -w*.
     Blocks of n_B <= _TABLE_MAX subjects take one
     rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16) draw,
-    row-major over (row, block), and each index picks its block's signs
-    whole from _pattern_table(n_B), a row block at a time; the
-    pattern's k-th sign goes to the block's k-th member.  Larger blocks
+    row-major over (row, block), and _patterns_at places the drawn
+    patterns: the gather that criteria.enumerate_allocations runs over
+    every index of the support.  Larger blocks
     draw each design block's (n_draws, n_B) uniforms in the row blocks
     of streams.row_blocks, which consume rng exactly as one
     (n_draws, n_B) draw does, and _half_signs treats each row's n_B / 2
     smallest uniforms.
     """
+    _check_type("spec", spec, DesignSpec)
     _check_int("n_draws", n_draws, 0)
-    n_sub = spec.n_subjects
     if spec.kind == "pb":
         coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
         return coin[:, None] * spec.w_star.signs[None, :]
-    out = np.empty((n_draws, n_sub), dtype=np.int8)
     blocks = spec.blocking.blocks()
     n_blocks, m = blocks.shape
     if m <= _TABLE_MAX:
-        table = _pattern_table(m)
-        index = rng.integers(0, table.shape[0], (n_draws, n_blocks), dtype=np.int16)
-        # A gathered row holds subject blocks[b, k] in column b * n_B + k;
-        # the inverse permutation puts each subject back in its column.
-        # Row blocks bound the intp copy that np.take makes of the index.
-        to_subject = np.argsort(blocks.ravel())
-        for rows in row_blocks(n_draws, n_sub):
-            signs = np.take(table, index[rows]).view(np.int8)
-            np.take(signs, to_subject, axis=1, out=out[rows])
-        return out
+        k = math.comb(m, m // 2)
+        return _patterns_at(blocks, rng.integers(0, k, (n_draws, n_blocks), dtype=np.int16))
+    out = np.empty((n_draws, spec.n_subjects), dtype=np.int8)
     row_slices = row_blocks(n_draws, m)
     for members in blocks:
         for rows in row_slices:
             out[rows, members] = _half_signs(rng.random((rows.stop - rows.start, m)))
+    return out
+
+
+def _patterns_at(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The (rows, 2n) int8 allocations whose block b takes row index[r, b]
+    of _pattern_table(n_B), the pattern's k-th sign at subject blocks[b, k]."""
+    out = np.empty((index.shape[0], blocks.size), dtype=np.int8)
+    table = _pattern_table(blocks.shape[1])
+    # A gathered row holds subject blocks[b, k] in column b * n_B + k, and
+    # the inverse permutation puts each subject back in its column.  Row
+    # blocks bound the intp copy that np.take makes of the index.
+    to_subject = np.argsort(blocks.ravel())
+    for rows in row_blocks(index.shape[0], blocks.size):
+        signs = np.take(table, index[rows]).view(np.int8)
+        np.take(signs, to_subject, axis=1, out=out[rows])
     return out
 
 
@@ -140,8 +147,8 @@ def _pattern_table(m: int) -> np.ndarray:
     np.void of m int8 signs, so a gather moves a pattern whole.  The
     rows are written in place by Pascal's rule (_fill_subsets), and the
     build holds no array beside the table.  Built on first use, once per
-    m and process: the sampler and the support enumeration read the
-    same table.
+    m and process: the sampler and the support enumeration gather from
+    it through one _patterns_at.
     """
     h = m // 2
     signs = np.empty((math.comb(m, h), m), dtype=np.int8)
@@ -214,6 +221,7 @@ def design_covariance(spec: DesignSpec) -> np.ndarray:
     is the rank-one outer product w* w*'.  Only the checks use it; the
     grid never does.
     """
+    _check_type("spec", spec, DesignSpec)
     if spec.kind == "pb":
         w = spec.w_star.signs.astype(float)
         sigma = np.outer(w, w)
@@ -255,7 +263,7 @@ def build_blocking(x: CovariateMatrix, n_blocks: int) -> Blocking:
 
 def regularized_covariance(values: np.ndarray) -> np.ndarray:
     """Unbiased covariate covariance, ridged only when near-singular."""
-    values = np.asarray(values, dtype=float)
+    values = _frozen("values", values, 2)
     p = values.shape[1]
     s = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     trace = float(np.trace(s))
@@ -271,6 +279,7 @@ def mahalanobis_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(g, h) of the metric M = regularized_covariance(values)^-1: the
     Gram matrix g = X M X', whose w'gw is pb's imbalance, and the squared
     distances h_ij = g_ii + g_jj - 2 g_ij, whose diagonal is exactly 0."""
+    values = _frozen("values", values, 2)
     m = np.linalg.inv(regularized_covariance(values))
     g = values @ m @ values.T
     gd = np.diag(g)

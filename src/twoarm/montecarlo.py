@@ -207,13 +207,13 @@ _PANEL_FIELDS = ("model", "x", "n_reps", "master_seed")
 
 
 def _panel_cell(cells: list, panel_id: str) -> CellConfig:
-    """The first cell of a panel, once every cell shares its _PANEL_FIELDS.
-
-    model and x must be the same objects; n_reps and master_seed equal."""
+    """The first cell of a panel, once every cell is a CellConfig sharing
+    its _PANEL_FIELDS: model and x the same objects, n_reps and master_seed equal."""
     if not cells:
         raise ValueError(f"panel {panel_id!r} has no cells")
     first = cells[0]
-    for cfg in cells[1:]:
+    for cfg in cells:
+        _check_type("cells entries", cfg, CellConfig)
         for name in _PANEL_FIELDS:
             mine, theirs = getattr(cfg, name), getattr(first, name)
             # model and x hold arrays: sharing them means one object
@@ -297,6 +297,7 @@ def run_cell(cfg: CellConfig, sq: np.ndarray | None = None) -> CriterionReport:
     times _approx_q95_se.  No random number is drawn, so the report
     depends on sq alone, not on the cell id or the master seed.
     """
+    _check_type("cfg", cfg, CellConfig)
     if sq is None:
         (sq,) = simulate_squared_errors([cfg], cfg.cell_id)
     sq = np.asarray(sq, dtype=float)

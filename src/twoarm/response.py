@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovariateMatrix, _check_int, _frozen
+from .core import CovariateMatrix, _check_int, _check_type, _frozen
 from .streams import row_blocks
 
 RESPONSE_KINDS = ("continuous", "incidence", "proportion", "count", "survival")
@@ -121,6 +121,7 @@ def draw_covariates(
     n_covariates: int,
     rng: np.random.Generator,
 ) -> CovariateMatrix:
+    _check_type("source", source, CovariateSource)
     n_subjects = _check_int("n_subjects", n_subjects, 4)
     shape = (n_subjects, _check_int("n_covariates", n_covariates, 1))
     # Written out as low + (high - low) * u and as 1 / rate of the rate,
@@ -161,6 +162,8 @@ def potential_means(
     model: ResponseModel, x: CovariateMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mu_T, mu_C) for every subject."""
+    _check_type("model", model, ResponseModel)
+    _check_type("x", x, CovariateMatrix)
     if x.n_covariates != model.n_covariates:
         raise ValueError("covariate count must match beta length")
     base = model.beta0 + x.values @ model.beta
@@ -171,6 +174,7 @@ def potential_means(
 
 def _checked_mu(model: ResponseModel, mu, n_draws: int) -> np.ndarray:
     """mu as a float vector, once it and n_draws are valid for a draw."""
+    _check_type("model", model, ResponseModel)
     mu = _frozen("mu", mu, 1)
     _check_int("n_draws", n_draws, 0)
     kind = model.kind

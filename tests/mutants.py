@@ -164,8 +164,8 @@ MUTANTS = (
     Mutant(
         "the pattern index drawn from C - 1 patterns",
         "twoarm/designs.py",
-        "rng.integers(0, table.shape[0], ",
-        "rng.integers(0, table.shape[0] - 1, ",
+        "rng.integers(0, k, (n_draws, n_blocks)",
+        "rng.integers(0, k - 1, (n_draws, n_blocks)",
         (
             "tests/test_designs.py::TestPatternDraws"
             "::test_uniform_over_the_whole_support_at_2n_8[pm]",
@@ -184,6 +184,37 @@ MUTANTS = (
             "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[48-682]",
             "tests/test_designs.py::TestPatternDraws"
             "::test_uniform_over_the_whole_support_at_2n_8[B=2]",
+            # the support enumeration runs the same placement
+            "tests/test_designs.py::TestEnumerateAllocations"
+            "::test_support_rows_in_oracle_order_on_permuted_ids",
+        ),
+    ),
+    Mutant(
+        # the support is closed under negation, so every balance and law
+        # check passes and no squared error moves; only the checks of
+        # the order against the oracles see it
+        "the shared pattern gather flips every sign",
+        "twoarm/designs.py",
+        "signs = np.take(table, index[rows]).view(np.int8)",
+        "signs = -np.take(table, index[rows]).view(np.int8)",
+        (
+            "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
+            "tests/test_designs.py::TestEnumerateAllocations"
+            "::test_support_rows_in_oracle_order_on_permuted_ids",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[8-682]",
+        ),
+    ),
+    Mutant(
+        "from_pairs drops its reuse check",
+        "twoarm/core.py",
+        "        if (reused := np.bincount(pairs.ravel(), minlength=n) > 1).any():\n"
+        '            raise ValueError(f"subject {reused.argmax()} appears in two pairs")\n',
+        "",
+        (
+            "tests/test_core.py::TestBlocking::test_from_pairs_rejects_reuse",
+            "tests/test_core.py::TestBlocking::test_from_pairs_rejects_bad_pairs_by_name[reuse]",
+            "tests/test_core.py::TestBlocking"
+            "::test_from_pairs_rejects_bad_pairs_by_name[reuse-reversed]",
         ),
     ),
     Mutant(
@@ -266,15 +297,18 @@ MUTANTS = (
     ),
     Mutant(
         # the reversed rows are the negated patterns: the same support in
-        # another order, so only the order checks against the oracle see it
+        # another order, so only the order checks against the oracle and
+        # the sampler's digits see it
         "the enumeration reads the pattern table in reverse order",
         "twoarm/criteria.py",
-        "pats = _pattern_table(m).view(np.int8).reshape(k, m)\n",
-        "pats = _pattern_table(m).view(np.int8).reshape(k, m)[::-1]\n",
+        "_patterns_at(members, np.indices(",
+        "_patterns_at(members, k - 1 - np.indices(",
         (
             "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
             "tests/test_designs.py::TestEnumerateAllocations"
             "::test_support_rows_in_oracle_order_on_permuted_ids",
+            "tests/test_designs.py::TestEnumerateAllocations"
+            "::test_sampler_draws_the_support_rows_numbered_by_their_digits",
         ),
     ),
     Mutant(

@@ -558,6 +558,26 @@ class TestMain:
         assert ran == []
         assert str(blocker) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["continuous_p1.csv", "survival_p5.csv"])
+    def test_panel_file_that_is_a_directory_exits_two_before_any_cell(
+        self, tmp_path, capsys, name
+    ):
+        # a panel file the grid writes, or one it removes as stale:
+        # emit_plot_data would meet either only after every cell had run
+        out = tmp_path / "run"
+        blocker = out / "panels" / name
+        blocker.mkdir(parents=True)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "seed=7\nreps=300\nn_subjects=8\nresponses=continuous\n"
+            f"p=1\nblocks=1\nout={out}\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg)]) == 2
+        assert f"error: {blocker} is a directory" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        assert blocker.is_dir()
+
     def test_failing_cells_exit_one(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, sq=None):
             raise RuntimeError("cell exploded")

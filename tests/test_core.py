@@ -180,14 +180,41 @@ class TestBlocking:
 
     def test_from_pairs_rejects_non_integer_indices(self):
         # int() would truncate 1.7 to the pair (0, 1)
-        with pytest.raises(ValueError, match="pair index must be an integer, got 1.7"):
+        with pytest.raises(ValueError, match="pair index must be integers, got 1.7"):
             Blocking.from_pairs([(0, 1.7), (2, 3)])
         assert Blocking.from_pairs([(np.int64(0), 1), (2, 3)]).pairs() == [(0, 1), (2, 3)]
 
     def test_from_pairs_rejects_entries_that_are_not_two_indices(self):
-        for bad in ([(0, 1, 2), (3, 4, 5)], [(0,), (1, 2)], [0, (1, 2)]):
-            with pytest.raises(ValueError, match="a pair must be two indices, got"):
+        with pytest.raises(ValueError, match="a pair must be two indices, got 3"):
+            Blocking.from_pairs([(0, 1, 2), (3, 4, 5)])
+        for bad in ([(0,), (1, 2)], [0, (1, 2)]):
+            with pytest.raises(ValueError, match="pair index must be 2-D, got a ragged sequence"):
                 Blocking.from_pairs(bad)
+
+    def test_from_pairs_takes_an_integer_array_and_numpy_ints(self):
+        pairs = np.array([[4, 1], [0, 5], [3, 2]])
+        blocking = Blocking.from_pairs(pairs)
+        np.testing.assert_array_equal(blocking.block_of, [1, 0, 2, 2, 0, 1])
+        assert Blocking.from_pairs(pairs.astype(np.int16)).pairs() == [(0, 5), (1, 4), (2, 3)]
+        listed = [(np.int32(i), np.uint8(j)) for i, j in pairs]
+        np.testing.assert_array_equal(Blocking.from_pairs(listed).block_of, blocking.block_of)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (np.array([[True, False], [False, True]]), "^pair index must be numeric, got dtype bool$"),
+            (np.arange(6).reshape(2, 3), "^a pair must be two indices, got 3$"),
+            ([0, 1, 2, 3], "^pair index must be 2-D$"),
+            ([(0, -1), (2, 3)], "^pair index -1 out of range for 2n=4$"),
+            ([(0, 2), (1, 2), (3, 4)], "^subject 2 appears in two pairs$"),
+            ([(0, 1), (2, 3), (1, 0)], "^subject 0 appears in two pairs$"),
+            ([(0, np.nan), (2, 3)], "^pair index must be finite, got nan$"),
+        ],
+        ids=["bools", "three-columns", "1-D", "negative", "reuse", "reuse-reversed", "nan"],
+    )
+    def test_from_pairs_rejects_bad_pairs_by_name(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            Blocking.from_pairs(pairs)
 
     def test_rejects_uneven_blocks(self):
         with pytest.raises(ValueError):

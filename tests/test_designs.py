@@ -388,6 +388,24 @@ class TestEnumerateAllocations:
                     block_allocations(ids),
                 )
 
+    @pytest.mark.parametrize("n_subjects", [4, 8, 12, 16])
+    def test_sampler_draws_the_support_rows_numbered_by_their_digits(self, n_subjects):
+        # a twin stream redraws the sampler's (N, B) pattern indices; read
+        # as B base-k digits, block 0's the most significant, each row's
+        # indices number the support row that the sampler returned
+        rng = np.random.default_rng(200 + n_subjects)
+        for b in _block_counts(n_subjects):
+            spec = DesignSpec.block(Blocking(_permuted_ids(n_subjects, b, rng)))
+            m = n_subjects // b
+            k = math.comb(m, m // 2)
+            draws = sample_allocations(spec, 300, substream(61, n_subjects, b))
+            twin = substream(61, n_subjects, b)
+            index = twin.integers(0, k, (300, b), dtype=np.int16).astype(np.intp)
+            support = enumerate_allocations(spec)
+            np.testing.assert_array_equal(
+                draws, support[np.ravel_multi_index(index.T, (k,) * b)]
+            )
+
     def test_support_cap(self):
         with pytest.raises(ValueError):
             enumerate_allocations(DesignSpec.bcrd(30), max_support=1000)
@@ -501,6 +519,22 @@ class TestMahalanobisGram:
         g, h = mahalanobis_gram(vals)
         assert np.isfinite(g).all()
         np.testing.assert_allclose(h, mahalanobis_gram(vals[:, :1])[1], rtol=1e-7)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([[0.0, 1.0], [2.0], [3.0, 4.0], [5.0, 6.0]], "^values must be 2-D, got a ragged sequence$"),
+            ([["a", "b"], ["c", "d"]], "^values must be numeric, got dtype <U1$"),
+            (np.arange(4.0), "^values must be 2-D$"),
+            ([[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0], [5.0, 6.0]], "^values must be finite, got inf$"),
+        ],
+        ids=["ragged", "strings", "1-D", "non-finite"],
+    )
+    def test_bad_values_fail_by_name(self, values, message):
+        # ragged rows used to raise numpy's unnamed inhomogeneous-shape error
+        for f in (mahalanobis_gram, regularized_covariance):
+            with pytest.raises(ValueError, match=message):
+                f(values)
 
 
 class TestRegularizedCovariance:

@@ -246,3 +246,64 @@ def test_every_mutant_entry_applies_once_and_names_existing_tests():
             path = ROOT / file
             assert path.is_file(), node
             assert re.sub(r"\[.*\]$", "", test) in _test_node_ids(path), node
+
+
+def _typed_argument_calls():
+    """(argument name, class name, call of one bad value) for every typed
+    argument of the library's functions, the others valid."""
+    from twoarm.core import Allocation, Blocking, CovariateMatrix
+    from twoarm.criteria import (
+        OutcomePair, enumerate_allocations, enumerate_design_oracle, estimand,
+        estimate, match_grid, pair_gap_diagnostic, pb_quantile, squared_error,
+        variance_decomposition_terms,
+    )
+    from twoarm.designs import DesignSpec, design_covariance, sample_allocations
+    from twoarm.montecarlo import CellConfig, run_cell, simulate_squared_errors
+    from twoarm.response import (
+        CovariateSource, arm_variance, default_model, draw_covariates,
+        draw_outcomes, potential_means, residual_variances,
+    )
+
+    x = CovariateMatrix(np.arange(16.0).reshape(8, 2))
+    model = default_model("continuous", 2)
+    spec = DesignSpec.bcrd(8)
+    w = Allocation([1, -1] * 4)
+    outcomes = OutcomePair(np.zeros(8), np.ones(8))
+    mu = np.full(8, 0.5)
+    cfg = CellConfig("cell", model, x, spec, 4, 1)
+    rng = np.random.default_rng(0)
+    return [
+        ("spec", "DesignSpec", lambda v: sample_allocations(v, 2, rng)),
+        ("spec", "DesignSpec", design_covariance),
+        ("source", "CovariateSource", lambda v: draw_covariates(v, 8, 2, rng)),
+        ("model", "ResponseModel", lambda v: potential_means(v, x)),
+        ("x", "CovariateMatrix", lambda v: potential_means(model, v)),
+        ("model", "ResponseModel", lambda v: draw_outcomes(v, mu, rng, 2)),
+        ("model", "ResponseModel", lambda v: arm_variance(v, mu)),
+        ("model", "ResponseModel", lambda v: residual_variances(v, mu, mu)),
+        ("cfg", "CellConfig", run_cell),
+        ("cells entries", "CellConfig", lambda v: simulate_squared_errors([v], "panel")),
+        ("cells entries", "CellConfig", lambda v: simulate_squared_errors([cfg, v], "panel")),
+        ("w_star", "Allocation", lambda v: pb_quantile(v, mu, mu)),
+        ("pairing", "Blocking", lambda v: pair_gap_diagnostic(v, mu)),
+        ("x", "CovariateMatrix", lambda v: match_grid(v, rng)),
+        ("spec", "DesignSpec", enumerate_allocations),
+        ("spec", "DesignSpec", lambda v: enumerate_design_oracle(v, outcomes)),
+        ("outcomes", "OutcomePair", lambda v: enumerate_design_oracle(spec, v)),
+        ("w", "Allocation", lambda v: estimate(v, outcomes)),
+        ("outcomes", "OutcomePair", lambda v: estimate(w, v)),
+        ("w", "Allocation", lambda v: squared_error(v, outcomes)),
+        ("outcomes", "OutcomePair", lambda v: squared_error(w, v)),
+        ("outcomes", "OutcomePair", estimand),
+        ("spec", "DesignSpec", lambda v: variance_decomposition_terms(v, model, x, 4, rng)),
+        ("model", "ResponseModel", lambda v: variance_decomposition_terms(spec, v, x, 4, rng)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [np.zeros(8), "bcrd", (1, 2), None], ids=lambda v: type(v).__name__)
+def test_every_typed_argument_fails_by_name_and_class(bad):
+    # each used to raise AttributeError on its first attribute read
+    for name, cls, call in _typed_argument_calls():
+        got = type(bad).__name__
+        with pytest.raises(ValueError, match=f"^{name} must be a {cls}, got {got}$"):
+            call(bad)
