@@ -28,7 +28,8 @@ import numpy as np
 def _frozen(name: str, values, ndim: int, dtype=float) -> np.ndarray:
     """A read-only dtype copy of values with ndim axes, or a ValueError that
     starts with name: for ragged input, a type other than integer or float
-    (strings, None, bools), another rank, or a non-finite or non-integral entry."""
+    (strings, None, bools, a bool entry among numbers), another rank, or a
+    non-finite or non-integral entry."""
     rank = f"{ndim}-D" if ndim else "a scalar"
     try:
         raw = np.asarray(values)
@@ -36,6 +37,12 @@ def _frozen(name: str, values, ndim: int, dtype=float) -> np.ndarray:
         raise ValueError(f"{name} must be {rank}, got a ragged sequence") from None
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be numeric, got dtype {raw.dtype}")
+    # numpy casts the bools of a mixed sequence to numbers; an array is
+    # already whole-typed, so only outside sequences pay for the scan
+    if not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise ValueError(f"{name} must be numeric, got a bool entry")
     if raw.ndim != ndim:
         raise ValueError(f"{name} must be {rank}")
     if not (finite := np.isfinite(raw)).all():

@@ -286,8 +286,8 @@ def mahalanobis_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, gd[:, None] + gd[None, :] - 2.0 * g
 
 
-# Restarts descended together in one lockstep batch.  It bounds the
-# (chunk, n, n) work array, which stays in cache at the preset 2n=96.
+# Restarts descended at once: the width of the lockstep pool.  It bounds
+# the (chunk, n, n) work array, which stays in cache at the preset 2n=96.
 _RESTART_CHUNK = 32
 
 
@@ -297,41 +297,44 @@ def _objectives(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _descend_lockstep(g: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Greedy best-swap descent on obj(w) = w'Gw of every row of w at once.
+    """Greedy best-swap descent on obj(w) = w'Gw of every row of w, in a
+    pool of _RESTART_CHUNK rows descending at once.
 
     h is gd_i + gd_j - 2 g_ij (gd the diagonal of g).  Each step, every
-    row still descending applies the swap (i treated, j control) with
-    the lowest delta 4 (h_ij + (gw)_j - (gw)_i), the lowest treated i
-    and then the lowest control j among exact minima on ties (the first
-    in row-major (i, j) order), and stops once no swap lowers its
-    objective by more than 1e-12 (1 + |obj|); rows that stop are
-    dropped.  A row keeps its treated and control subjects in slots tr
-    and ct, in any order, and the block hs[r, t, s] = h[tr[r, s],
-    ct[r, t]]; a swap rewrites one row and one column of hs, so a step
-    adds gw over an n x n block and takes the minimum over its control
-    axis.  The arithmetic is a lone descent's, term by term, so every
-    row ends where descending it alone would: gw is one gemv per row,
-    and the 4.0 scale, a power of two, is exact and applied to the
-    chosen delta only.  Descends the float rows of w in place and
-    returns w.
+    row in the pool applies the swap (i treated, j control) with the
+    lowest delta 4 (h_ij + (gw)_j - (gw)_i), the lowest treated i and
+    then the lowest control j among exact minima on ties (the first in
+    row-major (i, j) order), and stops once no swap lowers its objective
+    by more than 1e-12 (1 + |obj|), or after 100 * 2n swaps of its own.
+    A row that stops is written back to w and hands its slot to the next
+    row not yet started; the pool shrinks only once every row has
+    started.  A slot keeps its row's treated and control subjects in
+    slots tr and ct, in any order, and the block hs[r, t, s] = h[tr[r,
+    s], ct[r, t]]; a swap rewrites one row and one column of hs, so a
+    step adds gw over an n x n block and takes the minimum over its
+    control axis.  The arithmetic is a lone descent's, term by term, so
+    every row ends where descending it alone would: gw is one gemv per
+    row, and the 4.0 scale, a power of two, is exact and applied to the
+    chosen delta only.  Descends the +-1 rows of w (float or int8) in
+    place and returns w.
     """
     n_sub = w.shape[1]
     n = n_sub // 2
-    rows = np.arange(w.shape[0])
-    obj = _objectives(g, w)
+    hf = h.ravel()
+    rows = np.arange(min(_RESTART_CHUNK, w.shape[0]))  # the row of w in each slot
+    live = w[rows].astype(float)
+    obj, steps = _objectives(g, live), np.zeros(rows.size, dtype=np.int64)
     # treated subjects in slots[:, :n], control ones in slots[:, n:]
-    slots = np.argsort(-w, axis=1, kind="stable")
-    tr, ct = slots[:, :n], slots[:, n:]
-    # flat indices into h, all in range, so "clip" only skips the check
-    hs = np.take(h, tr[:, None, :] * n_sub + ct[:, :, None], mode="clip")
+    slots = np.argsort(-live, axis=1, kind="stable")
+    hs = hf[slots[:, None, :n] * n_sub + slots[:, n:, None]]
     buf = np.empty_like(hs)
-    for _ in range(100 * n_sub):
-        if rows.size == 0:
-            break
+    started = rows.size
+    while rows.size:
         k = rows.size
         at = np.arange(k)
-        gw = np.matmul(g, w[rows][:, :, None])[:, :, 0]
-        gws = np.take_along_axis(gw, slots, axis=1)
+        tr, ct = slots[:, :n], slots[:, n:]
+        gw = np.matmul(g, live[:, :, None])[:, :, 0]
+        gws = gw.ravel()[slots + at[:, None] * n_sub]
         gw_tr = gws[:, :n]
         # a[r, t, s] = h[tr_s, ct_t] + gw_ct_t, added as 2-D rows, which
         # numpy runs faster than the same 3-D broadcast
@@ -347,18 +350,31 @@ def _descend_lockstep(g: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray
         d = a[at, :, s] - gw_tr[at, s][:, None]
         t = np.where(d == best[:, None], ct, n_sub).argmin(axis=1)
         best *= 4.0
-        go = best < -1e-12 * (1.0 + np.abs(obj))
-        if not go.all():
-            rows, slots, hs, obj = rows[go], slots[go], hs[go], obj[go]
-            tr, ct = slots[:, :n], slots[:, n:]
-            at, s, t, best = at[: rows.size], s[go], t[go], best[go]
+        stop = np.flatnonzero((best >= -1e-12 * (1.0 + np.abs(obj))) | (steps >= 100 * n_sub))
+        w[rows[stop]] = live[stop]
+        # every slot swaps; a stopped one is refilled or dropped below
         i, j = tr[at, s], ct[at, t]
-        w[rows, i] = -1.0
-        w[rows, j] = 1.0
+        live[at, i] = -1.0
+        live[at, j] = 1.0
         obj += best
+        steps += 1
         tr[at, s], ct[at, t] = j, i
-        hs[at, t] = h[tr, i[:, None]]
-        hs[at, :, s] = h[j[:, None], ct]
+        hs[at, t] = hf[tr * n_sub + i[:, None]]
+        hs[at, :, s] = hf[j[:, None] * n_sub + ct]
+        if stop.size:
+            fill = stop[: w.shape[0] - started]
+            rows[fill] = np.arange(started, started + fill.size)
+            started += fill.size
+            live[fill] = w[rows[fill]]
+            obj[fill], steps[fill] = _objectives(g, live[fill]), 0
+            slots[fill] = np.argsort(-live[fill], axis=1, kind="stable")
+            hs[fill] = hf[slots[fill, None, :n] * n_sub + slots[fill, n:, None]]
+            if fill.size < stop.size:
+                keep = np.ones(k, dtype=bool)
+                keep[stop[fill.size:]] = False
+                rows, live, obj, steps, slots, hs = (
+                    x[keep] for x in (rows, live, obj, steps, slots, hs)
+                )
     return w
 
 
@@ -372,27 +388,24 @@ def greedy_pair_switch(
     applies the single (+1, -1) swap that lowers the Mahalanobis
     imbalance w'gw (g of mahalanobis_gram) the most, the lowest treated
     and then the lowest control subject on ties (the first in row-major
-    scan order), for at most 100 * 2n steps.  The winner is the lowest
-    final objective, earliest restart on ties.  The descents run in
-    lockstep batches of restarts, the streams.slices of _RESTART_CHUNK,
-    each batch spawning its own sub-streams in turn, which changes no
-    restart's start, path or tie-breaks.  A batch's start and final
-    objectives come from one batched product, bitwise w'gw of each row;
-    the batch's first minimum replaces the winner only if it is strictly
-    lower, so the earliest restart still wins a tie.
+    scan order), for at most 100 * 2n steps.  The starts are drawn in
+    the streams.slices of _RESTART_CHUNK, each slice spawning its own
+    sub-streams in turn, and held as int8; all restarts then descend in
+    one _descend_lockstep pool, which changes no restart's start, path
+    or tie-breaks.  The final objectives come from one batched product
+    per slice, bitwise w'gw of each row, and the winner is their first
+    minimum: the lowest final objective, the earliest restart on ties.
     """
     _check_type("x", x, CovariateMatrix)
     _check_int("restarts", restarts, 1)
     n_sub, n = x.n_subjects, x.n_pairs
     g, h = mahalanobis_gram(x.values)
-    best_w, best_obj = None, np.inf
-    for batch in slices(restarts, _RESTART_CHUNK):
+    w = np.full((restarts, n_sub), -1, dtype=np.int8)
+    batches = slices(restarts, _RESTART_CHUNK)
+    for batch in batches:
         children = rng.spawn(batch.stop - batch.start)
-        chunk = np.full((len(children), n_sub), -1.0)
-        for r, child in enumerate(children):
-            chunk[r, child.permutation(n_sub)[:n]] = 1.0
-        objs = _objectives(g, _descend_lockstep(g, h, chunk))
-        k = int(np.argmin(objs))
-        if objs[k] < best_obj:
-            best_w, best_obj = chunk[k], objs[k]
-    return Allocation(best_w.astype(np.int8))
+        for r, child in zip(range(batch.start, batch.stop), children):
+            w[r, child.permutation(n_sub)[:n]] = 1
+    _descend_lockstep(g, h, w)
+    objs = np.concatenate([_objectives(g, w[batch].astype(float)) for batch in batches])
+    return Allocation(w[int(np.argmin(objs))])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -92,7 +93,11 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
     neighbour lists ascend: vertices and neighbours in index order,
     blossoms in creation order (the insertion order of `blossomdual`),
     so ties resolve the same way.  Slacks and vertex duals are doubled,
-    as in the original, and the names follow it.
+    as in the original, and the names follow it.  Each least-slack edge
+    in bestedge keeps its slack in bestslack (inf beside None), written
+    with it and recomputed after every dual update by the same
+    expression on the same duals, so the scan and the delta search
+    compare, without recomputing, the very values the original does.
     """
     nv = len(weight)
     w2 = (2.0 * weight).tolist()
@@ -107,6 +112,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
     edges = [None] * (2 * nv)
     mybestedges = [None] * (2 * nv)
     bestedge = [None] * (2 * nv)
+    bestslack = [inf] * (2 * nv)  # bestedge's slack at the current duals
     dualvar = [maxweight] * nv
     blossomdual = {}  # live blossoms, in creation order
     unused = list(range(2 * nv - 1, nv - 1, -1))
@@ -131,6 +137,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
         label[w] = label[b] = t
         labeledge[w] = labeledge[b] = None if v is None else (v, w)
         bestedge[w] = bestedge[b] = None
+        bestslack[w] = bestslack[b] = inf
         if t == 1:
             if b >= nv:
                 queue.extend(leaves(b))
@@ -202,16 +209,16 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
-                if (
-                    bj != b
-                    and label[bj] == 1
-                    and (bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
-            bestedge[bv] = None
-        mybestedges[b] = list(bestedgeto.values())
+                if bj != b and label[bj] == 1:
+                    kslack = slack(i, j)
+                    if kslack < bestedgeto.get(bj, (inf,))[0]:
+                        bestedgeto[bj] = (kslack, k)
+            bestedge[bv], bestslack[bv] = None, inf
+        mybestedges[b] = [k for _, k in bestedgeto.values()]
         # min keeps the first of equal slacks, as a strict "<" scan does
-        bestedge[b] = min(mybestedges[b], key=lambda k: slack(*k), default=None)
+        bestslack[b], bestedge[b] = min(
+            bestedgeto.values(), key=lambda sk: sk[0], default=(inf, None)
+        )
 
     def walk(step, b, arg):
         # step(b, arg) depth first without recursion: each (b', arg') that a
@@ -239,6 +246,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
             relabel(b)
         label[b] = 0
         labeledge[b] = bestedge[b] = None
+        bestslack[b] = inf
         del blossomdual[b]
         unused.append(b)
 
@@ -271,7 +279,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
         bw = sub[j]
         label[w] = label[bw] = 2
         labeledge[w] = labeledge[bw] = (v, w)
-        bestedge[bw] = None
+        bestedge[bw], bestslack[bw] = None, inf
         j += jstep
         while sub[j] != entrychild:
             bv = sub[j]
@@ -340,6 +348,7 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
         # A stage: label from the single vertices until a path augments.
         label[:] = [0] * (2 * nv)
         labeledge[:] = bestedge[:] = [None] * (2 * nv)
+        bestslack[:] = [inf] * (2 * nv)
         for b in blossomdual:
             mybestedges[b] = None
         allowedge[:] = bytes(nv * nv)
@@ -352,8 +361,10 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
             while queue and not augmented:
                 v = queue.pop()
                 row, dv, w2v = v * nv, dualvar[v], w2[v]
+                bv = inblossom[v]
+                bvslack = bestslack[bv]
                 for w in range(nv):
-                    bv, bw = inblossom[v], inblossom[w]
+                    bw = inblossom[w]
                     if bv == bw:
                         continue
                     if not allowedge[row + w]:
@@ -374,30 +385,28 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                         elif label[w] == 0:
                             label[w] = 2
                             labeledge[w] = (v, w)
+                        # an event may put v in a new blossom with its own best
+                        bv = inblossom[v]
+                        bvslack = bestslack[bv]
                     elif label[bw] == 1:
-                        best = bestedge[bv]
-                        if best is None or kslack < (
-                            dualvar[best[0]] + dualvar[best[1]] - w2[best[0]][best[1]]
-                        ):
+                        if kslack < bvslack:
                             bestedge[bv] = (v, w)
-                    elif label[w] == 0:
-                        best = bestedge[w]
-                        if best is None or kslack < (
-                            dualvar[best[0]] + dualvar[best[1]] - w2[best[0]][best[1]]
-                        ):
-                            bestedge[w] = (v, w)
+                            bestslack[bv] = bvslack = kslack
+                    elif label[w] == 0 and kslack < bestslack[w]:
+                        bestedge[w] = (v, w)
+                        bestslack[w] = kslack
             if augmented:
                 break
             # No augmenting path under these duals: take the least delta.
             deltatype, delta, deltaedge, deltablossom = -1, None, None, None
             for v in range(nv):
                 if label[inblossom[v]] == 0 and bestedge[v] is not None:
-                    d = slack(*bestedge[v])
+                    d = bestslack[v]
                     if deltatype == -1 or d < delta:
                         deltatype, delta, deltaedge = 2, d, bestedge[v]
             for b in itertools.chain(range(nv), blossomdual):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
-                    d = slack(*bestedge[b]) / 2.0
+                    d = bestslack[b] / 2.0
                     if deltatype == -1 or d < delta:
                         deltatype, delta, deltaedge = 3, d, bestedge[b]
             for b, z in blossomdual.items():
@@ -418,6 +427,9 @@ def _max_weight_mate(weight: np.ndarray) -> list[int]:
                         blossomdual[b] += delta
                     elif label[b] == 2:
                         blossomdual[b] -= delta
+            for b, k in enumerate(bestedge):
+                if k is not None:
+                    bestslack[b] = dualvar[k[0]] + dualvar[k[1]] - w2[k[0]][k[1]]
             if deltatype == 4:
                 walk(expand_blossom, deltablossom, False)
             else:

@@ -776,8 +776,8 @@ MUTANTS = (
     Mutant(
         "an S-blossom's least-slack edge keeps the last of equal slacks",
         "twoarm/matching.py",
-        "best = bestedge[bv]\n                        if best is None or kslack < (",
-        "best = bestedge[bv]\n                        if best is None or kslack <= (",
+        "                        if kslack < bvslack:\n",
+        "                        if kslack <= bvslack:\n",
         (
             "tests/test_matching.py::TestMatchHeuristic"
             "::test_same_pairing_as_networkx_min_weight_matching",
@@ -786,8 +786,8 @@ MUTANTS = (
     Mutant(
         "a free vertex's least-slack edge keeps the last of equal slacks",
         "twoarm/matching.py",
-        "best = bestedge[w]\n                        if best is None or kslack < (",
-        "best = bestedge[w]\n                        if best is None or kslack <= (",
+        "elif label[w] == 0 and kslack < bestslack[w]:",
+        "elif label[w] == 0 and kslack <= bestslack[w]:",
         (
             "tests/test_matching.py::TestMatchHeuristic"
             "::test_same_pairing_as_networkx_min_weight_matching",
@@ -796,8 +796,8 @@ MUTANTS = (
     Mutant(
         "a new blossom's least-slack edge to each neighbour blossom keeps the last tie",
         "twoarm/matching.py",
-        "slack(i, j) < slack(*bestedgeto[bj])",
-        "slack(i, j) <= slack(*bestedgeto[bj])",
+        "if kslack < bestedgeto.get(bj, (inf,))[0]:",
+        "if kslack <= bestedgeto.get(bj, (inf,))[0]:",
         (
             "tests/test_matching.py::TestMatchHeuristic"
             "::test_same_pairing_as_networkx_min_weight_matching",
@@ -806,8 +806,8 @@ MUTANTS = (
     Mutant(
         "a new blossom's least-slack edge is the last of equal slacks",
         "twoarm/matching.py",
-        "bestedge[b] = min(mybestedges[b], key=",
-        "bestedge[b] = min(mybestedges[b][::-1], key=",
+        "            bestedgeto.values(), key=lambda sk: sk[0], default=(inf, None)\n",
+        "            list(bestedgeto.values())[::-1], key=lambda sk: sk[0], default=(inf, None)\n",
         (
             "tests/test_matching.py::TestMatchHeuristic"
             "::test_same_pairing_as_networkx_min_weight_matching",
@@ -821,14 +821,70 @@ MUTANTS = (
         ("tests/test_matching.py::TestMatchGrid::test_odd_groups_spill_to_overflow",),
     ),
     Mutant(
-        "pb's search lets a later restart win a tie",
+        "the pool's winner takes the later restart on equal objectives",
         "twoarm/designs.py",
-        "if objs[k] < best_obj:",
-        "if objs[k] <= best_obj:",
+        "return Allocation(w[int(np.argmin(objs))])",
+        "return Allocation(w[objs.size - 1 - int(np.argmin(objs[::-1]))])",
         (
             "tests/test_designs.py::TestLockstepMatchesReference::test_row_major_tie_break",
             "tests/test_designs.py::TestLockstepMatchesReference::test_tied_and_skewed_panels",
         ),
+    ),
+    Mutant(
+        "the blossom's cached least slacks are not refreshed after a dual update",
+        "twoarm/matching.py",
+        "                if k is not None:\n"
+        "                    bestslack[b] = dualvar[k[0]] + dualvar[k[1]] - w2[k[0]][k[1]]\n",
+        "                pass\n",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_at_the_preset_size",
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "the blossom scan keeps v's blossom and its least slack from before an event",
+        "twoarm/matching.py",
+        "                        # an event may put v in a new blossom with its own best\n"
+        "                        bv = inblossom[v]\n"
+        "                        bvslack = bestslack[bv]\n",
+        "",
+        (
+            "tests/test_matching.py::TestMatchHeuristic"
+            "::test_same_pairing_as_networkx_min_weight_matching",
+        ),
+    ),
+    Mutant(
+        "a refilled pool slot keeps the finished row's objective and step count",
+        "twoarm/designs.py",
+        "            obj[fill], steps[fill] = _objectives(g, live[fill]), 0\n",
+        "",
+        ("tests/test_designs.py::TestRestartPool::test_each_row_has_its_own_step_cap",),
+    ),
+    Mutant(
+        "a stopped pool row is written back after its slot's last swap",
+        "twoarm/designs.py",
+        "        w[rows[stop]] = live[stop]\n"
+        "        # every slot swaps; a stopped one is refilled or dropped below\n"
+        "        i, j = tr[at, s], ct[at, t]\n"
+        "        live[at, i] = -1.0\n"
+        "        live[at, j] = 1.0\n",
+        "        i, j = tr[at, s], ct[at, t]\n"
+        "        live[at, i] = -1.0\n"
+        "        live[at, j] = 1.0\n"
+        "        w[rows[stop]] = live[stop]\n",
+        (
+            "tests/test_designs.py::TestRestartPool::test_refilled_rows_end_where_they_end_alone",
+            "tests/test_designs.py::TestLockstepMatchesReference::test_same_w_star_and_endpoints",
+        ),
+    ),
+    Mutant(
+        "the input conversion reads a Python bool among numbers as a number",
+        "twoarm/core.py",
+        "        isinstance(v, (bool, np.bool_)) for v in",
+        "        isinstance(v, np.bool_) for v in",
+        ("tests/test_core.py::test_a_bool_among_numbers_is_named",),
     ),
     Mutant(
         "run_cell's sd scaled by 0.8",

@@ -41,6 +41,7 @@ BOUNDARIES = {
     "CovariateMatrix": ("covariates", np.zeros((4, 1)), CovariateMatrix),
     "Allocation": ("allocation signs", [1, -1, 1, -1], Allocation),
     "Blocking": ("block_of", [0, 0, 1, 1], Blocking),
+    "Blocking.from_pairs": ("pair index", [[0, 1], [2, 3]], Blocking.from_pairs),
     "DistanceMatrix": ("distances", np.zeros((4, 4)), DistanceMatrix),
     "ResponseModel.beta0": (
         "beta0", 0.0, lambda v: ResponseModel("continuous", v, [1.0], 0.0)),
@@ -101,6 +102,24 @@ class TestOutsideInput:
 
     def test_non_finite_is_named(self, boundary):
         self.check(boundary, _non_finite)
+
+
+@pytest.mark.parametrize(
+    "boundary", [name for name, (_, good, _) in BOUNDARIES.items() if np.size(good) > 1]
+)
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_among_numbers_is_named(boundary, flag):
+    # numpy reads [True, -1, 1, -1] as the numbers [1, -1, 1, -1], so
+    # Allocation([True, -1, 1, -1]) and Blocking.from_pairs([(True, 0),
+    # (2, 3)]) used to pass
+    field, good, call = BOUNDARIES[boundary]
+    bad = np.asarray(good).tolist()
+    first = bad
+    while isinstance(first[0], list):
+        first = first[0]
+    first[0] = flag
+    with pytest.raises(ValueError, match=f"^{field} must be numeric, got a bool entry$"):
+        call(bad)
 
 
 class TestCovariateMatrix:

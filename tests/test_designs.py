@@ -744,3 +744,38 @@ class TestLockstepMatchesReference:
         rows = _random_starts(70, n_subjects, 41)
         want = np.array([float(row @ g @ row) for row in rows])
         assert _objectives(g, rows).tobytes() == want.tobytes()
+
+
+class TestRestartPool:
+    """A slot that stops takes the next row, and every row still ends
+    where it ends alone."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "duplicated"])
+    def test_refilled_rows_end_where_they_end_alone(self, kind, p):
+        # six pools of rows and 11 more at the preset 2n = 96: each slot
+        # is refilled many times, and the last refills leave slots empty
+        if kind == "uniform":
+            vals = _uniform_panel(50 + p, 96, p).values
+        else:
+            vals = _tied_or_skewed_panel(kind, 50 + p, 96, p)
+        g, h = mahalanobis_gram(vals)
+        starts = _random_starts(6 * _RESTART_CHUNK + 11, 96, 51 + p)
+        if kind != "uniform":
+            assert _count_tied_starts(g, h, starts) > 0
+        w = starts.astype(np.int8)
+        assert _descend_lockstep(g, h, w) is w
+        for w0, end in zip(starts, w):
+            np.testing.assert_array_equal(end, descend_reference(g, w0)[0])
+
+    def test_each_row_has_its_own_step_cap(self):
+        # at 2n = 4 the cap is 400 swaps, and 13,440 rows pass through
+        # the 32 slots, 420 a slot: a swap count carried from row to row
+        # in a slot would stop the later rows before their first swap
+        g, h = mahalanobis_gram(np.array([[0.0], [1.0], [3.0], [7.0]]))
+        starts = _random_starts(420 * _RESTART_CHUNK, 4, 60)
+        want = {tuple(w0): descend_reference(g, w0)[0] for w0 in np.unique(starts, axis=0)}
+        assert sum(not np.array_equal(w0, want[tuple(w0)]) for w0 in starts) > 8000
+        ends = _descend_lockstep(g, h, starts.copy())
+        for w0, end in zip(starts, ends):
+            np.testing.assert_array_equal(end, want[tuple(w0)])

@@ -239,6 +239,25 @@ class TestMatchHeuristic:
             np.testing.assert_array_equal(got.pairing.block_of, want.pairing.block_of)
             assert got.cost == want.cost
 
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "duplicated"])
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n_subjects", [48, 96])
+    def test_same_pairing_as_networkx_at_the_preset_size(self, n_subjects, p, kind):
+        # many dual updates per stage, exact slack ties (integer and
+        # duplicated rows) and nested blossoms: a cached least slack left
+        # stale by a dual update would pick another edge here
+        rng = np.random.default_rng([n_subjects, p, 7])
+        if kind == "uniform":
+            vals = rng.uniform(-1, 1, (n_subjects, p))
+        elif kind == "integer":
+            vals = rng.integers(0, 3, (n_subjects, p)).astype(float)
+        else:
+            vals = rng.permutation(np.repeat(rng.uniform(-1, 1, (n_subjects // 2, p)), 2, axis=0))
+        d = mahalanobis_distances(CovariateMatrix(vals))
+        got, want = match_heuristic(d), match_networkx_reference(d)
+        np.testing.assert_array_equal(got.pairing.block_of, want.pairing.block_of)
+        assert got.cost == want.cost
+
 
 def _grid_pm_at_one_covariate(x: CovariateMatrix) -> Blocking:
     """The pm pairing that the grid builds at p=1: sorted blocking, B = n."""
