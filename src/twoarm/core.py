@@ -150,7 +150,7 @@ class Blocking:
 
     @classmethod
     def single(cls, n_subjects: int) -> "Blocking":
-        return cls(np.zeros(n_subjects, dtype=np.int64))
+        return cls(np.zeros(_check_int("n_subjects", n_subjects, 2), dtype=np.int64))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Blocking":

@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Allocation, Blocking, CovariateMatrix, _check_int, _check_type, _frozen
-from .designs import DesignSpec, _patterns_at, regularized_covariance
+from .designs import DesignSpec, _pattern_table, _patterns_at, regularized_covariance
 from .matching import MatchResult, _pair_cost, mahalanobis_distances
 from .montecarlo import CellConfig, simulate_squared_errors
 from .response import ResponseModel, draw_outcomes, potential_means
@@ -207,23 +207,23 @@ def squared_error(w: Allocation, outcomes: OutcomePair) -> float:
 def enumerate_allocations(spec: DesignSpec, max_support: int = 1 << 20) -> np.ndarray:
     """The design's full support as an (S, 2n) array of +-1 (int8).
 
-    Every row is equally likely under the design.  Block-type supports
-    are the product of the k = C(n_B, n_B/2) balanced patterns of each
-    block, so S = k^B: row s is the sampler's own designs._patterns_at
-    of the B base-k digits of s, block 0's most significant, so block
-    0's pattern varies slowest; pb contributes exactly {w*, -w*}.
-    Supports larger than max_support are rejected before any is built.
+    Every row is equally likely under the design.  The support is the
+    product of the k patterns of each block, the C(n_B, n_B/2) balanced
+    ones or the K rows of the design's table (pb's w* and -w*), so
+    S = k^B: row s is the sampler's own designs._patterns_at of the B
+    base-k digits of s, block 0's most significant, so block 0's pattern
+    varies slowest.  Supports larger than max_support are rejected
+    before any is built.
     """
     _check_type("spec", spec, DesignSpec)
-    if spec.kind == "pb":
-        w = spec.w_star.signs
-        return np.stack([w, -w]).astype(np.int8)
     members = spec.blocking.blocks()
     n_blocks, m = members.shape
-    k = math.comb(m, m // 2)
+    table = spec.patterns
+    k = math.comb(m, m // 2) if table is None else table.shape[0]
     if k**n_blocks > max_support:
         raise ValueError(f"design support exceeds {max_support} allocations")
-    return _patterns_at(members, np.indices((k,) * n_blocks).reshape(n_blocks, -1).T)
+    index = np.indices((k,) * n_blocks).reshape(n_blocks, -1).T
+    return _patterns_at(members, index, _pattern_table(m) if table is None else table)
 
 
 def _support_squared_errors(
@@ -241,8 +241,8 @@ def enumerate_design_oracle(
     """Exact (mean, variance) of the squared error over the design support.
 
     Outcomes are held fixed; the average runs over every allocation in
-    the support with equal weight, which is exact for block-type
-    designs (independent uniform blocks) and for pb ({w*, -w*}).
+    the support with equal weight, which is exact for every design:
+    its blocks draw their patterns uniformly and independently.
     """
     _check_type("spec", spec, DesignSpec)
     _check_type("outcomes", outcomes, OutcomePair)
@@ -277,6 +277,7 @@ def match_grid(x: CovariateMatrix, rng: np.random.Generator) -> MatchResult:
     widths shrink while groups stay pairable.
     """
     _check_type("x", x, CovariateMatrix)
+    _check_type("rng", rng, np.random.Generator)
     vals = x.values
     n_sub, p = x.n_subjects, x.n_covariates
     n = x.n_pairs
@@ -336,6 +337,7 @@ def variance_decomposition_terms(
     _check_type("spec", spec, DesignSpec)
     _check_int("n_draws", n_draws, 2)
     _check_type("x", x, CovariateMatrix)
+    _check_type("rng", rng, np.random.Generator)
     if x.n_subjects != spec.n_subjects:
         raise ValueError(
             f"covariates have {x.n_subjects} subjects but the design has "

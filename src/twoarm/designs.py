@@ -6,7 +6,7 @@ Four families are supported:
           balanced allocations; the single-block special case),
 * block - independent balanced randomization inside B equal blocks,
 * pm    - pairwise matching, a block design with blocks of size 2,
-* pb    - perfect balance, a deterministic pair {w*, -w*} with w*
+* pb    - perfect balance, one block of 2n drawing w* or -w*, with w*
           chosen to minimize Mahalanobis imbalance.
 
 pb's search and pm's matching share one covariate metric,
@@ -34,52 +34,59 @@ _SINGULAR_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DesignSpec:
-    """A fully specified design: family plus its structure.
-
-    Block-type families (bcrd, block, pm) carry a Blocking; pb carries
-    the optimized allocation w_star.
-    """
+    """A design: its family, its blocking, and the patterns each block
+    draws from, uniformly and independently: every balanced pattern when
+    patterns is None (bcrd, block, pm), or else the rows of a read-only
+    (K, n_B) int8 table, which pb, and only pb, has: [w*, -w*]."""
 
     kind: str
-    blocking: Blocking | None = None
-    w_star: Allocation | None = None
+    blocking: Blocking
+    patterns: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.kind == "pb":
-            if self.w_star is None or self.blocking is not None:
-                raise ValueError("pb requires w_star and no blocking")
-            _check_type("w_star", self.w_star, Allocation)
-        else:
-            if self.blocking is None or self.w_star is not None:
-                raise ValueError(f"{self.kind} requires a blocking and no w_star")
-            _check_type("blocking", self.blocking, Blocking)
-            if self.kind == "bcrd" and self.blocking.n_blocks != 1:
-                raise ValueError("bcrd must have a single block")
-            if self.kind == "pm" and not self.blocking.is_pairing:
-                raise ValueError("pm requires blocks of size 2")
+        _check_type("blocking", self.blocking, Blocking)
+        if self.kind in ("bcrd", "pb") and self.blocking.n_blocks != 1:
+            raise ValueError(f"{self.kind} must have a single block")
+        if self.kind == "pm" and not self.blocking.is_pairing:
+            raise ValueError("pm requires blocks of size 2")
+        if (self.kind == "pb") != (self.patterns is not None):
+            raise ValueError(f"patterns must be given for pb and only for pb, kind {self.kind!r}")
+        if self.patterns is None:
+            return
+        table = _frozen("patterns", self.patterns, 2, np.int8)
+        if not (1 <= table.shape[0] <= 32_767 and table.shape[1] == self.blocking.block_size):
+            raise ValueError(f"patterns must be 1 to 32,767 rows (an int16 index) of "
+                             f"{self.blocking.block_size} signs, got shape {table.shape}")
+        if not np.isin(table, (-1, 1)).all() or table.sum(axis=1).any():
+            raise ValueError("patterns rows must be balanced, of -1 and +1 signs")
+        object.__setattr__(self, "patterns", table)
 
     @classmethod
     def bcrd(cls, n_subjects: int) -> "DesignSpec":
-        return cls("bcrd", blocking=Blocking.single(n_subjects))
+        return cls("bcrd", Blocking.single(n_subjects))
 
     @classmethod
     def block(cls, blocking: Blocking) -> "DesignSpec":
-        return cls("block", blocking=blocking)
+        return cls("block", blocking)
 
     @classmethod
     def pm(cls, pairing: Blocking) -> "DesignSpec":
-        return cls("pm", blocking=pairing)
+        return cls("pm", pairing)
 
     @classmethod
     def pb(cls, w_star: Allocation) -> "DesignSpec":
-        return cls("pb", w_star=w_star)
+        _check_type("w_star", w_star, Allocation)
+        return cls("pb", Blocking.single(w_star.n_subjects), [w_star.signs, -w_star.signs])
+
+    @property
+    def w_star(self) -> Allocation | None:
+        """pb's optimized allocation, its first pattern; None for the others."""
+        return None if self.patterns is None else Allocation(self.patterns[0])
 
     @property
     def n_subjects(self) -> int:
-        if self.kind == "pb":
-            return self.w_star.n_subjects
         return self.blocking.n_subjects
 
 
@@ -88,10 +95,10 @@ def sample_allocations(
 ) -> np.ndarray:
     """Draw n_draws allocations as an (n_draws, 2n) array of +-1 (int8).
 
-    Block-type designs randomize each block independently, exactly half
-    of each block treated; pb flips a fair coin between w* and -w*.
-    Blocks of n_B <= _TABLE_MAX subjects take one
-    rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16) draw,
+    Each block draws one of its patterns, so exactly half of it is
+    treated.  A table of K patterns, spec.patterns or, for blocks of
+    n_B <= _TABLE_MAX subjects, _pattern_table(n_B), takes one
+    rng.integers(0, K, (n_draws, B), dtype=np.int16) draw,
     row-major over (row, block), and _patterns_at places the drawn
     patterns: the gather that criteria.enumerate_allocations runs over
     every index of the support.  Larger blocks
@@ -102,14 +109,13 @@ def sample_allocations(
     """
     _check_type("spec", spec, DesignSpec)
     _check_int("n_draws", n_draws, 0)
-    if spec.kind == "pb":
-        coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
-        return coin[:, None] * spec.w_star.signs[None, :]
+    _check_type("rng", rng, np.random.Generator)
     blocks = spec.blocking.blocks()
     n_blocks, m = blocks.shape
-    if m <= _TABLE_MAX:
-        k = math.comb(m, m // 2)
-        return _patterns_at(blocks, rng.integers(0, k, (n_draws, n_blocks), dtype=np.int16))
+    table = _pattern_table(m) if spec.patterns is None and m <= _TABLE_MAX else spec.patterns
+    if table is not None:
+        index = rng.integers(0, table.shape[0], (n_draws, n_blocks), dtype=np.int16)
+        return _patterns_at(blocks, index, table)
     out = np.empty((n_draws, spec.n_subjects), dtype=np.int8)
     row_slices = row_blocks(n_draws, m)
     for members in blocks:
@@ -118,11 +124,12 @@ def sample_allocations(
     return out
 
 
-def _patterns_at(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _patterns_at(blocks: np.ndarray, index: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The (rows, 2n) int8 allocations whose block b takes row index[r, b]
-    of _pattern_table(n_B), the pattern's k-th sign at subject blocks[b, k]."""
+    of the (K, n_B) table, the pattern's k-th sign at subject blocks[b, k]."""
     out = np.empty((index.shape[0], blocks.size), dtype=np.int8)
-    table = _pattern_table(blocks.shape[1])
+    # each row one np.void of n_B int8 signs, so a gather moves a pattern whole
+    table = table.view(np.dtype((np.void, table.shape[1])))[:, 0]
     # A gathered row holds subject blocks[b, k] in column b * n_B + k, and
     # the inverse permutation puts each subject back in its column.  Row
     # blocks bound the intp copy that np.take makes of the index.
@@ -140,22 +147,20 @@ _TABLE_MAX = 16
 
 @functools.cache
 def _pattern_table(m: int) -> np.ndarray:
-    """The C(m, m/2) balanced +-1 patterns of a block of m, read-only.
+    """The C(m, m/2) balanced +-1 patterns of a block of m, read-only int8 rows.
 
     Row i is +1 at the i-th m/2-subset of range(m) in
-    itertools.combinations order and -1 elsewhere; each row is one
-    np.void of m int8 signs, so a gather moves a pattern whole.  The
-    rows are written in place by Pascal's rule (_fill_subsets), and the
-    build holds no array beside the table.  Built on first use, once per
-    m and process: the sampler and the support enumeration gather from
-    it through one _patterns_at.
+    itertools.combinations order and -1 elsewhere.  The rows are written
+    in place by Pascal's rule (_fill_subsets), and the build holds no
+    array beside the table.  Built on first use, once per m and process:
+    the sampler and the support enumeration gather from it through one
+    _patterns_at.
     """
     h = m // 2
     signs = np.empty((math.comb(m, h), m), dtype=np.int8)
     _fill_subsets(signs, slice(0, signs.shape[0]), 0, h, {})
-    table = signs.view(np.dtype((np.void, m)))[:, 0]
-    table.setflags(write=False)
-    return table
+    signs.setflags(write=False)
+    return signs
 
 
 def _fill_subsets(signs: np.ndarray, rows: slice, col: int, k: int, first: dict) -> None:
@@ -215,22 +220,23 @@ def _half_signs(u: np.ndarray) -> np.ndarray:
 def design_covariance(spec: DesignSpec) -> np.ndarray:
     """Exact allocation covariance E[w w'], a read-only (2n, 2n) array.
 
-    Within a block of size n_B the off-diagonal entries are
-    -1/(n_B - 1) (balanced exchangeable signs must have rows summing to
-    zero over the block); across blocks they are 0.  For pb the matrix
-    is the rank-one outer product w* w*'.  Only the checks use it; the
-    grid never does.
+    Entries across blocks are 0, and every block holds one within-block
+    matrix: unit diagonal and off-diagonal -1/(n_B - 1) over all balanced
+    patterns (exchangeable signs summing to zero over the block), or
+    T'T / K over a table T of K rows, pb's rank-one w* w*' exactly.
+    Only the checks use it; the grid never does.
     """
     _check_type("spec", spec, DesignSpec)
-    if spec.kind == "pb":
-        w = spec.w_star.signs.astype(float)
-        sigma = np.outer(w, w)
+    members = spec.blocking.blocks()
+    m = members.shape[1]
+    if spec.patterns is None:
+        within = np.full((m, m), -1.0 / (m - 1))
+        np.fill_diagonal(within, 1.0)
     else:
-        n_sub = spec.n_subjects
-        members = spec.blocking.blocks()
-        sigma = np.zeros((n_sub, n_sub))
-        sigma[members[:, :, None], members[:, None, :]] = -1.0 / (members.shape[1] - 1)
-        np.fill_diagonal(sigma, 1.0)
+        t = spec.patterns.astype(float)
+        within = t.T @ t / t.shape[0]
+    sigma = np.zeros((spec.n_subjects,) * 2)
+    sigma[members[:, :, None], members[:, None, :]] = within
     sigma.setflags(write=False)
     return sigma
 
@@ -398,6 +404,7 @@ def greedy_pair_switch(
     """
     _check_type("x", x, CovariateMatrix)
     _check_int("restarts", restarts, 1)
+    _check_type("rng", rng, np.random.Generator)
     n_sub, n = x.n_subjects, x.n_pairs
     g, h = mahalanobis_gram(x.values)
     w = np.full((restarts, n_sub), -1, dtype=np.int8)

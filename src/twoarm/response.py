@@ -122,6 +122,7 @@ def draw_covariates(
     rng: np.random.Generator,
 ) -> CovariateMatrix:
     _check_type("source", source, CovariateSource)
+    _check_type("rng", rng, np.random.Generator)
     n_subjects = _check_int("n_subjects", n_subjects, 4)
     shape = (n_subjects, _check_int("n_covariates", n_covariates, 1))
     # Written out as low + (high - low) * u and as 1 / rate of the rate,
@@ -211,6 +212,7 @@ def draw_outcomes(
     n1 + n2 rows.
     """
     mu = _checked_mu(model, mu, n_draws)
+    _check_type("rng", rng, np.random.Generator)
     kind = model.kind
     if kind == "proportion":
         shape1, shape2 = PROPORTION_PHI * mu, PROPORTION_PHI * (1.0 - mu)

@@ -104,8 +104,8 @@ MUTANTS = (
     Mutant(
         "design_covariance's off-diagonal at -1/n_B",
         "twoarm/designs.py",
-        "= -1.0 / (members.shape[1] - 1)",
-        "= -1.0 / members.shape[1]",
+        "np.full((m, m), -1.0 / (m - 1))",
+        "np.full((m, m), -1.0 / m)",
         (
             "tests/test_designs.py::TestDesignCovariance::test_matches_exact_enumeration",
             "tests/test_designs.py::TestDesignCovariance::test_block_rows_sum_to_zero_within_blocks",
@@ -162,11 +162,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the pattern index drawn from C - 1 patterns",
+        "the pattern index drawn from K - 1 patterns",
         "twoarm/designs.py",
-        "rng.integers(0, k, (n_draws, n_blocks)",
-        "rng.integers(0, k - 1, (n_draws, n_blocks)",
+        "rng.integers(0, table.shape[0], (n_draws, n_blocks)",
+        "rng.integers(0, table.shape[0] - 1, (n_draws, n_blocks)",
         (
+            "tests/test_designs.py::TestSampling::test_pb_support_and_frequency",
             "tests/test_designs.py::TestPatternDraws"
             "::test_uniform_over_the_whole_support_at_2n_8[pm]",
             "tests/test_designs.py::TestPatternDraws"
@@ -301,8 +302,8 @@ MUTANTS = (
         # the sampler's digits see it
         "the enumeration reads the pattern table in reverse order",
         "twoarm/criteria.py",
-        "_patterns_at(members, np.indices(",
-        "_patterns_at(members, k - 1 - np.indices(",
+        "index = np.indices(",
+        "index = k - 1 - np.indices(",
         (
             "tests/test_designs.py::TestEnumerateAllocations::test_block_support_matches_oracle",
             "tests/test_designs.py::TestEnumerateAllocations"
@@ -323,27 +324,55 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a pb cell scores w* reversed",
-        "twoarm/montecarlo.py",
-        "np.broadcast_to(cfg.design.w_star.signs, ",
-        "np.broadcast_to(cfg.design.w_star.signs[::-1], ",
+        # -w* reversed is w* or -w* in the pinned and delta tests' cells,
+        # so only the 2n = 96 cell and the 2n = 4 draws tell it apart
+        "pb's second pattern is -w* reversed",
+        "twoarm/designs.py",
+        "[w_star.signs, -w_star.signs]",
+        "[w_star.signs, -w_star.signs[::-1]]",
         (
             "tests/test_montecarlo.py::TestPanel"
-            "::test_pb_scores_w_star_without_drawing_its_coin[continuous]",
+            "::test_pb_squared_errors_are_those_of_w_star[continuous]",
+            "tests/test_designs.py::TestSampling::test_pb_support_and_frequency",
         ),
     ),
     Mutant(
-        # w* reversed is w* or -w* in the pinned and delta tests' cells, so
-        # only the 2n = 96 cell above tells it apart; a rotation is caught
-        # by the pinned pb report too.
-        "a pb cell scores w* rotated by one subject",
-        "twoarm/montecarlo.py",
-        "np.broadcast_to(cfg.design.w_star.signs, ",
-        "np.broadcast_to(np.roll(cfg.design.w_star.signs, 1), ",
+        "pb's second pattern is -w* rotated by one subject",
+        "twoarm/designs.py",
+        "[w_star.signs, -w_star.signs]",
+        "[w_star.signs, np.roll(-w_star.signs, 1)]",
         (
             "tests/test_montecarlo.py::TestRunCell::test_pinned_report_values[pb]",
             "tests/test_montecarlo.py::TestPanel"
-            "::test_pb_scores_w_star_without_drawing_its_coin[survival]",
+            "::test_pb_squared_errors_are_those_of_w_star[survival]",
+            "tests/test_designs.py::TestDesignCovariance::test_pb_rank_one",
+        ),
+    ),
+    Mutant(
+        # w*'v squared is the same for either row, so no squared error
+        # moves; the support, the draws and the table itself see it
+        "pb's table is [w*, w*]",
+        "twoarm/designs.py",
+        "[w_star.signs, -w_star.signs]",
+        "[w_star.signs, w_star.signs]",
+        (
+            "tests/test_designs.py::TestDesignSpec::test_factories",
+            "tests/test_designs.py::TestSampling::test_pb_support_and_frequency",
+            "tests/test_designs.py::TestPatternTables::test_a_table_of_the_patterns_is_the_design[pb]",
+        ),
+    ),
+    Mutant(
+        # a one-block table of every balanced pattern in combinations
+        # order gathers the same rows either way, so the bcrd twin passes
+        "the sampler gathers from _pattern_table instead of the spec's table",
+        "twoarm/designs.py",
+        "        return _patterns_at(blocks, index, table)\n",
+        "        return _patterns_at(blocks, index, _pattern_table(m))\n",
+        (
+            "tests/test_designs.py::TestSampling::test_pb_support_and_frequency",
+            "tests/test_designs.py::TestSampling::test_row_blocks_equal_the_whole_block_draw[pb-682]",
+            "tests/test_montecarlo.py::TestPanel"
+            "::test_pb_squared_errors_are_those_of_w_star[count]",
         ),
     ),
     Mutant(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from twoarm.core import Allocation, Blocking, CovariateMatrix
-from twoarm.criteria import enumerate_allocations, mahalanobis_imbalance
+from twoarm.criteria import (
+    OutcomePair, enumerate_allocations, enumerate_design_oracle, mahalanobis_imbalance,
+)
 from twoarm.designs import (
     _RESTART_CHUNK,
     DesignSpec,
@@ -51,25 +53,58 @@ def _permuted_ids(n_subjects, n_blocks, rng):
 class TestDesignSpec:
     def test_factories(self):
         assert DesignSpec.bcrd(6).blocking.n_blocks == 1
+        assert DesignSpec.bcrd(6).patterns is None
         b = DesignSpec.block(Blocking([0, 0, 1, 1]))
         assert b.blocking.n_blocks == 2
         pm = DesignSpec.pm(Blocking.from_pairs([(0, 1), (2, 3)]))
         assert pm.kind == "pm"
+        assert pm.w_star is None
         pb = DesignSpec.pb(Allocation([1, -1, -1, 1]))
-        assert pb.blocking is None
+        assert pb.blocking.n_blocks == 1
         assert pb.n_subjects == 4
+        np.testing.assert_array_equal(pb.patterns, [[1, -1, -1, 1], [-1, 1, 1, -1]])
+        assert pb.patterns.dtype == np.int8
+        assert not pb.patterns.flags.writeable
+        np.testing.assert_array_equal(pb.w_star.signs, [1, -1, -1, 1])
 
     def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            DesignSpec("pm", blocking=Blocking([0, 0, 0, 0, 1, 1, 1, 1]))
-        with pytest.raises(ValueError):
-            DesignSpec("bcrd", blocking=Blocking([0, 0, 1, 1]))
-        with pytest.raises(ValueError):
-            DesignSpec("pb", blocking=Blocking.single(4))
-        with pytest.raises(ValueError):
-            DesignSpec("block", w_star=Allocation([1, -1]))
-        with pytest.raises(ValueError):
-            DesignSpec("nope", blocking=Blocking.single(4))
+        with pytest.raises(ValueError, match="^pm requires"):
+            DesignSpec("pm", Blocking([0, 0, 0, 0, 1, 1, 1, 1]))
+        with pytest.raises(ValueError, match="^bcrd must have a single block"):
+            DesignSpec("bcrd", Blocking([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="^patterns must be given for pb"):
+            DesignSpec("pb", Blocking.single(4))
+        with pytest.raises(ValueError, match="^patterns must be given for pb"):
+            DesignSpec("block", Blocking([0, 0, 1, 1]), [[1, -1], [-1, 1]])
+        with pytest.raises(ValueError, match="^pb must have a single block"):
+            DesignSpec("pb", Blocking([0, 0, 1, 1]), [[1, -1], [-1, 1]])
+        with pytest.raises(ValueError, match="^unknown design kind"):
+            DesignSpec("nope", Blocking.single(4))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[1, -1, 1, -1, 1, -1]],
+            [[1, -1, 0, 0]],
+            [[1, 1, 1, -1]],
+            [[1, -1, 1, -1], [1, -1]],
+            [["+", "-", "+", "-"]],
+            np.tile(np.array([1, -1, 1, -1], dtype=np.int8), (32_768, 1)),
+        ],
+        ids=["width", "zero", "unbalanced", "ragged", "strings", "32768-rows"],
+    )
+    def test_bad_pattern_tables_fail_by_name(self, table):
+        with pytest.raises(ValueError, match="^patterns "):
+            DesignSpec("pb", Blocking.single(4), table)
+
+    def test_a_table_of_32767_rows_is_accepted(self):
+        table = np.tile(np.array([1, -1, 1, -1], dtype=np.int8), (32_767, 1))
+        assert DesignSpec("pb", Blocking.single(4), table).patterns.shape == (32_767, 4)
+
+    @pytest.mark.parametrize("bad", [6.0, -2, 0, "4", None, True])
+    def test_bad_subject_counts_fail_by_name(self, bad):
+        with pytest.raises(ValueError, match="^n_subjects must be"):
+            DesignSpec.bcrd(bad)
 
     def test_rejects_structures_that_are_not_their_types(self):
         with pytest.raises(ValueError, match="^blocking must be a Blocking, got list$"):
@@ -152,13 +187,14 @@ class TestSampling:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-class _PreparedUniforms:
-    """A generator stand-in whose random() hands out a prepared sequence
-    of uniforms in row-major order, as a real stream hands out its own:
-    so the sampler's row blocks and the oracle's whole block draws see
-    the same values, and `taken` counts the values each side used."""
+class _PreparedUniforms(np.random.Generator):
+    """A generator whose random() hands out a prepared sequence of
+    uniforms in row-major order, as a real stream hands out its own: so
+    the sampler's row blocks and the oracle's whole block draws see the
+    same values, and `taken` counts the values each side used."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
         self._values = np.ravel(values)
         self.taken = 0
 
@@ -298,6 +334,30 @@ class TestPatternDraws:
         info = _pattern_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 9, 2)
         assert _pattern_table(16) is table
+
+
+class TestPatternTables:
+    """A design is a blocking and the patterns its blocks draw from, so a
+    one-block table that lists a design's patterns is that design: its
+    support, covariance, oracle moments and draws, with no code of its own."""
+
+    @pytest.mark.parametrize("twin", ["pb", "bcrd"])
+    def test_a_table_of_the_patterns_is_the_design(self, twin):
+        w = Allocation([1, 1, -1, 1, -1, -1, 1, -1])
+        if twin == "pb":
+            spec, table = DesignSpec.pb(w), [w.signs, -w.signs]
+        else:
+            halves = itertools.combinations(range(8), 4)
+            spec, table = DesignSpec.bcrd(8), [[1 if k in h else -1 for k in range(8)] for h in halves]
+        tabled = DesignSpec("pb", Blocking.single(8), table)
+        assert tabled.patterns.shape == (len(table), 8)
+        rng = substream(71, "tables", twin)
+        outcomes = OutcomePair(rng.normal(size=8), rng.normal(size=8))
+        assert enumerate_design_oracle(tabled, outcomes) == enumerate_design_oracle(spec, outcomes)
+        assert design_covariance(tabled).tobytes() == design_covariance(spec).tobytes()
+        assert enumerate_allocations(tabled).tobytes() == enumerate_allocations(spec).tobytes()
+        got, want = (sample_allocations(d, 5000, substream(72, twin)) for d in (tabled, spec))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDesignCovariance:

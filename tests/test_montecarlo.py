@@ -656,18 +656,22 @@ class TestPanel:
         assert sum(calls) == 2 * (8192 + 100)
 
     @pytest.mark.parametrize("kind", RESPONSE_KINDS)
-    def test_pb_scores_w_star_without_drawing_its_coin(self, kind, monkeypatch):
-        # (-w*'v)^2 is (w*'v)^2 bitwise, so the chunk loop scores w*
-        # itself and must still give the bytes of the oracle, which draws
-        # the coin, over a full and a ragged chunk.
+    def test_pb_squared_errors_are_those_of_w_star(self, kind):
+        # pb draws w* or -w* on its alloc stream like any design, and
+        # (-w*'v)^2 is (w*'v)^2 bitwise: over a full and a ragged chunk
+        # its squared errors are the oracle's bytes and (w*'v / 2n)^2.
         (cfg,) = _panel(kind, 8192 + 100, _FOUR_DESIGNS[3:])
-
-        def no_draw(spec, n_draws, rng):
-            raise AssertionError("a pb cell drew allocations")
-
-        monkeypatch.setattr(twoarm.montecarlo, "sample_allocations", no_draw)
+        mu_t, mu_c = potential_means(cfg.model, cfg.x)
+        w_star = cfg.design.w_star.signs
+        want = []
+        for ci, size in enumerate((CHUNK_SIZE, 8192 + 100 - CHUNK_SIZE)):
+            rng_y = substream(cfg.master_seed, cfg.cell_id, "outcomes", ci)
+            v = draw_outcomes(cfg.model, mu_t, rng_y, size)
+            v += draw_outcomes(cfg.model, mu_c, rng_y, size)
+            want.append(np.square((w_star * v).sum(axis=1) / 96.0))
         got = _alone(cfg)
         assert got.tobytes() == simulate_squared_errors_reference(cfg).tobytes()
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_cells_that_disagree_are_rejected(self):
         cells = _panel("continuous", 300, _FOUR_DESIGNS[:2])

@@ -257,11 +257,13 @@ def _typed_argument_calls():
         estimate, match_grid, pair_gap_diagnostic, pb_quantile, squared_error,
         variance_decomposition_terms,
     )
-    from twoarm.designs import DesignSpec, design_covariance, sample_allocations
+    from twoarm.designs import (
+        DesignSpec, design_covariance, greedy_pair_switch, sample_allocations,
+    )
     from twoarm.montecarlo import CellConfig, run_cell, simulate_squared_errors
     from twoarm.response import (
-        CovariateSource, arm_variance, default_model, draw_covariates,
-        draw_outcomes, potential_means, residual_variances,
+        CovariateSource, arm_variance, default_covariate_source, default_model,
+        draw_covariates, draw_outcomes, potential_means, residual_variances,
     )
 
     x = CovariateMatrix(np.arange(16.0).reshape(8, 2))
@@ -272,6 +274,7 @@ def _typed_argument_calls():
     mu = np.full(8, 0.5)
     cfg = CellConfig("cell", model, x, spec, 4, 1)
     rng = np.random.default_rng(0)
+    source = default_covariate_source("continuous")
     return [
         ("spec", "DesignSpec", lambda v: sample_allocations(v, 2, rng)),
         ("spec", "DesignSpec", design_covariance),
@@ -297,12 +300,22 @@ def _typed_argument_calls():
         ("outcomes", "OutcomePair", estimand),
         ("spec", "DesignSpec", lambda v: variance_decomposition_terms(v, model, x, 4, rng)),
         ("model", "ResponseModel", lambda v: variance_decomposition_terms(spec, v, x, 4, rng)),
+        ("rng", "Generator", lambda v: sample_allocations(spec, 2, v)),
+        ("rng", "Generator", lambda v: greedy_pair_switch(x, 2, v)),
+        ("rng", "Generator", lambda v: draw_outcomes(model, mu, v, 2)),
+        ("rng", "Generator", lambda v: variance_decomposition_terms(spec, model, x, 4, v)),
+        ("rng", "Generator", lambda v: draw_covariates(source, 8, 2, v)),
+        ("rng", "Generator", lambda v: match_grid(x, v)),
     ]
 
 
-@pytest.mark.parametrize("bad", [np.zeros(8), "bcrd", (1, 2), None], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "bad", [np.zeros(8), "bcrd", (1, 2), None, np.random.RandomState(0)],
+    ids=lambda v: type(v).__name__,
+)
 def test_every_typed_argument_fails_by_name_and_class(bad):
-    # each used to raise AttributeError on its first attribute read
+    # each used to raise AttributeError on its first attribute read, and
+    # a legacy RandomState passed as rng bypassed the seeded substreams
     for name, cls, call in _typed_argument_calls():
         got = type(bad).__name__
         with pytest.raises(ValueError, match=f"^{name} must be a {cls}, got {got}$"):

@@ -411,18 +411,31 @@ def draw_outcomes_reference(model, mu, rng, n_draws: int) -> np.ndarray:
 
 
 def sample_allocations_reference(spec, n_draws: int, rng) -> np.ndarray:
-    """sample_allocations written out.  Blocks of n_B <= PATTERN_BLOCK_MAX
-    read one rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16)
+    """sample_allocations written out.  A design with a table of K
+    patterns reads one rng.integers(0, K, (n_draws, B), dtype=np.int16)
+    draw and, one row, block and member at a time, gives the member the
+    sign of the index's pattern at its place in the block.  Blocks of
+    n_B <= PATTERN_BLOCK_MAX read one
+    rng.integers(0, C(n_B, n_B / 2), (n_draws, B), dtype=np.int16)
     draw and, one row and one block at a time, treat the members at the
     positions of the index's entry in the list of
     itertools.combinations(range(n_B), n_B / 2).  Larger blocks take each
     design block's (n_draws, n_B) uniforms, argsort and signs whole, one
     block after another."""
-    if spec.kind == "pb":
-        coin = rng.integers(0, 2, size=n_draws).astype(np.int8) * 2 - 1
-        return coin[:, None] * spec.w_star.signs[None, :]
     blocks = spec.blocking.blocks()
     m = blocks.shape[1]
+    if spec.patterns is not None:
+        patterns = spec.patterns.tolist()
+        index = rng.integers(0, len(patterns), (n_draws, len(blocks)), dtype=np.int16)
+        members = blocks.tolist()
+        rows = []
+        for row_index in index.tolist():
+            row = [0] * spec.n_subjects
+            for block, i in zip(members, row_index):
+                for subject, sign in zip(block, patterns[i]):
+                    row[subject] = sign
+            rows.append(row)
+        return np.array(rows, dtype=np.int8).reshape(n_draws, spec.n_subjects)
     if m <= PATTERN_BLOCK_MAX:
         halves = list(itertools.combinations(range(m), m // 2))
         index = rng.integers(0, len(halves), (n_draws, len(blocks)), dtype=np.int16)
